@@ -100,7 +100,12 @@ class TokenSequence:
 
 @dataclass
 class JointAttention:
-    """One layer's captured attention: per-head T x T maps and the partition index."""
+    """One layer's captured attention: per-head T x T maps and the partition index.
+
+    `logits` and `probs` are the layer's own arrays from `forward`, not
+    copies. `forward` never writes them after capture, but a consumer that
+    keeps them past the call or mutates them must copy first.
+    """
 
     t_txt: int
     logits: np.ndarray | None = None
@@ -383,13 +388,29 @@ def _layernorm(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+    """Tanh GELU: 0.5 * x * (1 + tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x)))).
+
+    Evaluated one in-place ufunc at a time in the plain expression's order, so
+    the result is bit-identical to it. `x` is left unchanged.
+    """
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= 0.7978845608028654
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    out = 0.5 * x
+    out *= inner
+    return out
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax in one fresh buffer; `logits` is never written."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _require_finite(arr: np.ndarray, what: str, layer: int):
@@ -411,6 +432,10 @@ def forward(
     own scale/shift, residual. Image tokens pass through a final LN and the
     linear velocity head. Reductions run in fixed ascending-index order, so
     the pass is bit-deterministic for fixed inputs.
+
+    Captured maps are each layer's own freshly allocated logits/probs arrays,
+    handed out without a copy; a caller that keeps or mutates them must copy
+    first.
     """
     cfg = weights.cfg
     if not 0.0 <= t <= 1.0:
@@ -432,7 +457,8 @@ def forward(
         q = (h @ lw.wq).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         k = (h @ lw.wk).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         v = (h @ lw.wv).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
-        logits = (q @ k.transpose(0, 2, 1)) * scale
+        logits = q @ k.transpose(0, 2, 1)
+        logits *= scale
 
         if hook is not None and hook.override is not None:
             for head in range(n_heads):
@@ -451,8 +477,8 @@ def forward(
         if hook is not None and hook.captures(layer):
             captured[layer] = JointAttention(
                 t_txt=t_txt,
-                logits=logits.copy() if hook.store_logits else None,
-                probs=probs.copy() if hook.store_probs else None,
+                logits=logits if hook.store_logits else None,
+                probs=probs if hook.store_probs else None,
             )
 
     velocity = _layernorm(x[t_txt:]) @ weights.head_w

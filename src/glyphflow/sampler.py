@@ -36,6 +36,9 @@ from .model import (
 )
 from .tensorio import read_tensors, tensors_checksum, write_tensors
 
+# A probe receives (step, t, branch, captures) after each forward. The
+# captures hold the forward's own attention arrays, not copies: a probe that
+# keeps them beyond the call or mutates them must copy first.
 ProbeFn = Callable[[int, float, str, dict[int, JointAttention]], None]
 
 

@@ -20,7 +20,7 @@ from glyphflow import (
     timestep_embedding,
     unpatchify,
 )
-from glyphflow.model import TEXT_TABLE_ROWS
+from glyphflow.model import TEXT_TABLE_ROWS, _gelu, _softmax_rows
 
 
 def make_tokens(weights, prompt, image_pixels):
@@ -237,6 +237,45 @@ def test_non_finite_override_raises(tiny_weights, tiny_glyph):
     hook = AttentionHook(override=lambda step, layer, head, block: block * np.inf)
     with pytest.raises(NonFiniteActivation):
         forward(tiny_weights, tokens, 0.5, hook)
+
+
+def test_softmax_rows_matches_out_of_place_formula(rng):
+    logits = rng.standard_normal((3, 20, 20)) * 30.0
+    before = logits.tobytes()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    want = e / e.sum(axis=-1, keepdims=True)
+    got = _softmax_rows(logits)
+    assert got.tobytes() == want.tobytes()
+    assert logits.tobytes() == before
+    assert not np.shares_memory(got, logits)
+
+
+def test_gelu_matches_power_formula():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 8001), [0.0, -0.0]])
+    before = x.tobytes()
+    want = 0.5 * x * (1.0 + np.tanh(_GA * (x + _GB * x**3)))
+    got = _gelu(x)
+    assert x.tobytes() == before
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(x)))
+    # the in-place evaluation is bit-identical to the plain expression it mirrors
+    plain = 0.5 * x * (1.0 + np.tanh(_GA * (x + _GB * (x * x * x))))
+    assert got.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("override", [None, lambda step, layer, head, block: block * 0.5])
+def test_captures_are_consistent_and_distinct(tiny_weights, tiny_glyph, override):
+    tokens = make_tokens(tiny_weights, "A", tiny_glyph.pixels)
+    hook = AttentionHook(store_logits=True, store_probs=True, override=override)
+    _, caps = forward(tiny_weights, tokens, 0.5, hook)
+    assert set(caps) == set(range(tiny_weights.cfg.n_layers))
+    arrays = []
+    for att in caps.values():
+        assert _softmax_rows(att.logits).tobytes() == att.probs.tobytes()
+        arrays += [att.logits, att.probs]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 # ------------------------------------------------------------------
