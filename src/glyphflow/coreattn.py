@@ -23,14 +23,12 @@ from .errors import (
     ModeMismatch,
     ShapeMismatch,
     TraceMismatch,
-    ZeroRowMass,
 )
+from .metrics import MASK_THRESHOLD, row_fraction, row_masses
 from .tensorio import read_tensors, write_tensors
 
 if TYPE_CHECKING:
     from .sampler import AttentionTrace
-
-MASK_THRESHOLD = 0.5
 
 
 class ScoreMode(str, enum.Enum):
@@ -322,17 +320,13 @@ def attention_shift(
     if not core.indices:
         raise ConfigError("attention_shift needs a nonempty core set")
     idx = core.rows()
-    off = mask_frac < threshold
     out = np.empty(len(maps_per_layer), dtype=np.float64)
     for i, maps in enumerate(maps_per_layer):
         mean_map = _as_headset(maps).mean(axis=0)
         if mean_map.shape[1] != mask_frac.shape[0]:
             raise ShapeMismatch("map width differs from mask fraction length")
-        rows = mean_map[idx]
-        denom = rows.sum(axis=1)
-        if np.any(denom <= 0.0):
-            raise ZeroRowMass("core row carries no attention mass")
-        out[i] = float(np.mean(rows[:, off].sum(axis=1) / denom))
+        masses = row_masses(mean_map, mask_frac, threshold)
+        out[i] = row_fraction(masses.off, masses.total, idx)
     return out
 
 

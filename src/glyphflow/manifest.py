@@ -12,6 +12,9 @@ VERSION = "0.1.0"
 
 @dataclass
 class StepLog:
+    """One sampling step; injected_layer_count counts the layers whose plan
+    set for this step is nonempty, i.e. the layers that had rows replaced."""
+
     step: int
     t: float
     injected_layer_count: int

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,47 @@ def char_f1(predicted: str, target: str) -> CharF1Result:
     return CharF1Result(precision, recall, f1)
 
 
+class RowMasses(NamedTuple):
+    """Attention mass of I2I rows: in total, on the glyph mask, and off it."""
+
+    total: np.ndarray
+    on: np.ndarray
+    off: np.ndarray
+
+
+def row_masses(
+    mean_map: np.ndarray, mask_frac: np.ndarray, threshold: float = MASK_THRESHOLD
+) -> RowMasses:
+    """Total, on-mask and off-mask mass of every row of a head-mean I2I map.
+
+    A patch is on-mask when its mask fraction is >= threshold and off-mask
+    when it is strictly below. The off-mask mass is summed over its own
+    columns, never taken as total - on, so coverage + shift = 1 checks both
+    sums.
+    """
+    mean_map = np.asarray(mean_map, dtype=np.float64)
+    mask_frac = np.asarray(mask_frac, dtype=np.float64)
+    if mean_map.ndim != 2 or mask_frac.ndim != 1 or mean_map.shape[1] != mask_frac.shape[0]:
+        raise ShapeMismatch(
+            f"rows {mean_map.shape} incompatible with mask fractions {mask_frac.shape}"
+        )
+    return RowMasses(
+        total=mean_map.sum(axis=1),
+        on=mean_map[:, mask_frac >= threshold].sum(axis=1),
+        off=mean_map[:, mask_frac < threshold].sum(axis=1),
+    )
+
+
+def row_fraction(part: np.ndarray, total: np.ndarray, rows) -> float:
+    """Mean over the selected rows of part / total, each row by its own mass."""
+    denom = total[rows]
+    if denom.size == 0:
+        raise ShapeMismatch("at least one row required")
+    if np.any(denom <= 0.0):
+        raise ZeroRowMass("row carries no attention mass")
+    return float(np.mean(part[rows] / denom))
+
+
 def mask_coverage(
     rows: np.ndarray, mask_frac: np.ndarray, threshold: float = MASK_THRESHOLD
 ) -> float:
@@ -64,18 +106,8 @@ def mask_coverage(
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[None]
-    mask_frac = np.asarray(mask_frac, dtype=np.float64)
-    if rows.ndim != 2 or mask_frac.ndim != 1 or rows.shape[1] != mask_frac.shape[0]:
-        raise ShapeMismatch(
-            f"rows {rows.shape} incompatible with mask fractions {mask_frac.shape}"
-        )
-    if rows.shape[0] == 0:
-        raise ShapeMismatch("at least one row required")
-    on = mask_frac >= threshold
-    denom = rows.sum(axis=1)
-    if np.any(denom <= 0.0):
-        raise ZeroRowMass("row carries no attention mass")
-    return float(np.mean(rows[:, on].sum(axis=1) / denom))
+    masses = row_masses(rows, mask_frac, threshold)
+    return row_fraction(masses.on, masses.total, slice(None))
 
 
 @dataclass(frozen=True)

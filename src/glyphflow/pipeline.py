@@ -16,7 +16,6 @@ from .coreattn import (
     CumulativeScore,
     InjectionPlan,
     ScoreMode,
-    attention_shift,
     build_injection,
     cumulative_update,
     token_scores,
@@ -26,11 +25,13 @@ from .errors import ConfigError, DuplicateCell, EmptyWord, GlyphFlowError, Shape
 from .glyphs import GlyphImage, glyph_mask_patches, load_glyph_bitmap, rasterize_text
 from .manifest import VERSION, RunManifest
 from .metrics import (
+    RowMasses,
     SweepCell,
     char_f1,
     exact_match,
-    mask_coverage,
     render_sweep_csv,
+    row_fraction,
+    row_masses,
     sweep_aggregate,
 )
 from .model import init_model
@@ -108,20 +109,42 @@ def _glyph_checksum(glyph: GlyphImage) -> str:
     return tensors_checksum({"pixels": glyph.pixels, "mask": glyph.mask})
 
 
-def _coverage_metrics(
-    trace: AttentionTrace, plan: InjectionPlan, mask_frac: np.ndarray
-) -> dict[str, float]:
-    """Mean on/off-mask attention of the planned core rows over all (step, layer)."""
-    coverages = []
-    shifts = []
+def _trace_row_masses(trace: AttentionTrace, mask_frac: np.ndarray) -> RowMasses:
+    """Head-mean row masses of every captured (step, layer), one reduction each.
+
+    Each field has shape (steps, n_layers, n_img); every plan over the trace
+    reads its core rows' coverage and shift from this one table.
+    """
+    shape = (trace.steps, trace.n_layers, trace.n_img)
+    table = RowMasses(*(np.empty(shape, dtype=np.float64) for _ in RowMasses._fields))
+    for step in range(1, trace.steps + 1):
+        for layer in range(trace.n_layers):
+            masses = row_masses(trace.step_probs(step, layer).mean(axis=0), mask_frac)
+            for dst, src in zip(table, masses):
+                dst[step - 1, layer] = src
+    return table
+
+
+def _core_shift_rows(
+    masses: RowMasses, plan: InjectionPlan
+) -> list[tuple[int, int, float, float]]:
+    """(step, layer, attention shift, mask coverage) of every planned core set."""
+    rows = []
     for (step, layer), core in sorted(plan.sets.items()):
-        maps = trace.step_probs(step, layer)
-        rows = maps.mean(axis=0)[core.rows()]
-        coverages.append(mask_coverage(rows, mask_frac))
-        shifts.append(float(attention_shift([maps], mask_frac, core)[0]))
+        idx = core.rows()
+        total = masses.total[step - 1, layer]
+        shift = row_fraction(masses.off[step - 1, layer], total, idx)
+        cov = row_fraction(masses.on[step - 1, layer], total, idx)
+        rows.append((step, layer, shift, cov))
+    return rows
+
+
+def _coverage_metrics(masses: RowMasses, plan: InjectionPlan) -> dict[str, float]:
+    """Mean on/off-mask attention of the planned core rows over all (step, layer)."""
+    rows = _core_shift_rows(masses, plan)
     return {
-        "mask_coverage_mean": float(np.mean(coverages)),
-        "attention_shift_mean": float(np.mean(shifts)),
+        "mask_coverage_mean": float(np.mean([cov for _, _, _, cov in rows])),
+        "attention_shift_mean": float(np.mean([shift for _, _, shift, _ in rows])),
     }
 
 
@@ -164,7 +187,8 @@ def run_generate(
     manifest.metrics["char_f1"] = f1.f1
     if plan is not None and plan.ratio > 0.0 and plan.cutoff_step > 0:
         mask_frac = glyph_mask_patches(glyph, config.model.patch)
-        manifest.metrics.update(_coverage_metrics(trace, plan, mask_frac))
+        masses = _trace_row_masses(trace, mask_frac)
+        manifest.metrics.update(_coverage_metrics(masses, plan))
 
     manifest.checksums["glyph"] = _glyph_checksum(glyph)
     manifest.config_hash = config_hash(
@@ -241,6 +265,7 @@ def run_sweep(
     mask_frac = glyph_mask_patches(glyph, config.model.patch)
     trace_cfg = replace(config.sampler, cutoff_step=max_cutoff)
     trace = reconstruct_capture(weights, glyph, config.io.recon_prompt, trace_cfg)
+    masses = _trace_row_masses(trace, mask_frac)
 
     if write_outputs:
         os.makedirs(out_dir, exist_ok=True)
@@ -256,7 +281,7 @@ def run_sweep(
                     mode=config.injection.mode,
                     averaging=config.injection.averaging,
                 )
-                stats = _coverage_metrics(trace, plan, mask_frac)
+                stats = _coverage_metrics(masses, plan)
                 ref = None
                 if config.sweep.full_runs and write_outputs:
                     cell_cfg = replace(config.sampler, cutoff_step=step)
@@ -327,14 +352,9 @@ def run_analyze(
         else:
             selection_scores.extend(per_layer)
 
-    rows = []
+    rows = _core_shift_rows(_trace_row_masses(trace, mask_frac), plan)
     lines = ["step,layer,attention_shift,mask_coverage"]
-    for (step, layer), core in sorted(plan.sets.items()):
-        maps = trace.step_probs(step, layer)
-        shift = float(attention_shift([maps], mask_frac, core)[0])
-        cov = mask_coverage(maps.mean(axis=0)[core.rows()], mask_frac)
-        rows.append((step, layer, shift, cov))
-        lines.append(f"{step},{layer},{shift!r},{cov!r}")
+    lines += [f"{step},{layer},{shift!r},{cov!r}" for step, layer, shift, cov in rows]
     return AnalyzeResult(
         shift_csv="\n".join(lines) + "\n",
         raw_scores=raw_scores,

@@ -328,13 +328,10 @@ def generate_with_injection(
 
         v = cfg_combine(v_cond, v_uncond, cfg.guidance)
         x = euler_step(x, v, t_i, t_next)
-        step_logs.append(
-            StepLog(
-                step=i,
-                t=t_i,
-                injected_layer_count=mcfg.n_layers if i <= hooked_steps else 0,
-            )
-        )
+        injected = 0
+        if i <= hooked_steps:
+            injected = sum(1 for layer in range(mcfg.n_layers) if plan.sets[(i, layer)].indices)
+        step_logs.append(StepLog(step=i, t=t_i, injected_layer_count=injected))
 
     pixels = np.clip(unpatchify(x, mcfg), 0.0, 1.0)
     manifest = RunManifest(step_logs=step_logs)

@@ -12,18 +12,27 @@ dtype is one of ``f8`` (little-endian float64) or ``i8`` (little-endian
 int64). Offsets index into the payload, which holds each tensor's C-order
 bytes back to back. Reading a dump returns arrays bit-identical to the ones
 written.
+
+No tensor's bytes are copied on the way through: writing and hashing hand
+each array's own memory to the file and to sha256, and reading returns
+writable views of one buffer that holds the whole payload.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 
 import numpy as np
 
 from .errors import ConfigError, MalformedHeader
 
 _MAGIC = "tensordump 1"
+_END = b"\nend\n"
 _DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8")}
+_MAX_NBYTES = np.iinfo(np.int64).max
+_HEADER_CHUNK = 1 << 16
 
 
 def _canonical(arr: np.ndarray) -> tuple[str, np.ndarray]:
@@ -39,8 +48,22 @@ def _canonical(arr: np.ndarray) -> tuple[str, np.ndarray]:
     return token, np.ascontiguousarray(arr, dtype=_DTYPES[token])
 
 
+def _raw_bytes(canon: np.ndarray) -> np.ndarray:
+    """The C-order bytes of a canonical array, as a view rather than a copy.
+
+    reshape(-1) keeps zero-size arrays working, which a memoryview cast
+    would reject.
+    """
+    return canon.reshape(-1).view(np.uint8)
+
+
 def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None):
-    """Write named tensors (and string metadata) to `path`."""
+    """Write named tensors (and string metadata) to `path`.
+
+    Every name and meta entry is checked before the file is opened. Tensor
+    bytes go to the file straight from the arrays, without a copy unless a
+    tensor first needs a dtype, byte-order or layout conversion.
+    """
     lines = [f"{_MAGIC} {len(tensors)}"]
     for key, value in (meta or {}).items():
         if any(c.isspace() for c in key) or not key:
@@ -50,7 +73,7 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | N
             raise ConfigError(f"meta value for {key!r} contains a newline")
         lines.append(f"meta {key} {value}")
 
-    payloads: list[bytes] = []
+    arrays: list[np.ndarray] = []
     offset = 0
     for name, arr in tensors.items():
         if any(c.isspace() for c in name) or not name:
@@ -61,32 +84,35 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | N
         token, canon = _canonical(arr)
         shape = ",".join(str(d) for d in canon.shape)
         lines.append(f"tensor {name} {token} {shape} {offset}")
-        raw = canon.tobytes(order="C")
-        payloads.append(raw)
-        offset += len(raw)
+        arrays.append(canon)
+        offset += canon.nbytes
     lines.append("end")
 
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for raw in payloads:
-            fh.write(raw)
+        for canon in arrays:
+            fh.write(_raw_bytes(canon))
 
 
-def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a tensor dump; returns (tensors, meta) in header order."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-
-    end_marker = b"\nend\n"
-    cut = data.find(end_marker)
-    if cut < 0:
-        raise MalformedHeader("missing end marker")
+def _read_header(fh) -> tuple[str, int]:
+    """The ASCII header before the end marker, and the payload's file offset."""
+    head = bytearray()
+    while (cut := head.find(_END)) < 0:
+        chunk = fh.read(_HEADER_CHUNK)
+        if not chunk:
+            raise MalformedHeader("missing end marker")
+        head += chunk
     try:
-        header = data[:cut].decode("ascii")
+        return head[:cut].decode("ascii"), cut + len(_END)
     except UnicodeDecodeError as exc:
         raise MalformedHeader("header is not ASCII") from exc
-    payload = data[cut + len(end_marker):]
 
+
+def _parse_header(header: str, payload_size: int):
+    """Check the header against the payload size; returns (spans, meta).
+
+    A span is (dtype, shape, byte offset, element count) per tensor name.
+    """
     header_lines = header.split("\n")
     first = header_lines[0].split()
     if len(first) != 3 or " ".join(first[:2]) != _MAGIC:
@@ -97,7 +123,7 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         raise MalformedHeader("bad tensor count") from exc
 
     meta: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
+    spans: dict[str, tuple[np.dtype, tuple[int, ...], int, int]] = {}
     for line in header_lines[1:]:
         fields = line.split(" ")
         if fields[0] == "meta":
@@ -108,6 +134,8 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             if len(fields) != 5:
                 raise MalformedHeader(f"bad tensor line {line!r}")
             _, name, token, shape_s, offset_s = fields
+            if name in spans:
+                raise MalformedHeader(f"tensor {name!r} declared twice")
             dtype = _DTYPES.get(token)
             if dtype is None:
                 raise MalformedHeader(f"unknown dtype {token!r}")
@@ -118,15 +146,50 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 raise MalformedHeader(f"bad tensor line {line!r}") from exc
             if any(d < 0 for d in shape) or offset < 0:
                 raise MalformedHeader(f"bad tensor line {line!r}")
-            size = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            if offset + size > len(payload):
+            if math.prod(d for d in shape if d) * dtype.itemsize > _MAX_NBYTES:
+                raise MalformedHeader(f"tensor {name!r} shape {shape_s} overflows int64")
+            n = math.prod(shape)
+            if offset + n * dtype.itemsize > payload_size:
                 raise MalformedHeader(f"tensor {name!r} exceeds payload")
-            arr = np.frombuffer(payload[offset : offset + size], dtype=dtype).reshape(shape)
-            tensors[name] = arr.copy()
+            spans[name] = (dtype, shape, offset, n)
         else:
             raise MalformedHeader(f"unknown header line {line!r}")
-    if len(tensors) != count:
-        raise MalformedHeader(f"header declares {count} tensors, found {len(tensors)}")
+    if len(spans) != count:
+        raise MalformedHeader(f"header declares {count} tensors, found {len(spans)}")
+    ranges = sorted(
+        (offset, offset + n * dtype.itemsize, name)
+        for name, (dtype, _, offset, n) in spans.items()
+        if n
+    )
+    for (_, end, prev), (start, _, name) in zip(ranges, ranges[1:]):
+        if start < end:
+            raise MalformedHeader(f"tensors {prev!r} and {name!r} overlap in the payload")
+    return spans, meta
+
+
+def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Read a tensor dump; returns (tensors, meta) in header order.
+
+    The header is checked against the file size before any payload byte is
+    read. The payload is then read once into one bytearray, and every tensor
+    is a writable view of it; no two views share a byte, because
+    overlapping payload ranges are rejected.
+    """
+    with open(path, "rb") as fh:
+        header, payload_start = _read_header(fh)
+        payload_size = os.fstat(fh.fileno()).st_size - payload_start
+        spans, meta = _parse_header(header, payload_size)
+        payload = bytearray(payload_size)
+        fh.seek(payload_start)
+        if fh.readinto(payload) != payload_size:
+            raise MalformedHeader("file ended before its payload")
+    tensors = {}
+    for name, (dtype, shape, offset, n) in spans.items():
+        try:
+            arr = np.frombuffer(payload, dtype=dtype, count=n, offset=offset)
+            tensors[name] = arr.reshape(shape)
+        except ValueError as exc:
+            raise MalformedHeader(f"tensor {name!r} shape is not representable: {exc}") from exc
     return tensors, meta
 
 
@@ -142,7 +205,7 @@ def tensors_checksum(tensors: dict[str, np.ndarray], meta: dict[str, str] | None
         token, canon = _canonical(arr)
         shape = ",".join(str(d) for d in canon.shape)
         h.update(f"tensor {name} {token} {shape}\n".encode())
-        h.update(canon.tobytes(order="C"))
+        h.update(_raw_bytes(canon))
     return h.hexdigest()
 
 

@@ -71,6 +71,15 @@ def test_generate_no_injection_equals_ratio_zero(tmp_path, conf):
     assert open(f"{a}/output.pgm", "rb").read() == open(f"{b}/output.pgm", "rb").read()
 
 
+def test_generate_ratio_zero_logs_no_injected_layers(tmp_path, conf, capsys):
+    d = str(tmp_path / "zero")
+    assert main(["generate", "--config", conf, "--ratio", "0", "--out-dir", d]) == 0
+    assert ", 0 injected steps," in capsys.readouterr().out
+    logs = RunManifest.load(f"{d}/manifest.json").step_logs
+    assert len(logs) == 4
+    assert [log.injected_layer_count for log in logs] == [0, 0, 0, 0]
+
+
 def test_generate_flags_override_config(tmp_path, conf):
     d = str(tmp_path / "o")
     code = main(

@@ -30,6 +30,7 @@ from glyphflow import (
     token_scores,
     variance_scores,
 )
+from glyphflow import coreattn, metrics
 from glyphflow.tensorio import read_tensors
 
 
@@ -415,6 +416,10 @@ def test_attention_shift_errors():
         attention_shift([np.full((1, 2, 2), 0.5)], np.ones(3), core)
     with pytest.raises(ShapeMismatch):
         attention_shift([np.full((1, 2, 2), 0.5)], np.ones((2, 2)), core)
+
+
+def test_one_mask_threshold():
+    assert coreattn.MASK_THRESHOLD is metrics.MASK_THRESHOLD
 
 
 # ---------------------------------------------------------------- serialization

@@ -15,6 +15,7 @@ from glyphflow import (
     sweep_aggregate,
 )
 from glyphflow.coreattn import CoreTokenSet, ScoreMode, SelectionSource
+from glyphflow.metrics import MASK_THRESHOLD, row_fraction, row_masses
 
 
 def test_exact_match():
@@ -109,6 +110,56 @@ def test_coverage_complements_shift(rng):
         rows = maps.mean(axis=0)[core.rows()]
         coverage = mask_coverage(rows, mask_frac)
         assert abs(coverage + shift - 1.0) < 1e-9
+
+
+def test_row_masses_hand_case():
+    mean_map = np.array([[0.4, 0.1, 0.4, 0.1], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 0.0]])
+    masses = row_masses(mean_map, np.array([1.0, 0.0, 0.5, 0.49]))
+    assert np.allclose(masses.total, [1.0, 1.0, 0.0])
+    assert np.allclose(masses.on, [0.8, 0.5, 0.0])
+    assert np.allclose(masses.off, [0.2, 0.5, 0.0])
+    assert row_masses(mean_map, np.full(4, MASK_THRESHOLD)).off.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_row_masses_off_mass_has_its_own_columns():
+    # a NaN mask fraction is neither >= nor < the threshold, so its column's
+    # mass is in the total but in neither split: off is not total - on
+    masses = row_masses(np.full((1, 4), 0.25), np.array([1.0, np.nan, 0.0, 0.0]))
+    assert masses.total[0] == 1.0
+    assert masses.on[0] == 0.25 and masses.off[0] == 0.5
+
+
+def test_row_masses_errors():
+    with pytest.raises(ShapeMismatch):
+        row_masses(np.full((2, 3), 0.5), np.ones(4))
+    with pytest.raises(ShapeMismatch):
+        row_masses(np.full(4, 0.5), np.ones(4))
+    with pytest.raises(ShapeMismatch):
+        row_masses(np.full((2, 2), 0.5), np.ones((2, 2)))
+    masses = row_masses(np.array([[0.5, 0.5], [0.0, 0.0]]), np.ones(2))
+    with pytest.raises(ShapeMismatch, match="at least one row required"):
+        row_fraction(masses.on, masses.total, np.array([], dtype=np.int64))
+    with pytest.raises(ZeroRowMass):
+        row_fraction(masses.on, masses.total, np.array([0, 1]))
+    assert row_fraction(masses.on, masses.total, np.array([0])) == 1.0
+
+
+def test_row_fraction_gathered_after_the_sum_is_bit_identical(rng):
+    # summing all rows once and gathering the core rows afterwards gives the
+    # same bits as summing only the gathered core rows
+    for _ in range(20):
+        n = int(rng.integers(2, 300))
+        mean_map = rng.random((4, n, n)).mean(axis=0)
+        mask_frac = rng.random(n)
+        idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        rows = mean_map[idx]
+        on = mask_frac >= MASK_THRESHOLD
+        denom = rows.sum(axis=1)
+        want_cov = float(np.mean(rows[:, on].sum(axis=1) / denom))
+        want_shift = float(np.mean(rows[:, ~on].sum(axis=1) / denom))
+        masses = row_masses(mean_map, mask_frac)
+        assert row_fraction(masses.on, masses.total, idx) == want_cov
+        assert row_fraction(masses.off, masses.total, idx) == want_shift
 
 
 def test_sweep_aggregate_full_grid():

@@ -14,10 +14,14 @@ from glyphflow import (
     RunManifest,
     ScoreMode,
     ShapeMismatch,
+    ZeroRowMass,
+    attention_shift,
+    build_injection,
     build_prompt,
     export_heatmap,
     file_checksum,
     load_dataset,
+    mask_coverage,
     prepare_glyph,
     read_netpbm,
     run_analyze,
@@ -25,6 +29,7 @@ from glyphflow import (
     run_sweep,
     write_error_manifest,
 )
+from glyphflow.pipeline import _coverage_metrics, _trace_row_masses
 from glyphflow.runconfig import IOConfig, InjectionConfig, SweepConfig
 from tests.conftest import TINY, TINY_SAMPLER
 
@@ -214,8 +219,7 @@ def test_run_sweep_partial_failure(tmp_path):
     cfg = tiny_run_config()
     cfg = dataclasses.replace(cfg, sweep=SweepConfig(ratios=(0.0, 0.5), steps=(1,)))
     result = run_sweep(cfg, out_dir=str(tmp_path))
-    assert len(result.failures) == 1
-    assert result.failures[0][0] == 0.0
+    assert result.failures == [(0.0, 1, "ShapeMismatch: at least one row required")]
     assert result.tables["mask_coverage"][(0.0, 1)] is None
     assert result.tables["mask_coverage"][(0.5, 1)] is not None
     text = open(result.csv_paths["mask_coverage"]).read()
@@ -256,6 +260,33 @@ def test_run_analyze(tiny_trace, tiny_cfg):
         assert abs(shift + cov - 1.0) < 1e-9
     # layer 0 selection scores equal raw scores (running mean of one layer)
     assert np.allclose(result.selection_scores[0].scores, result.raw_scores[0].scores)
+
+
+def test_trace_row_masses_match_the_public_metrics(tiny_trace, tiny_cfg):
+    """The once-per-trace table gives the bits mask_coverage and attention_shift give."""
+    mask_frac = np.linspace(0.0, 1.0, tiny_cfg.n_img)
+    masses = _trace_row_masses(tiny_trace, mask_frac)
+    shape = (tiny_trace.steps, tiny_trace.n_layers, tiny_trace.n_img)
+    assert all(field.shape == shape for field in masses)
+    plan = build_injection(tiny_trace, 0.25)
+    coverages = []
+    shifts = []
+    for (step, layer), core in sorted(plan.sets.items()):
+        maps = tiny_trace.step_probs(step, layer)
+        coverages.append(mask_coverage(maps.mean(axis=0)[core.rows()], mask_frac))
+        shifts.append(float(attention_shift([maps], mask_frac, core)[0]))
+    assert _coverage_metrics(masses, plan) == {
+        "mask_coverage_mean": float(np.mean(coverages)),
+        "attention_shift_mean": float(np.mean(shifts)),
+    }
+
+
+def test_run_analyze_zero_mass_core_row(tiny_trace, tiny_cfg):
+    probs = tiny_trace.probs.copy()
+    probs[0, 1] = 0.0
+    trace = dataclasses.replace(tiny_trace, probs=probs, _checksum=None)
+    with pytest.raises(ZeroRowMass):
+        run_analyze(trace, np.linspace(0.0, 1.0, tiny_cfg.n_img), ratio=0.25)
 
 
 def test_run_analyze_variance_mode(tiny_trace, tiny_cfg):

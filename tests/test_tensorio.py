@@ -1,8 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from glyphflow import (
     ConfigError,
+    GlyphFlowError,
     MalformedHeader,
     file_checksum,
     read_tensors,
@@ -102,3 +108,149 @@ def test_file_checksum(tmp_path):
     p.write_bytes(b"abc")
     # sha256("abc")
     assert file_checksum(p) == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+def test_malformed_shape_name_and_range(tmp_path):
+    path = tmp_path / "dump.bin"
+    cases = [
+        # element count wraps to 0 in int64 arithmetic
+        b"tensordump 1 1\ntensor a f8 4294967296,4294967296 0\nend\n",
+        # zero-size, but no array can have that shape
+        b"tensordump 1 1\ntensor a f8 0,4294967296,4294967296 0\nend\n",
+        # more dimensions than numpy supports
+        b"tensordump 1 1\ntensor a f8 " + b",".join([b"1"] * 65) + b" 0\nend\n" + b"\x00" * 8,
+        # the same name twice
+        b"tensordump 1 2\ntensor a f8 1 0\ntensor a f8 1 8\nend\n" + b"\x00" * 16,
+        b"tensordump 1 1\ntensor a f8 1 0\ntensor a f8 1 8\nend\n" + b"\x00" * 16,
+        # payload ranges that overlap
+        b"tensordump 1 2\ntensor a f8 2 0\ntensor b i8 1 8\nend\n" + b"\x00" * 16,
+        b"tensordump 1 2\ntensor a f8 1 8\ntensor b f8 3 0\nend\n" + b"\x00" * 24,
+    ]
+    for raw in cases:
+        path.write_bytes(raw)
+        with pytest.raises(MalformedHeader):
+            read_tensors(path)
+
+
+def test_adjacent_and_zero_size_ranges_are_accepted(tmp_path):
+    path = tmp_path / "dump.bin"
+    path.write_bytes(
+        b"tensordump 1 3\ntensor a f8 1 8\ntensor b i8 1 0\ntensor e f8 0,3 8\nend\n"
+        + b"\x01" * 16
+    )
+    back, _ = read_tensors(path)
+    assert back["e"].shape == (0, 3)
+    assert back["b"].tolist() == [0x0101010101010101]
+
+
+def test_zero_size_round_trip_and_checksum(tmp_path):
+    path = tmp_path / "dump.bin"
+    tensors = {"empty": np.zeros((0, 3)), "ids": np.zeros(0, dtype=np.int64), "x": np.ones(2)}
+    write_tensors(path, tensors, meta={"k": "v"})
+    back, meta = read_tensors(path)
+    assert back["empty"].shape == (0, 3) and back["empty"].dtype == np.dtype("<f8")
+    assert back["ids"].shape == (0,) and back["ids"].dtype == np.dtype("<i8")
+    assert tensors_checksum(back, meta) == tensors_checksum(tensors, {"k": "v"})
+
+
+def test_read_returns_writable_views_that_never_alias(tmp_path, rng):
+    path = tmp_path / "dump.bin"
+    tensors = {"a": rng.standard_normal((3, 4)), "b": np.arange(5), "c": rng.standard_normal(2)}
+    write_tensors(path, tensors)
+    back, _ = read_tensors(path)
+    for name, arr in back.items():
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+        for other in back:
+            assert other == name or not np.shares_memory(arr, back[other])
+    back["a"][...] = 0.0
+    assert np.array_equal(back["c"], tensors["c"])
+
+
+# ---------------------------------------------------------------- properties
+
+
+def _tobytes_checksum(tensors, meta=None):
+    """The checksum as first defined: each canonical array copied with tobytes()."""
+    h = hashlib.sha256()
+    for key in sorted(meta or {}):
+        h.update(f"meta {key} {meta[key]}\n".encode())
+    for name in sorted(tensors):
+        arr = np.asarray(tensors[name])
+        if arr.ndim < 1:
+            arr = arr.reshape(1)
+        if arr.dtype == np.bool_:
+            arr = arr.astype(np.int64)
+        token = "f8" if np.issubdtype(arr.dtype, np.floating) else "i8"
+        canon = np.ascontiguousarray(arr, dtype="<" + token)
+        shape = ",".join(str(d) for d in canon.shape)
+        h.update(f"tensor {name} {token} {shape}\n".encode())
+        h.update(canon.tobytes(order="C"))
+    return h.hexdigest()
+
+
+_DTYPES = st.sampled_from(["?", "<i4", ">i4", "<i8", ">i8", "<f8", ">f8", "<f4"])
+
+
+@st.composite
+def _arrays(draw):
+    arr = draw(hnp.arrays(_DTYPES, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)))
+    view = draw(st.sampled_from(["plain", "transpose", "reverse", "stride"]))
+    if view == "transpose":
+        arr = arr.T
+    elif view == "reverse" and arr.ndim:
+        arr = arr[::-1]
+    elif view == "stride" and arr.ndim:
+        arr = arr[::2]
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["a", "b", "logits", "x.y"]), _arrays(), max_size=3),
+    st.dictionaries(st.sampled_from(["k", "steps"]), st.text("ab c,.0", max_size=6), max_size=2),
+)
+def test_checksum_equals_tobytes_formula(tensors, meta):
+    assert tensors_checksum(tensors, meta) == _tobytes_checksum(tensors, meta)
+
+
+_NUM = st.one_of(st.integers(-2, 40), st.sampled_from([0, 1 << 32, 1 << 62, 1 << 70]))
+
+
+@st.composite
+def _dump_bytes(draw):
+    """Bytes near the tensordump grammar: real directives with odd fields."""
+    magic = draw(st.sampled_from(["tensordump 1"] * 4 + ["tensordump 2", "tensordump", ""]))
+    lines = [magic + " " + draw(st.sampled_from(["0", "1", "2", "x", "-1"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["tensor", "meta", "junk"]))
+        if kind == "tensor":
+            shape = ",".join(str(d) for d in draw(st.lists(_NUM, min_size=0, max_size=3)))
+            name = draw(st.sampled_from(["a", "b"]))
+            token = draw(st.sampled_from(["f8", "i8", "f4"]))
+            lines.append(f"tensor {name} {token} {shape} {draw(_NUM)}")
+        elif kind == "meta":
+            lines.append("meta " + draw(st.text("ab ", max_size=5)))
+        else:
+            lines.append(draw(st.text(max_size=8)))
+    header = "\n".join(lines) + draw(st.sampled_from(["\nend\n"] * 4 + ["\nend", "\n"]))
+    return header.encode("utf-8") + draw(st.binary(max_size=64))
+
+
+@pytest.fixture(scope="module")
+def dump_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hypothesis") / "dump.bin"
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.one_of(st.binary(max_size=128), _dump_bytes()))
+def test_read_any_bytes_gives_tensors_or_a_package_error(dump_path, raw):
+    dump_path.write_bytes(raw)
+    try:
+        tensors, meta = read_tensors(dump_path)
+    except GlyphFlowError:
+        return
+    assert isinstance(meta, dict)
+    arrays = list(tensors.values())
+    for i, arr in enumerate(arrays):
+        assert arr.dtype in (np.dtype("<f8"), np.dtype("<i8"))
+        assert not any(np.shares_memory(arr, other) for other in arrays[i + 1 :])
