@@ -13,8 +13,6 @@ from .coreattn import (
     attention_shift,
     build_injection,
     cumulative_update,
-    load_plan,
-    save_plan,
     save_scores,
     select_core_tokens,
     token_scores,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     TraceMismatch,
 )
 from .metrics import MASK_THRESHOLD, row_fraction, row_masses
-from .tensorio import read_tensors, write_tensors
+from .tensorio import write_tensors
 
 if TYPE_CHECKING:
     from .sampler import AttentionTrace
@@ -198,9 +198,12 @@ def _empty_set(n_img: int, step: int, layer: int, mode: ScoreMode, averaged: boo
 
 @dataclass
 class InjectionPlan:
-    """One CoreTokenSet per (step <= cutoff, layer), tied to a trace checksum."""
+    """One CoreTokenSet per (step <= cutoff, layer), tied to the trace it was built from.
 
-    trace_checksum: str
+    `trace` is that trace itself, held by reference; plan equality ignores it.
+    """
+
+    trace: "AttentionTrace" = field(repr=False, compare=False)
     cutoff_step: int
     n_layers: int
     n_img: int
@@ -275,7 +278,7 @@ def build_injection(
             sets[(step, layer)] = select_core_tokens(basis, ratio, averaged=averaging)
 
     return InjectionPlan(
-        trace_checksum=trace.checksum(),
+        trace=trace,
         cutoff_step=cutoff,
         n_layers=n_layers,
         n_img=n_img,
@@ -331,60 +334,6 @@ def attention_shift(
 
 
 # ---------------------------------------------------------------- serialization
-
-
-def save_plan(path, plan: InjectionPlan):
-    tensors = {
-        f"set.s{step:02d}.l{layer:02d}": plan.rows(step, layer)
-        for (step, layer) in sorted(plan.sets)
-    }
-    meta = {
-        "trace_checksum": plan.trace_checksum,
-        "cutoff_step": str(plan.cutoff_step),
-        "n_layers": str(plan.n_layers),
-        "n_img": str(plan.n_img),
-        "ratio": repr(plan.ratio),
-        "mode": plan.mode.value,
-        "averaging": "true" if plan.averaging else "false",
-    }
-    write_tensors(path, tensors, meta=meta)
-
-
-def load_plan(path) -> InjectionPlan:
-    tensors, meta = read_tensors(path)
-    try:
-        cutoff = int(meta["cutoff_step"])
-        n_layers = int(meta["n_layers"])
-        n_img = int(meta["n_img"])
-        ratio = float(meta["ratio"])
-        mode = ScoreMode(meta["mode"])
-        averaging = meta["averaging"] == "true"
-        checksum = meta["trace_checksum"]
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"plan file missing or bad metadata: {exc}") from exc
-    sets = {}
-    for step in range(1, cutoff + 1):
-        for layer in range(n_layers):
-            name = f"set.s{step:02d}.l{layer:02d}"
-            if name not in tensors:
-                raise ConfigError(f"plan file missing {name}")
-            idx = tuple(int(i) for i in tensors[name])
-            sets[(step, layer)] = CoreTokenSet(
-                indices=idx,
-                ratio=ratio if idx else 0.0,
-                n_img=n_img,
-                source=SelectionSource(step=step, layer=layer, mode=mode, averaged=averaging),
-            )
-    return InjectionPlan(
-        trace_checksum=checksum,
-        cutoff_step=cutoff,
-        n_layers=n_layers,
-        n_img=n_img,
-        ratio=ratio,
-        mode=mode,
-        averaging=averaging,
-        sets=sets,
-    )
 
 
 def save_scores(path, vectors: Sequence[ScoreVector]):

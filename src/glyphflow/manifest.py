@@ -75,7 +75,11 @@ class RunManifest:
                 checksums=dict(doc["checksums"]),
                 error=doc["error"],
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        # AttributeError: metrics that are not an object; OverflowError: int(inf)
+        # or float() of a huge int; RecursionError: deeply nested arrays
+        except (
+            AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError
+        ) as exc:
             raise ConfigError(f"malformed manifest: {exc}") from exc
 
     @classmethod

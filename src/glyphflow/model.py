@@ -9,7 +9,8 @@ config fully determines the network bit-for-bit.
 Attention maps are exposed per head as T x T logits (scaled qk^T) and row
 softmax probabilities, partitioned at index t_txt into T2T / T2I / I2T / I2I
 sub-blocks. A hook may rewrite I2I logits after scaling and before softmax,
-and may capture either map.
+may capture either map, and may have the I2I blocks written into arrays it
+supplies.
 """
 
 from __future__ import annotations
@@ -102,9 +103,8 @@ class TokenSequence:
 class JointAttention:
     """One layer's captured attention: per-head T x T maps and the partition index.
 
-    `logits` and `probs` are the layer's own arrays from `forward`, not
-    copies. `forward` never writes them after capture, but a consumer that
-    keeps them past the call or mutates them must copy first.
+    `logits` and `probs` are copies of the layer's maps that belong to the
+    capture: later forwards never write them, so a consumer may keep them.
     """
 
     t_txt: int
@@ -135,11 +135,17 @@ OverrideFn = Callable[[int, int, int, np.ndarray], np.ndarray]
 
 @dataclass
 class AttentionHook:
-    """Capture flags plus an optional I2I logit override.
+    """Capture flags, an optional I2I logit override and an optional I2I sink.
 
     The override receives (step, layer, head, i2i_logits) with the logits
     already scaled by 1/sqrt(d_head), and returns the block to use; it cannot
-    touch T2T/T2I/I2T. `layers=None` captures every layer.
+    touch T2T/T2I/I2T. The block it receives is a buffer that the next call
+    reuses, so an override that keeps it must copy. `layers=None` captures
+    every layer.
+
+    `i2i_out` is a (logits, probs) pair of (n_layers, n_heads, n_img, n_img)
+    arrays; when set, every layer writes its post-override I2I blocks
+    straight into them, with no full-map capture.
     """
 
     layers: frozenset[int] | None = None
@@ -147,6 +153,7 @@ class AttentionHook:
     store_probs: bool = False
     override: OverrideFn | None = None
     step: int = 0
+    i2i_out: tuple[np.ndarray, np.ndarray] | None = None
 
     def captures(self, layer: int) -> bool:
         if not (self.store_logits or self.store_probs):
@@ -177,6 +184,11 @@ class ModelWeights:
     layers: tuple[LayerWeights, ...]
     head_w: np.ndarray
     pos_enc: np.ndarray = field(repr=False, default=None)
+    # forward's attention buffers: (logits, probs, override block), made by
+    # the first forward and reused by every later one
+    _attn: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def named(self) -> dict[str, np.ndarray]:
         out = {
@@ -405,12 +417,21 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row softmax in one fresh buffer; `logits` is never written."""
-    e = logits - logits.max(axis=-1, keepdims=True)
+def _softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax into `out`, or into one fresh buffer; `logits` is never written."""
+    e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def _attention_buffers(weights: ModelWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights' (heads, T, T) logits and probs and (n_img, n_img) override block."""
+    if weights._attn is None:
+        cfg = weights.cfg
+        maps = (cfg.n_heads, cfg.seq_len, cfg.seq_len)
+        weights._attn = (np.empty(maps), np.empty(maps), np.empty((cfg.n_img, cfg.n_img)))
+    return weights._attn
 
 
 def _require_finite(arr: np.ndarray, what: str, layer: int):
@@ -433,9 +454,12 @@ def forward(
     linear velocity head. Reductions run in fixed ascending-index order, so
     the pass is bit-deterministic for fixed inputs.
 
-    Captured maps are each layer's own freshly allocated logits/probs arrays,
-    handed out without a copy; a caller that keeps or mutates them must copy
-    first.
+    Every layer computes its logits and probs in one pair of buffers that
+    `weights` owns, so a forward allocates no attention maps. With
+    `hook.i2i_out` set, each layer's I2I blocks are written straight into it;
+    full-map captures are copies. Because of the shared buffers, forward is
+    not re-entrant on one `ModelWeights`: an override must not call forward on
+    the same weights, and two threads must not run it on them at once.
     """
     cfg = weights.cfg
     if not 0.0 <= t <= 1.0:
@@ -448,6 +472,8 @@ def forward(
     scale = 1.0 / math.sqrt(d_head)
     t_emb = timestep_embedding(t, cfg.d_model)
     captured: dict[int, JointAttention] = {}
+    logits, probs, block = _attention_buffers(weights)
+    i2i_out = hook.i2i_out if hook is not None else None
 
     x = tokens.joint()
     for layer, lw in enumerate(weights.layers):
@@ -457,16 +483,19 @@ def forward(
         q = (h @ lw.wq).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         k = (h @ lw.wk).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         v = (h @ lw.wv).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
-        logits = q @ k.transpose(0, 2, 1)
+        np.matmul(q, k.transpose(0, 2, 1), out=logits)
         logits *= scale
 
         if hook is not None and hook.override is not None:
             for head in range(n_heads):
-                block = logits[head, t_txt:, t_txt:].copy()
+                np.copyto(block, logits[head, t_txt:, t_txt:])
                 logits[head, t_txt:, t_txt:] = hook.override(hook.step, layer, head, block)
         _require_finite(logits, "attention logits", layer)
 
-        probs = _softmax_rows(logits)
+        _softmax_rows(logits, out=probs)
+        if i2i_out is not None:
+            i2i_out[0][layer] = logits[:, t_txt:, t_txt:]
+            i2i_out[1][layer] = probs[:, t_txt:, t_txt:]
         ctx = (probs @ v).transpose(1, 0, 2).reshape(seq, cfg.d_model)
         x = x + ctx @ lw.wo
 
@@ -477,8 +506,8 @@ def forward(
         if hook is not None and hook.captures(layer):
             captured[layer] = JointAttention(
                 t_txt=t_txt,
-                logits=logits if hook.store_logits else None,
-                probs=probs if hook.store_probs else None,
+                logits=logits.copy() if hook.store_logits else None,
+                probs=probs.copy() if hook.store_probs else None,
             )
 
     velocity = _layernorm(x[t_txt:]) @ weights.head_w

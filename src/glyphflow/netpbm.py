@@ -44,7 +44,10 @@ def _read_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
         token = data[i:j]
         if not token.isdigit():
             raise MalformedHeader(f"expected unsigned integer, got {token!r}")
-        tokens.append(int(token))
+        try:
+            tokens.append(int(token))
+        except ValueError as exc:  # more digits than int() will convert
+            raise MalformedHeader(f"integer of {len(token)} digits") from exc
         i = j
     return tokens, i
 

@@ -140,8 +140,13 @@ def _core_shift_rows(
 
 
 def _coverage_metrics(masses: RowMasses, plan: InjectionPlan) -> dict[str, float]:
-    """Mean on/off-mask attention of the planned core rows over all (step, layer)."""
+    """Mean on/off-mask attention of the planned core rows over all (step, layer).
+
+    A plan that covers no (step, layer) has no rows to average and raises.
+    """
     rows = _core_shift_rows(masses, plan)
+    if not rows:
+        raise ShapeMismatch("at least one row required")
     return {
         "mask_coverage_mean": float(np.mean([cov for _, _, _, cov in rows])),
         "attention_shift_mean": float(np.mean([shift for _, _, shift, _ in rows])),

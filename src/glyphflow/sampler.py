@@ -37,8 +37,7 @@ from .model import (
 from .tensorio import read_tensors, tensors_checksum, write_tensors
 
 # A probe receives (step, t, branch, captures) after each forward. The
-# captures hold the forward's own attention arrays, not copies: a probe that
-# keeps them beyond the call or mutates them must copy first.
+# captures are copies of the forward's attention maps that the probe may keep.
 ProbeFn = Callable[[int, float, str, dict[int, JointAttention]], None]
 
 
@@ -206,7 +205,9 @@ def reconstruct_capture(
 
     For step i <= cutoff_step: x_{t_i} = noise_to(patchify(glyph), t_i, eps)
     with the same eps every step, one unguided forward at t_i, all layers
-    captured. No trajectory is integrated.
+    captured. No trajectory is integrated. Each forward writes its I2I blocks
+    straight into the trace; a probe also gets full-map copies from the same
+    hook.
     """
     cfg = cfg or SamplerConfig()
     mcfg = weights.cfg
@@ -226,12 +227,13 @@ def reconstruct_capture(
         t_values.append(t_i)
         x_t = noise_to(x0, t_i, eps)
         tokens = TokenSequence(text=text, image=embed_patches(weights, x_t))
-        hook = AttentionHook(store_logits=True, store_probs=True, step=i)
+        hook = AttentionHook(
+            store_logits=probe is not None,
+            store_probs=probe is not None,
+            step=i,
+            i2i_out=(logits[i - 1], probs[i - 1]),
+        )
         _, captured = forward(weights, tokens, t_i, hook)
-        for layer in range(mcfg.n_layers):
-            att = captured[layer]
-            logits[i - 1, layer] = att.i2i("logits")
-            probs[i - 1, layer] = att.i2i("probs")
         if probe is not None:
             probe(i, t_i, "recon", captured)
 
@@ -275,6 +277,8 @@ def generate_with_injection(
     For steps <= plan.cutoff_step every layer's I2I logit rows listed in the
     plan are replaced by the trace's rows, identically in the conditional and
     unconditional branches. Pass trace=None, plan=None for a baseline run.
+    The plan must have been built from `trace` itself or from a trace with
+    the same checksum; only the latter case hashes the traces.
     Returns pixels clamped to [0,1] and a manifest skeleton with step logs.
     """
     cfg = cfg or SamplerConfig()
@@ -282,7 +286,7 @@ def generate_with_injection(
     if (trace is None) != (plan is None):
         raise TraceMismatch("trace and plan must be supplied together")
     if plan is not None:
-        if plan.trace_checksum != trace.checksum():
+        if plan.trace is not trace and plan.trace.checksum() != trace.checksum():
             raise TraceMismatch("plan was built from a different trace")
         if plan.cutoff_step > trace.steps:
             raise TraceMismatch(

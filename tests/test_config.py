@@ -2,12 +2,17 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glyphflow import (
     ConfigError,
+    GlyphFlowError,
     Layout,
+    ModelConfig,
     RunConfig,
     RunManifest,
+    SamplerConfig,
     ScoreMode,
     StepLog,
     config_hash,
@@ -159,3 +164,134 @@ def test_manifest_malformed(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         RunManifest.load(path)
+
+
+# ---------------------------------------------------------------- properties
+
+_RAW = st.sampled_from(
+    ["0", "1", "-1", "4", "0.5", "1.5", "1e400", "nan", "inf", "true", "false", "row_mass",
+     "diagonal", "", "1,2", "0.5, 1.0", ",", "x", "1_0", "9" * 5000]
+)
+
+
+@st.composite
+def _config_text(draw):
+    """Lines near the config grammar: schema keys and odd values."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        key = draw(st.sampled_from(sorted(_SCHEMA) + ["bogus", "", "# io.word"]))
+        sep = draw(st.sampled_from([" = ", "=", " ", "=="]))
+        lines.append(key + sep + draw(_RAW))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=80), _config_text()))
+def test_parse_gives_config_or_error(text):
+    try:
+        config = parse(text)
+    except GlyphFlowError:
+        return
+    assert isinstance(config, RunConfig)
+
+
+_LINE = st.text(max_size=12).map(str.strip).filter(lambda s: "\n" not in s)
+_FLOAT = st.floats(allow_nan=False)
+
+
+@st.composite
+def _configs(draw):
+    n_heads = draw(st.integers(1, 8))
+    steps = draw(st.integers(1, 64))
+    return RunConfig(
+        model=ModelConfig(
+            d_model=n_heads * draw(st.integers(1, 16)),
+            n_heads=n_heads,
+            n_layers=draw(st.integers(1, 12)),
+            patch=draw(st.integers(1, 16)),
+            grid=draw(st.integers(1, 32)),
+            t_txt=draw(st.integers(1, 64)),
+            seed=draw(st.integers(0, 2**64)),
+        ),
+        sampler=SamplerConfig(
+            steps=steps,
+            guidance=draw(st.floats(min_value=0.0, allow_nan=False)),
+            cutoff_step=draw(st.integers(0, steps)),
+            noise_seed=draw(st.integers(0, 2**64)),
+        ),
+        injection=InjectionConfig(
+            ratio=draw(st.floats(0.0, 1.0)),
+            mode=draw(st.sampled_from(list(ScoreMode))),
+            averaging=draw(st.booleans()),
+            enabled=draw(st.booleans()),
+        ),
+        io=IOConfig(
+            word=draw(_LINE),
+            style=draw(_LINE),
+            layout=draw(st.sampled_from(list(Layout))),
+            scale=draw(st.integers(1, 16)),
+            glyph_path=draw(_LINE),
+            recon_prompt=draw(_LINE),
+            out_dir=draw(_LINE),
+            save_trace=draw(st.booleans()),
+            predicted=draw(_LINE),
+        ),
+        sweep=SweepConfig(
+            ratios=tuple(draw(st.lists(_FLOAT, max_size=4))),
+            steps=tuple(draw(st.lists(st.integers(), max_size=4))),
+            full_runs=draw(st.booleans()),
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_parse_inverts_serialize(config):
+    assert parse(serialize(config)) == config
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_BIG_INT = "1" + "0" * 400
+
+
+@st.composite
+def _manifest_text(draw):
+    """A valid manifest with some fields dropped or replaced by other JSON."""
+    doc = json.loads(RunManifest(
+        step_logs=[StepLog(step=1, t=1.0, injected_layer_count=6)],
+        metrics={"char_f1": 1.0},
+        checksums={"weights": "ab"},
+    ).to_json())
+    targets = [doc, doc["step_logs"][0], doc["metrics"]]
+    for _ in range(draw(st.integers(0, 3))):
+        obj = draw(st.sampled_from([t for t in targets if t]))
+        key = draw(st.sampled_from(sorted(obj)))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(_JSON | st.just("BIG"))
+    text = json.dumps(doc)
+    return text.replace('"BIG"', draw(st.sampled_from([_BIG_INT, "Infinity", "-Infinity", "NaN"])))
+
+
+_VALID_MANIFEST = RunManifest(
+    step_logs=[StepLog(step=1, t=1.0, injected_layer_count=6)], metrics={"char_f1": 1.0}
+).to_json()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _manifest_text(), st.integers(1, 5000).map(lambda n: "[" * n)))
+@example(_VALID_MANIFEST.replace('"step": 1', '"step": Infinity'))
+@example(_VALID_MANIFEST.replace('"char_f1": 1.0', '"char_f1": ' + _BIG_INT))
+@example(_VALID_MANIFEST.replace('{\n    "char_f1": 1.0\n  }', "7"))
+@example("[" * 5000)
+def test_manifest_from_json_gives_manifest_or_error(text):
+    try:
+        manifest = RunManifest.from_json(text)
+    except GlyphFlowError:
+        return
+    assert isinstance(manifest, RunManifest)

@@ -278,6 +278,80 @@ def test_captures_are_consistent_and_distinct(tiny_weights, tiny_glyph, override
             assert not np.shares_memory(a, b)
 
 
+def _full_capture(weights, tokens, t):
+    hook = AttentionHook(store_logits=True, store_probs=True)
+    vel, caps = forward(weights, tokens, t, hook)
+    return [vel.tobytes()] + [
+        arr.tobytes() for layer in sorted(caps) for arr in (caps[layer].logits, caps[layer].probs)
+    ]
+
+
+def test_reused_buffers_keep_forward_bit_identical(tiny_cfg, tiny_glyph):
+    first = init_model(tiny_cfg)
+    tokens_a = make_tokens(first, "A", tiny_glyph.pixels)
+    tokens_b = make_tokens(first, "B b", np.flipud(tiny_glyph.pixels))
+    want_a = _full_capture(first, tokens_a, 0.5)
+    want_b = _full_capture(init_model(tiny_cfg), tokens_b, 0.75)
+
+    # interleaved inputs on one set of weights
+    for _ in range(2):
+        assert _full_capture(first, tokens_b, 0.75) == want_b
+        assert _full_capture(first, tokens_a, 0.5) == want_a
+
+    # two weight instances, alternating
+    second = init_model(tiny_cfg)
+    assert _full_capture(second, tokens_b, 0.75) == want_b
+    assert _full_capture(first, tokens_a, 0.5) == want_a
+    assert _full_capture(second, tokens_a, 0.5) == want_a
+
+    # a forward that raises mid-layer leaves nothing behind
+    blow_up = AttentionHook(override=lambda step, layer, head, block: block * np.inf)
+    with pytest.raises(NonFiniteActivation):
+        forward(first, tokens_b, 0.75, blow_up)
+    assert _full_capture(first, tokens_a, 0.5) == want_a
+
+
+def test_captures_survive_later_forwards(tiny_weights, tiny_glyph):
+    tokens = make_tokens(tiny_weights, "A", tiny_glyph.pixels)
+    hook = AttentionHook(store_logits=True, store_probs=True)
+    _, caps = forward(tiny_weights, tokens, 0.5, hook)
+    before = {layer: (att.logits.copy(), att.probs.copy()) for layer, att in caps.items()}
+    other = make_tokens(tiny_weights, "B", np.flipud(tiny_glyph.pixels))
+    forward(tiny_weights, other, 0.25, hook)
+    forward(tiny_weights, other, 0.25, AttentionHook(override=lambda s, l, h, b: b * 0.5))
+    for layer, att in caps.items():
+        assert att.logits.tobytes() == before[layer][0].tobytes()
+        assert att.probs.tobytes() == before[layer][1].tobytes()
+
+
+@pytest.mark.parametrize("override", [None, lambda step, layer, head, block: block * 0.5])
+def test_i2i_out_matches_capture(tiny_weights, tiny_glyph, override):
+    cfg = tiny_weights.cfg
+    tokens = make_tokens(tiny_weights, "A", tiny_glyph.pixels)
+    shape = (cfg.n_layers, cfg.n_heads, cfg.n_img, cfg.n_img)
+    sink = (np.full(shape, np.nan), np.full(shape, np.nan))
+    hook = AttentionHook(store_logits=True, store_probs=True, override=override, i2i_out=sink)
+    _, caps = forward(tiny_weights, tokens, 0.5, hook)
+    for layer, att in caps.items():
+        assert sink[0][layer].tobytes() == att.i2i("logits").tobytes()
+        assert sink[1][layer].tobytes() == att.i2i("probs").tobytes()
+
+    # without the store flags nothing is captured, and the sink gets the same bytes
+    plain = (np.empty(shape), np.empty(shape))
+    _, caps_none = forward(tiny_weights, tokens, 0.5, AttentionHook(override=override, i2i_out=plain))
+    assert caps_none == {}
+    assert plain[0].tobytes() == sink[0].tobytes()
+    assert plain[1].tobytes() == sink[1].tobytes()
+
+
+def test_softmax_rows_into_out_matches_fresh(rng):
+    logits = rng.standard_normal((3, 20, 20)) * 30.0
+    out = np.full_like(logits, np.nan)
+    got = _softmax_rows(logits, out=out)
+    assert got is out
+    assert out.tobytes() == _softmax_rows(logits).tobytes()
+
+
 # ------------------------------------------------------------------
 # directional derivative check on a frozen-attention configuration
 # ------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from glyphflow import DimensionZero, MalformedHeader, read_netpbm, write_pgm
+from glyphflow import DimensionZero, GlyphFlowError, MalformedHeader, read_netpbm, write_pgm
 
 
 def test_p1_basic(tmp_path):
@@ -97,3 +99,35 @@ def test_write_pgm_clamps(tmp_path):
     p = tmp_path / "out.pgm"
     write_pgm(p, np.array([[-0.5, 1.5]]))
     assert np.array_equal(read_netpbm(p), [[0.0, 1.0]])
+
+
+# ---------------------------------------------------------------- properties
+
+_TOKEN = st.sampled_from(
+    [b"0", b"1", b"2", b"255", b"256", b"65535", b"65536", b"99999999999", b"9" * 5000,
+     b"-1", b"x", b"#c\n", b"10", b"01"]
+)
+
+
+@st.composite
+def _netpbm_bytes(draw):
+    """Bytes near the Netpbm grammar: real magics, header tokens, a short raster."""
+    magic = draw(st.sampled_from([b"P1", b"P2", b"P5", b"P3", b"P", b""]))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t", b"", b"#\n"]))
+    tokens = draw(st.lists(_TOKEN, max_size=8))
+    tail = draw(st.sampled_from([b" ", b"\n", b""]))
+    return magic + sep + sep.join(tokens) + tail + draw(st.binary(max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), _netpbm_bytes()))
+@example(data=b"P2 " + b"1" * 5000 + b" 1 255\n1")
+def test_read_netpbm_gives_pixels_or_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+    path.write_bytes(data)
+    try:
+        arr = read_netpbm(path)
+    except GlyphFlowError:
+        return
+    assert arr.dtype == np.float64 and arr.ndim == 2 and arr.size > 0
+    assert arr.min() >= 0.0 and arr.max() <= 1.0

@@ -226,6 +226,20 @@ def test_run_sweep_partial_failure(tmp_path):
     assert "0.0,1,NA" in text
 
 
+def test_run_sweep_cutoff_zero_cell_fails(tmp_path):
+    # a cutoff-0 plan covers no (step, layer): the cell is a failure, not nan
+    cfg = tiny_run_config()
+    cfg = dataclasses.replace(cfg, sweep=SweepConfig(ratios=(0.5,), steps=(0, 1)))
+    result = run_sweep(cfg, out_dir=str(tmp_path))
+    assert result.failures == [(0.5, 0, "ShapeMismatch: at least one row required")]
+    for metric in ("mask_coverage", "attention_shift"):
+        assert result.tables[metric][(0.5, 0)] is None
+        assert result.tables[metric][(0.5, 1)] is not None
+        text = open(result.csv_paths[metric]).read()
+        assert "0.5,0,NA" in text
+        assert "nan" not in text
+
+
 def test_run_sweep_validation(tmp_path):
     cfg = tiny_run_config()
     with pytest.raises(DuplicateCell):

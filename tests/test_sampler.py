@@ -176,6 +176,27 @@ def test_probe_sees_reconstruction(tiny_weights, tiny_glyph, tiny_sampler):
     assert all(layers == [0, 1] for _, _, _, layers in seen)
 
 
+def test_probe_does_not_change_the_trace(tiny_weights, tiny_glyph, tiny_sampler, tiny_trace):
+    probed = reconstruct_capture(
+        tiny_weights, tiny_glyph, "", tiny_sampler, probe=lambda *args: None
+    )
+    assert probed.logits.tobytes() == tiny_trace.logits.tobytes()
+    assert probed.probs.tobytes() == tiny_trace.probs.tobytes()
+
+
+def test_trace_holds_the_probed_i2i_blocks(tiny_weights, tiny_glyph, tiny_sampler):
+    seen = {}
+
+    def probe(step, t, branch, caps):
+        seen[step] = caps
+
+    trace = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, probe=probe)
+    for step, caps in seen.items():
+        for layer, att in caps.items():
+            assert trace.step_logits(step, layer).tobytes() == att.i2i("logits").tobytes()
+            assert trace.step_probs(step, layer).tobytes() == att.i2i("probs").tobytes()
+
+
 def test_generate_baseline_deterministic(tiny_weights, tiny_sampler):
     img1, man1 = generate_with_injection(tiny_weights, "A text A logo", None, None, tiny_sampler)
     img2, man2 = generate_with_injection(tiny_weights, "A text A logo", None, None, tiny_sampler)
@@ -209,15 +230,23 @@ def test_generate_with_plan_logs_and_counts(tiny_weights, tiny_trace, tiny_sampl
     assert len(pairs) == plan.cutoff_step * tiny_weights.cfg.n_layers
 
 
-def test_generate_trace_plan_pairing(tiny_weights, tiny_trace, tiny_sampler):
+def test_generate_trace_plan_pairing(tiny_weights, tiny_glyph, tiny_trace, tiny_sampler):
     plan = build_injection(tiny_trace, ratio=0.25)
     with pytest.raises(TraceMismatch):
         generate_with_injection(tiny_weights, "x", tiny_trace, None, tiny_sampler)
     with pytest.raises(TraceMismatch):
         generate_with_injection(tiny_weights, "x", None, plan, tiny_sampler)
-    forged = dataclasses.replace(plan, trace_checksum="0" * 64)
+    reseeded = dataclasses.replace(tiny_sampler, noise_seed=tiny_sampler.noise_seed + 1)
+    other = reconstruct_capture(tiny_weights, tiny_glyph, "", reseeded)
+    assert other.checksum() != tiny_trace.checksum()
     with pytest.raises(TraceMismatch):
-        generate_with_injection(tiny_weights, "x", tiny_trace, forged, tiny_sampler)
+        generate_with_injection(tiny_weights, "x", other, plan, tiny_sampler)
+    # a distinct trace object with the same bytes still pairs with the plan
+    twin = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler)
+    assert twin is not tiny_trace
+    img_twin, _ = generate_with_injection(tiny_weights, "x", twin, plan, tiny_sampler)
+    img_own, _ = generate_with_injection(tiny_weights, "x", tiny_trace, plan, tiny_sampler)
+    assert img_twin.tobytes() == img_own.tobytes()
     small = dataclasses.replace(tiny_sampler, steps=1, cutoff_step=1)
     with pytest.raises(TraceMismatch):
         generate_with_injection(tiny_weights, "x", tiny_trace, plan, small)
