@@ -66,9 +66,7 @@ from .model import (
     forward,
     image_position_encoding,
     init_model,
-    load_weights,
     patchify,
-    save_weights,
     timestep_embedding,
     unpatchify,
 )

@@ -1,7 +1,9 @@
 """Command line front end.
 
 Commands: rasterize, reconstruct, generate, analyze, sweep, export-heatmap.
-Flags mirror config keys; a --config file supplies defaults and flags win.
+A run command's config flags are named after the last part of their schema
+key (`--seed-noise` sets `sampler.seed_noise`); a --config file supplies
+defaults and flags win.
 
 Exit codes: 0 success, 2 configuration or input error, 3 runtime numeric
 failure, 4 partially failed sweep.
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .coreattn import ScoreMode, save_scores
 from .errors import GlyphFlowError, NonFiniteActivation, ZeroRowMass
@@ -29,94 +30,69 @@ from .pipeline import (
     run_sweep,
     write_error_manifest,
 )
-from .runconfig import RunConfig, describe_keys, parse_file
+from .runconfig import _SCHEMA, RunConfig, _decode, apply_overrides, describe_keys, parse_file
 from .sampler import AttentionTrace, reconstruct_capture
 from .tensorio import read_tensors
 
 
-def _add_common(parser: argparse.ArgumentParser):
+# config keys that every run command takes as flags, then each command's own
+_COMMON_KEYS = (
+    "model.seed_weights",
+    "sampler.steps",
+    "sampler.guidance",
+    "sampler.cutoff",
+    "sampler.seed_noise",
+    "injection.ratio",
+    "injection.mode",
+    "injection.averaging",
+    "io.word",
+    "io.style",
+    "io.layout",
+    "io.scale",
+    "io.out_dir",
+)
+_CHOICES = {"mode": [m.value for m in ScoreMode], "layout": [l.value for l in Layout]}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, keys=_COMMON_KEYS):
+    """--config, then one flag per schema key, named after the key's last part.
+
+    A bool key that defaults to true gets --no-<name>, one that defaults to
+    false gets --<name>. Every flag stores the raw text under its key; the
+    schema decodes it.
+    """
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--steps", type=int, help="sampler steps")
-    parser.add_argument("--guidance", type=float, help="CFG scale")
-    parser.add_argument("--ratio", type=float, help="top-k core token ratio")
-    parser.add_argument("--cutoff", type=int, help="inject through this step")
-    parser.add_argument(
-        "--mode", choices=[m.value for m in ScoreMode], help="token scoring mode"
-    )
-    parser.add_argument(
-        "--no-averaging",
-        action="store_true",
-        help="select per layer instead of from the cumulative mean",
-    )
-    parser.add_argument("--seed-weights", type=int, help="weight PRNG seed")
-    parser.add_argument("--seed-noise", type=int, help="noise PRNG seed")
-    parser.add_argument("--word", help="target text")
-    parser.add_argument("--style", help="prompt style phrase")
-    parser.add_argument(
-        "--layout", choices=[l.value for l in Layout], help="glyph layout"
-    )
-    parser.add_argument("--scale", type=int, help="glyph bitmap scale factor")
-    parser.add_argument("--out-dir", help="output directory")
+    defaults = RunConfig()
+    for key in keys:
+        section, name, tag = _SCHEMA[key]
+        flag = key.rpartition(".")[2].replace("_", "-")
+        if tag == "bool":
+            on = getattr(getattr(defaults, section), name)
+            const = "false" if on else "true"
+            parser.add_argument(f"--no-{flag}" if on else f"--{flag}", dest=key,
+                                action="store_const", const=const, help=f"set {key} to {const}")
+        else:
+            parser.add_argument(f"--{flag}", dest=key, choices=_CHOICES.get(tag),
+                                help=f"set {key} ({tag})")
 
 
 def _build_config(args) -> RunConfig:
+    """The --config file (or the defaults), then the flags, then the --dataset record."""
     cfg = parse_file(args.config) if args.config else RunConfig()
-
-    model = cfg.model
-    if args.seed_weights is not None:
-        model = replace(model, seed=args.seed_weights)
-
-    sampler = cfg.sampler
-    updates = {}
-    if args.steps is not None:
-        updates["steps"] = args.steps
-    if args.guidance is not None:
-        updates["guidance"] = args.guidance
-    if args.cutoff is not None:
-        updates["cutoff_step"] = args.cutoff
-    if args.seed_noise is not None:
-        updates["noise_seed"] = args.seed_noise
-    if updates:
-        sampler = replace(sampler, **updates)
-
-    injection = cfg.injection
-    updates = {}
-    if args.ratio is not None:
-        updates["ratio"] = args.ratio
-    if args.mode is not None:
-        updates["mode"] = ScoreMode(args.mode)
-    if args.no_averaging:
-        updates["averaging"] = False
-    if updates:
-        injection = replace(injection, **updates)
-
-    io_cfg = cfg.io
-    updates = {}
-    if args.word is not None:
-        updates["word"] = args.word
-    if args.style is not None:
-        updates["style"] = args.style
-    if args.layout is not None:
-        updates["layout"] = Layout(args.layout)
-    if args.scale is not None:
-        updates["scale"] = args.scale
-    if args.out_dir is not None:
-        updates["out_dir"] = args.out_dir
+    values = {
+        key: _decode(key, _SCHEMA[key][2], raw)
+        for key, raw in vars(args).items()
+        if key in _SCHEMA and raw is not None
+    }
     if getattr(args, "dataset", None):
         records = load_dataset(args.dataset)
-        index = getattr(args, "record", 0)
-        if not 0 <= index < len(records):
-            raise GlyphFlowError(f"dataset record {index} out of range 0..{len(records) - 1}")
-        updates["word"] = records[index].word
-        updates["style"] = records[index].style
-    if getattr(args, "predicted", None) is not None:
-        updates["predicted"] = args.predicted
-    if getattr(args, "save_trace", False):
-        updates["save_trace"] = True
-    if updates:
-        io_cfg = replace(io_cfg, **updates)
-
-    return replace(cfg, model=model, sampler=sampler, injection=injection, io=io_cfg)
+        if not 0 <= args.record < len(records):
+            raise GlyphFlowError(
+                f"dataset record {args.record} out of range 0..{len(records) - 1}"
+            )
+        values["io.word"] = records[args.record].word
+        values["io.style"] = records[args.record].style
+    return apply_overrides(cfg, values)
 
 
 def cmd_rasterize(args) -> int:
@@ -152,7 +128,7 @@ def cmd_generate(args) -> int:
     try:
         manifest, _ = run_generate(cfg, baseline=args.no_injection)
     except GlyphFlowError as exc:
-        write_error_manifest(args.out_dir or cfg.io.out_dir, cfg, exc)
+        write_error_manifest(cfg.io.out_dir, cfg, exc)
         raise
     injected = sum(1 for log in manifest.step_logs if log.injected_layer_count)
     print(
@@ -165,7 +141,7 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _build_config(args)
-    out_dir = args.out_dir or cfg.io.out_dir
+    out_dir = cfg.io.out_dir
     trace = AttentionTrace.load(args.trace)
     glyph = prepare_glyph(cfg)
     mask_frac = glyph_mask_patches(glyph, cfg.model.patch)
@@ -190,9 +166,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    if args.full_runs:
-        cfg = replace(cfg, sweep=replace(cfg.sweep, full_runs=True))
-    result = run_sweep(cfg, out_dir=args.out_dir)
+    result = run_sweep(cfg)
     n_cells = len(cfg.sweep.ratios) * len(cfg.sweep.steps)
     for path in (result.csv_paths[m] for m in sorted(result.csv_paths)):
         print(f"wrote {path}")
@@ -240,28 +214,24 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rasterize)
 
     p = sub.add_parser("reconstruct", help="capture reconstruction attention to a trace file")
-    _add_common(p)
+    _add_config_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("generate", help="run the full injection pipeline")
-    _add_common(p)
+    _add_config_flags(p, _COMMON_KEYS + ("io.predicted", "io.save_trace"))
     p.add_argument("--no-injection", action="store_true", help="baseline run")
-    p.add_argument("--predicted", help="externally recognized text for metrics")
-    p.add_argument("--save-trace", action="store_true")
     p.add_argument("--dataset", help="JSON array of {word, style, lang} records")
     p.add_argument("--record", type=int, default=0, help="dataset record index")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="score a trace and report the attention shift")
-    _add_common(p)
+    _add_config_flags(p)
     p.add_argument("--trace", required=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="ratio x cutoff grid; CSV per metric")
-    _add_common(p)
-    p.add_argument("--full-runs", action="store_true",
-                   help="also generate an image per cell")
+    _add_config_flags(p, _COMMON_KEYS + ("sweep.full_runs",))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-heatmap", help="score vector to min-max PGM")
@@ -282,7 +252,7 @@ def main(argv=None) -> int:
     except (NonFiniteActivation, ZeroRowMass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GlyphFlowError as exc:
+    except (GlyphFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -221,9 +221,6 @@ class InjectionPlan:
             if core.n_img != self.n_img:
                 raise ShapeMismatch("core set length differs from plan n_img")
 
-    def rows(self, step: int, layer: int) -> np.ndarray:
-        return self.sets[(step, layer)].rows()
-
 
 def build_injection(
     trace: "AttentionTrace",
@@ -292,18 +289,19 @@ def build_injection(
 def apply_injection(
     gen_logits_i2i: np.ndarray, trace_logits_i2i: np.ndarray, core: CoreTokenSet
 ) -> np.ndarray:
-    """Replace the core rows of the generation logits with the trace rows."""
-    gen = np.asarray(gen_logits_i2i, dtype=np.float64)
-    src = np.asarray(trace_logits_i2i, dtype=np.float64)
+    """Replace the core rows of the generation logits with the trace rows.
+
+    The rows are replaced in place: `gen_logits_i2i` is written and returned.
+    """
+    gen, src = gen_logits_i2i, trace_logits_i2i
     if gen.shape != src.shape or gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
         raise ShapeMismatch(f"logit blocks {gen.shape} vs {src.shape} must be equal squares")
     if core.indices and core.indices[-1] >= gen.shape[0]:
         raise IndexOutOfRange(f"core index {core.indices[-1]} >= {gen.shape[0]}")
-    out = gen.copy()
     if core.indices:
         idx = core.rows()
-        out[idx, :] = src[idx, :]
-    return out
+        gen[idx, :] = src[idx, :]
+    return gen
 
 
 def attention_shift(

@@ -60,8 +60,8 @@ class RunManifest:
         try:
             doc = json.loads(text)
             return cls(
-                version=doc["version"],
-                config_hash=doc["config_hash"],
+                version=_string(doc["version"], "version"),
+                config_hash=_string(doc["config_hash"], "config_hash"),
                 step_logs=[
                     StepLog(
                         step=int(s["step"]),
@@ -70,10 +70,10 @@ class RunManifest:
                     )
                     for s in doc["step_logs"]
                 ],
-                outputs=dict(doc["outputs"]),
+                outputs=_strings(doc["outputs"], "outputs"),
                 metrics={k: float(v) for k, v in doc["metrics"].items()},
-                checksums=dict(doc["checksums"]),
-                error=doc["error"],
+                checksums=_strings(doc["checksums"], "checksums"),
+                error=None if doc["error"] is None else _strings(doc["error"], "error"),
             )
         # AttributeError: metrics that are not an object; OverflowError: int(inf)
         # or float() of a huge int; RecursionError: deeply nested arrays
@@ -86,3 +86,15 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"malformed manifest: {name} must be a string")
+    return value
+
+
+def _strings(value, name: str) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise ConfigError(f"malformed manifest: {name} must be an object of strings")
+    return dict(value)

@@ -16,15 +16,14 @@ supplies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteActivation, ShapeMismatch
 from .glyphs import GlyphImage
-from .tensorio import read_tensors, tensors_checksum, write_tensors
+from .tensorio import tensors_checksum
 
 TEXT_TABLE_ROWS = 4096
 _LN_EPS = 1e-6
@@ -111,23 +110,11 @@ class JointAttention:
     logits: np.ndarray | None = None
     probs: np.ndarray | None = None
 
-    def _pick(self, which: str) -> np.ndarray:
+    def i2i(self, which: str = "probs") -> np.ndarray:
         arr = getattr(self, which)
         if arr is None:
             raise ConfigError(f"{which} were not captured")
-        return arr
-
-    def t2t(self, which: str = "probs") -> np.ndarray:
-        return self._pick(which)[:, : self.t_txt, : self.t_txt]
-
-    def t2i(self, which: str = "probs") -> np.ndarray:
-        return self._pick(which)[:, : self.t_txt, self.t_txt :]
-
-    def i2t(self, which: str = "probs") -> np.ndarray:
-        return self._pick(which)[:, self.t_txt :, : self.t_txt]
-
-    def i2i(self, which: str = "probs") -> np.ndarray:
-        return self._pick(which)[:, self.t_txt :, self.t_txt :]
+        return arr[:, self.t_txt :, self.t_txt :]
 
 
 OverrideFn = Callable[[int, int, int, np.ndarray], np.ndarray]
@@ -140,25 +127,19 @@ class AttentionHook:
     The override receives (step, layer, head, i2i_logits) with the logits
     already scaled by 1/sqrt(d_head), and returns the block to use; it cannot
     touch T2T/T2I/I2T. The block it receives is a buffer that the next call
-    reuses, so an override that keeps it must copy. `layers=None` captures
-    every layer.
+    reuses, so an override that keeps it must copy. `store_logits` and
+    `store_probs` capture full-map copies at every layer.
 
     `i2i_out` is a (logits, probs) pair of (n_layers, n_heads, n_img, n_img)
     arrays; when set, every layer writes its post-override I2I blocks
     straight into them, with no full-map capture.
     """
 
-    layers: frozenset[int] | None = None
     store_logits: bool = False
     store_probs: bool = False
     override: OverrideFn | None = None
     step: int = 0
     i2i_out: tuple[np.ndarray, np.ndarray] | None = None
-
-    def captures(self, layer: int) -> bool:
-        if not (self.store_logits or self.store_probs):
-            return False
-        return self.layers is None or layer in self.layers
 
 
 # ---------------------------------------------------------------- weights
@@ -203,19 +184,8 @@ class ModelWeights:
         return out
 
     def checksum(self) -> str:
-        return tensors_checksum(self.named(), meta=_cfg_meta(self.cfg))
-
-
-def _cfg_meta(cfg: ModelConfig) -> dict[str, str]:
-    return {
-        "d_model": str(cfg.d_model),
-        "n_heads": str(cfg.n_heads),
-        "n_layers": str(cfg.n_layers),
-        "patch": str(cfg.patch),
-        "grid": str(cfg.grid),
-        "t_txt": str(cfg.t_txt),
-        "seed": str(cfg.seed),
-    }
+        meta = {key: str(value) for key, value in asdict(self.cfg).items()}
+        return tensors_checksum(self.named(), meta=meta)
 
 
 def _weights_rng(seed: int) -> np.random.Generator:
@@ -266,36 +236,6 @@ def init_model(cfg: ModelConfig) -> ModelWeights:
         head_w=head_w,
         pos_enc=image_position_encoding(cfg),
     )
-
-
-def save_weights(path, weights: ModelWeights):
-    write_tensors(path, weights.named(), meta=_cfg_meta(weights.cfg))
-
-
-def load_weights(path) -> ModelWeights:
-    tensors, meta = read_tensors(path)
-    try:
-        cfg = ModelConfig(**{k: int(meta[k]) for k in _cfg_meta(ModelConfig())})
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint missing config field {exc}") from exc
-    try:
-        layers = tuple(
-            LayerWeights(
-                **{key: tensors[f"layer{i:02d}.{key}"] for key in ("wq", "wk", "wv", "wo", "w1", "w2", "ada")}
-            )
-            for i in range(cfg.n_layers)
-        )
-        return ModelWeights(
-            cfg=cfg,
-            text_table=tensors["text_table"],
-            pad_vec=tensors["pad_vec"],
-            patch_w=tensors["patch_w"],
-            layers=layers,
-            head_w=tensors["head_w"],
-            pos_enc=image_position_encoding(cfg),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"checkpoint missing tensor {exc}") from exc
 
 
 # ---------------------------------------------------------------- embeddings
@@ -356,17 +296,6 @@ def embed_patches(weights: ModelWeights, raw: np.ndarray) -> np.ndarray:
     return raw @ weights.patch_w + weights.pos_enc
 
 
-@lru_cache(maxsize=8)
-def _text_table(seed: int, d_model: int) -> tuple[np.ndarray, np.ndarray]:
-    # redraws the first two weight-stream tensors; identical to init_model's
-    rng = _weights_rng(seed)
-    table = rng.standard_normal((TEXT_TABLE_ROWS, d_model)) / math.sqrt(d_model)
-    pad = rng.standard_normal(d_model) / math.sqrt(d_model)
-    table.setflags(write=False)
-    pad.setflags(write=False)
-    return table, pad
-
-
 def fnv1a64(word: str) -> int:
     """FNV-1a 64-bit hash of the word's UTF-8 bytes."""
     h = 0xCBF29CE484222325
@@ -376,17 +305,17 @@ def fnv1a64(word: str) -> int:
     return h
 
 
-def embed_prompt(p: str, cfg: ModelConfig) -> np.ndarray:
-    """Hash whitespace-split words into the 4096-row table; pad/truncate to t_txt.
+def embed_prompt(p: str, weights: ModelWeights) -> np.ndarray:
+    """Hash whitespace-split words into the weights' 4096-row text table;
+    pad/truncate to t_txt.
 
     Word slots carry no position encoding, so equal words embed equally
     anywhere in the prompt. The empty prompt is all pad vectors.
     """
-    table, pad = _text_table(cfg.seed, cfg.d_model)
-    words = p.split()[: cfg.t_txt]
-    block = np.tile(pad, (cfg.t_txt, 1))
-    for i, word in enumerate(words):
-        block[i] = table[fnv1a64(word) % TEXT_TABLE_ROWS]
+    t_txt = weights.cfg.t_txt
+    block = np.tile(weights.pad_vec, (t_txt, 1))
+    for i, word in enumerate(p.split()[:t_txt]):
+        block[i] = weights.text_table[fnv1a64(word) % TEXT_TABLE_ROWS]
     return block
 
 
@@ -503,7 +432,7 @@ def forward(
         x = x + _gelu(h2 @ lw.w1) @ lw.w2
         _require_finite(x, "block output", layer)
 
-        if hook is not None and hook.captures(layer):
+        if hook is not None and (hook.store_logits or hook.store_probs):
             captured[layer] = JointAttention(
                 t_txt=t_txt,
                 logits=logits.copy() if hook.store_logits else None,

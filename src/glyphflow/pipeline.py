@@ -195,6 +195,9 @@ def run_generate(
         masses = _trace_row_masses(trace, mask_frac)
         manifest.metrics.update(_coverage_metrics(masses, plan))
 
+    manifest.checksums["weights"] = weights.checksum()
+    if trace is not None:
+        manifest.checksums["trace"] = trace.checksum()
     manifest.checksums["glyph"] = _glyph_checksum(glyph)
     manifest.config_hash = config_hash(
         config, inputs={"glyph": manifest.checksums["glyph"]}

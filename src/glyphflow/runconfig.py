@@ -153,8 +153,25 @@ def serialize(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str) -> RunConfig:
+def apply_overrides(config: RunConfig, values: dict[str, object]) -> RunConfig:
+    """`config` with each schema key in `values` set to its typed value.
+
+    The keys of one section are applied together, so that section is
+    validated once, against all of its new values.
+    """
     updates: dict[str, dict[str, object]] = {}
+    for key, value in values.items():
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown key {key!r}")
+        section, name, _ = _SCHEMA[key]
+        updates.setdefault(section, {})[name] = value
+    for section, kwargs in updates.items():
+        config = replace(config, **{section: replace(getattr(config, section), **kwargs)})
+    return config
+
+
+def parse(text: str) -> RunConfig:
+    values: dict[str, object] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -163,16 +180,10 @@ def parse(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        section, name, tag = _SCHEMA[key]
-        updates.setdefault(section, {})[name] = _decode(key, tag, raw)
-
-    config = RunConfig()
-    for section, kwargs in updates.items():
-        config = replace(config, **{section: replace(getattr(config, section), **kwargs)})
-    return config
+        values[key] = _decode(key, _SCHEMA[key][2], raw.strip())
+    return apply_overrides(RunConfig(), values)
 
 
 def parse_file(path) -> RunConfig:

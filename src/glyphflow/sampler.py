@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coreattn import InjectionPlan
+from .coreattn import InjectionPlan, apply_injection
 from .errors import ConfigError, ShapeMismatch, TraceMismatch
 from .glyphs import GlyphImage
 from .manifest import RunManifest, StepLog
@@ -213,7 +213,7 @@ def reconstruct_capture(
     mcfg = weights.cfg
     x0 = patchify(glyph, mcfg)
     eps = draw_noise(cfg.noise_seed, x0.shape)
-    text = embed_prompt(recon_prompt, mcfg)
+    text = embed_prompt(recon_prompt, weights)
     knots = cfg.knots()
 
     n_steps = cfg.cutoff_step
@@ -249,17 +249,9 @@ def reconstruct_capture(
 
 
 def _injection_hook(trace: AttentionTrace, plan: InjectionPlan, step: int) -> AttentionHook:
-    row_cache: dict[tuple[int, int], np.ndarray] = {}
-
     def override(step_: int, layer: int, head: int, block: np.ndarray) -> np.ndarray:
-        key = (step_, layer)
-        idx = row_cache.get(key)
-        if idx is None:
-            idx = plan.rows(step_, layer)
-            row_cache[key] = idx
-        if idx.size:
-            block[idx, :] = trace.step_logits(step_, layer)[head][idx, :]
-        return block
+        src = trace.step_logits(step_, layer)[head]
+        return apply_injection(block, src, plan.sets[(step_, layer)])
 
     return AttentionHook(override=override, step=step)
 
@@ -279,7 +271,8 @@ def generate_with_injection(
     unconditional branches. Pass trace=None, plan=None for a baseline run.
     The plan must have been built from `trace` itself or from a trace with
     the same checksum; only the latter case hashes the traces.
-    Returns pixels clamped to [0,1] and a manifest skeleton with step logs.
+    Returns pixels clamped to [0,1] and a manifest skeleton that holds only
+    the step logs: the weights and trace checksums are the caller's to add.
     """
     cfg = cfg or SamplerConfig()
     mcfg = weights.cfg
@@ -301,8 +294,8 @@ def generate_with_injection(
 
     knots = cfg.knots()
     x = draw_noise(cfg.noise_seed, (mcfg.n_img, mcfg.patch_dim))
-    text_cond = embed_prompt(prompt, mcfg)
-    text_uncond = embed_prompt("", mcfg)
+    text_cond = embed_prompt(prompt, weights)
+    text_uncond = embed_prompt("", weights)
     hooked_steps = plan.cutoff_step if plan is not None else 0
 
     step_logs = []
@@ -338,8 +331,4 @@ def generate_with_injection(
         step_logs.append(StepLog(step=i, t=t_i, injected_layer_count=injected))
 
     pixels = np.clip(unpatchify(x, mcfg), 0.0, 1.0)
-    manifest = RunManifest(step_logs=step_logs)
-    manifest.checksums["weights"] = weights.checksum()
-    if trace is not None:
-        manifest.checksums["trace"] = trace.checksum()
-    return pixels, manifest
+    return pixels, RunManifest(step_logs=step_logs)

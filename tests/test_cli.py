@@ -1,10 +1,21 @@
 """End-to-end command line checks, all in process via cli.main."""
 
+import argparse
+
 import numpy as np
 import pytest
 
-from glyphflow import AttentionTrace, RunManifest, read_netpbm, read_tensors, write_tensors
-from glyphflow.cli import main
+from glyphflow import (
+    AttentionTrace,
+    RunConfig,
+    RunManifest,
+    parse,
+    read_netpbm,
+    read_tensors,
+    write_tensors,
+)
+from glyphflow.cli import _build_config, main, make_parser
+from glyphflow.runconfig import _SCHEMA
 
 TINY_CONF = """\
 model.d_model = 16
@@ -245,3 +256,106 @@ def test_argparse_and_version_exits(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "glyphflow" in capsys.readouterr().out
+
+
+_RUN_FLAGS = {
+    "--config", "--cutoff", "--guidance", "--help", "--layout", "--mode", "--no-averaging",
+    "--out-dir", "--ratio", "--scale", "--seed-noise", "--seed-weights", "--steps", "--style",
+    "--word", "-h",
+}
+# every subcommand's option strings, as they were when the config flags were
+# still mapped by hand
+PINNED_OPTIONS = {
+    "rasterize": {
+        "--canvas", "--help", "--layout", "--mask-out", "--out", "--patch", "--scale", "--text",
+        "-h",
+    },
+    "reconstruct": _RUN_FLAGS | {"--out"},
+    "generate": _RUN_FLAGS
+    | {"--dataset", "--no-injection", "--predicted", "--record", "--save-trace"},
+    "analyze": _RUN_FLAGS | {"--trace"},
+    "sweep": _RUN_FLAGS | {"--full-runs"},
+    "export-heatmap": {"--grid", "--help", "--name", "--out", "--scores", "-h"},
+}
+
+
+def _subparsers():
+    (sub,) = (a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_cli_keeps_its_flags():
+    got = {
+        name: {s for action in parser._actions for s in action.option_strings}
+        for name, parser in _subparsers().items()
+    }
+    assert got == PINNED_OPTIONS
+
+
+# a valid non-default value for every key that has a flag
+_SAMPLE_VALUES = {
+    "model.seed_weights": "7",
+    "sampler.steps": "30",
+    "sampler.guidance": "2.5",
+    "sampler.cutoff": "5",
+    "sampler.seed_noise": "3",
+    "injection.ratio": "0.5",
+    "injection.mode": "row_max",
+    "io.word": "cat",
+    "io.style": "thin lines",
+    "io.layout": "vertical",
+    "io.scale": "2",
+    "io.out_dir": "elsewhere",
+    "io.predicted": "cot",
+}
+
+
+def test_config_flags_equal_config_file_lines():
+    checked = set()
+    for name, parser in _subparsers().items():
+        for action in parser._actions:
+            if action.dest not in _SCHEMA:
+                continue
+            key, flag = action.dest, action.option_strings[0]
+            if action.nargs == 0:  # a bool flag sets the key to its non-default value
+                value, argv = action.const, [flag]
+            else:
+                value = _SAMPLE_VALUES[key]
+                argv = [flag, value]
+            argv += {"reconstruct": ["--out", "x"], "analyze": ["--trace", "x"]}.get(name, [])
+            cfg = _build_config(parser.parse_args(argv))
+            assert cfg == parse(f"{key} = {value}"), (name, flag)
+            assert cfg != RunConfig(), (name, flag)
+            checked.add(flag)
+    assert checked == {
+        "--cutoff", "--full-runs", "--guidance", "--layout", "--mode", "--no-averaging",
+        "--out-dir", "--predicted", "--ratio", "--save-trace", "--scale", "--seed-noise",
+        "--seed-weights", "--steps", "--style", "--word",
+    }
+
+
+def test_missing_input_files_exit_2(tmp_path, conf, capsys):
+    missing = str(tmp_path / "missing.bin")
+    cases = [
+        ["analyze", "--config", conf, "--trace", missing, "--out-dir", str(tmp_path / "a")],
+        ["export-heatmap", "--scores", missing, "--grid", "2", "--out", str(tmp_path / "h.pgm")],
+    ]
+    glyph_conf = tmp_path / "glyph.conf"
+    glyph_conf.write_text(TINY_CONF + f"io.glyph_path = {tmp_path / 'missing.pgm'}\n")
+    cases.append(["generate", "--config", str(glyph_conf), "--out-dir", str(tmp_path / "g")])
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv
+
+
+def test_unwritable_out_exits_2(tmp_path, conf, capsys):
+    out = str(tmp_path / "no" / "such" / "dir" / "out.bin")
+    cases = [
+        ["rasterize", "--text", "A", "--canvas", "16", "--patch", "4", "--out", out],
+        ["reconstruct", "--config", conf, "--out", out],
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err, argv

@@ -20,7 +20,7 @@ from glyphflow import (
     parse_file,
     serialize,
 )
-from glyphflow.runconfig import _SCHEMA, IOConfig, InjectionConfig, SweepConfig
+from glyphflow.runconfig import _SCHEMA, IOConfig, InjectionConfig, SweepConfig, apply_overrides
 
 
 def test_defaults_match_reference_protocol():
@@ -166,6 +166,39 @@ def test_manifest_malformed(tmp_path):
         RunManifest.load(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("version", 5),
+        ("config_hash", [1]),
+        ("outputs", {"image": 3}),
+        ("outputs", ["image"]),
+        ("checksums", {"trace": None}),
+        ("error", 7),
+        ("error", {"type": "EmptyWord", "message": 1}),
+    ],
+)
+def test_manifest_field_types(field, value):
+    doc = json.loads(_VALID_MANIFEST)
+    doc[field] = value
+    with pytest.raises(ConfigError):
+        RunManifest.from_json(json.dumps(doc))
+
+
+def test_apply_overrides():
+    assert apply_overrides(RunConfig(), {}) == RunConfig()
+    text = "sampler.steps = 4\nsampler.cutoff = 2\ninjection.mode = row_max\n"
+    values = {"sampler.steps": 4, "sampler.cutoff": 2, "injection.mode": ScoreMode.ROW_MAX}
+    # a section's keys are applied together: cutoff 2 only fits once steps is 4
+    assert apply_overrides(RunConfig(), values) == parse(text)
+    base = parse("io.word = cat\n")
+    assert apply_overrides(base, {"io.scale": 2}).io.word == "cat"
+    with pytest.raises(ConfigError):
+        apply_overrides(RunConfig(), {"model.bogus": 1})
+    with pytest.raises(ConfigError):
+        apply_overrides(RunConfig(), {"sampler.steps": 4})  # default cutoff 12 > 4 steps
+
+
 # ---------------------------------------------------------------- properties
 
 _RAW = st.sampled_from(
@@ -266,7 +299,7 @@ def _manifest_text(draw):
         metrics={"char_f1": 1.0},
         checksums={"weights": "ab"},
     ).to_json())
-    targets = [doc, doc["step_logs"][0], doc["metrics"]]
+    targets = [doc, doc["step_logs"][0], doc["metrics"], doc["checksums"]]
     for _ in range(draw(st.integers(0, 3))):
         obj = draw(st.sampled_from([t for t in targets if t]))
         key = draw(st.sampled_from(sorted(obj)))
@@ -289,9 +322,18 @@ _VALID_MANIFEST = RunManifest(
 @example(_VALID_MANIFEST.replace('"char_f1": 1.0', '"char_f1": ' + _BIG_INT))
 @example(_VALID_MANIFEST.replace('{\n    "char_f1": 1.0\n  }', "7"))
 @example("[" * 5000)
+@example(json.dumps(dict(
+    json.loads(_VALID_MANIFEST),
+    version=5, config_hash=[1], outputs={"image": 3}, checksums={"trace": None}, error=7,
+)))
 def test_manifest_from_json_gives_manifest_or_error(text):
     try:
         manifest = RunManifest.from_json(text)
     except GlyphFlowError:
         return
     assert isinstance(manifest, RunManifest)
+    # every field is typed, so the manifest writes back and reloads as itself
+    assert RunManifest.from_json(manifest.to_json()).to_json() == manifest.to_json()
+    assert isinstance(manifest.version, str) and isinstance(manifest.config_hash, str)
+    for mapping in (manifest.outputs, manifest.checksums, manifest.error or {}):
+        assert all(isinstance(v, str) for v in mapping.values())

@@ -252,7 +252,7 @@ def test_build_injection_completeness_and_consistency():
         assert core.indices == (0, 1)
         assert core.source.step == step and core.source.layer == layer
         assert core.source.averaged is True
-    assert np.array_equal(plan.rows(2, 1), [0, 1])
+    assert np.array_equal(plan.sets[(2, 1)].rows(), [0, 1])
 
 
 def test_build_injection_layer_one_ignores_averaging():
@@ -338,9 +338,11 @@ def test_apply_injection_hand_case():
     gen = np.array([[1.0, 2.0], [3.0, 4.0]])
     src = np.array([[9.0, 8.0], [7.0, 6.0]])
     out = apply_injection(gen, src, make_set([0], 2))
-    assert np.array_equal(out, [[9.0, 8.0], [3.0, 4.0]])
-    assert np.array_equal(gen, [[1.0, 2.0], [3.0, 4.0]])  # input untouched
-    assert np.array_equal(apply_injection(gen, src, make_set([], 2, ratio=0.0)), gen)
+    assert out is gen  # rows are replaced in place
+    assert np.array_equal(gen, [[9.0, 8.0], [3.0, 4.0]])
+    assert np.array_equal(src, [[9.0, 8.0], [7.0, 6.0]])  # source untouched
+    empty = make_set([], 2, ratio=0.0)
+    assert np.array_equal(apply_injection(gen, src, empty), [[9.0, 8.0], [3.0, 4.0]])
     assert np.array_equal(apply_injection(gen, src, make_set([0, 1], 2)), src)
 
 
@@ -349,11 +351,12 @@ def test_apply_injection_idempotent_and_commutative(rng):
     src = rng.random((6, 6))
     a = make_set([1, 4], 6)
     b = make_set([0, 5], 6)
-    once = apply_injection(gen, src, a)
-    assert np.array_equal(apply_injection(once, src, a), once)
-    ab = apply_injection(apply_injection(gen, src, a), src, b)
-    ba = apply_injection(apply_injection(gen, src, b), src, a)
+    once = apply_injection(gen.copy(), src, a)
+    assert np.array_equal(apply_injection(once.copy(), src, a), once)
+    ab = apply_injection(apply_injection(gen.copy(), src, a), src, b)
+    ba = apply_injection(apply_injection(gen.copy(), src, b), src, a)
     assert np.array_equal(ab, ba)
+    assert not np.array_equal(ab, gen)
 
 
 def test_apply_injection_errors(rng):

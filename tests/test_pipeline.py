@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import glyphflow
 from glyphflow import (
     AttentionTrace,
     ConfigError,
@@ -27,6 +28,7 @@ from glyphflow import (
     run_analyze,
     run_generate,
     run_sweep,
+    tensors_checksum,
     write_error_manifest,
 )
 from glyphflow.pipeline import _coverage_metrics, _trace_row_masses
@@ -107,7 +109,7 @@ def test_prepare_glyph_from_file(tmp_path):
         prepare_glyph(tiny_run_config(glyph_path=str(small)))
 
 
-def test_run_generate_writes_artifacts(tmp_path):
+def test_run_generate_writes_artifacts(tmp_path, tiny_weights, tiny_trace):
     out = tmp_path / "run"
     manifest, image = run_generate(tiny_run_config(), out_dir=str(out))
     assert (out / "output.pgm").exists()
@@ -119,8 +121,8 @@ def test_run_generate_writes_artifacts(tmp_path):
     assert again == manifest
     assert manifest.checksums["image"] == file_checksum(out / "output.pgm")
     assert manifest.checksums["glyph"]
-    assert manifest.checksums["weights"]
-    assert manifest.checksums["trace"]
+    assert manifest.checksums["weights"] == tiny_weights.checksum()
+    assert manifest.checksums["trace"] == tiny_trace.checksum()
     assert manifest.config_hash
     assert len(manifest.step_logs) == TINY_SAMPLER.steps
     assert [log.injected_layer_count for log in manifest.step_logs] == [2, 2, 0, 0]
@@ -213,6 +215,24 @@ def test_run_sweep_full_runs_writes_cells(tmp_path):
     assert ref is not None
     arr = read_netpbm(ref)
     assert arr.shape == (TINY.canvas, TINY.canvas)
+
+
+def test_run_sweep_full_runs_hashes_nothing(tmp_path, monkeypatch):
+    # a full-runs sweep discards each cell's manifest, so nothing is hashed
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tensors_checksum(*args, **kwargs)
+
+    for module in (glyphflow.model, glyphflow.pipeline, glyphflow.sampler, glyphflow.tensorio):
+        monkeypatch.setattr(module, "tensors_checksum", counted)
+    cfg = tiny_run_config()
+    cfg = dataclasses.replace(cfg, sweep=SweepConfig(ratios=(0.5,), steps=(1,), full_runs=True))
+    result = run_sweep(cfg, out_dir=str(tmp_path))
+    assert result.failures == []
+    assert list(tmp_path.glob("cell_*.pgm"))
+    assert calls == []
 
 
 def test_run_sweep_partial_failure(tmp_path):

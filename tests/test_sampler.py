@@ -205,7 +205,7 @@ def test_generate_baseline_deterministic(tiny_weights, tiny_sampler):
     assert img1.min() >= 0.0 and img1.max() <= 1.0
     assert len(man1.step_logs) == tiny_sampler.steps
     assert all(log.injected_layer_count == 0 for log in man1.step_logs)
-    assert man1.checksums["weights"] == tiny_weights.checksum()
+    assert man1.checksums == {}  # run_generate hashes the weights
     assert [log.t for log in man1.step_logs] == [float(t) for t in tiny_sampler.knots()[:-1]]
     assert not np.array_equal(
         img1, generate_with_injection(tiny_weights, "other words", None, None, tiny_sampler)[0]
@@ -223,7 +223,7 @@ def test_generate_with_plan_logs_and_counts(tiny_weights, tiny_trace, tiny_sampl
     img, man = generate_with_injection(
         tiny_weights, "A text A logo", tiny_trace, plan, tiny_sampler, probe=probe
     )
-    assert man.checksums["trace"] == tiny_trace.checksum()
+    assert man.checksums == {}  # run_generate hashes the trace
     counts = [log.injected_layer_count for log in man.step_logs]
     assert counts == [2, 2, 0, 0]
     # hooked (step, layer) combinations: cutoff_step * n_layers
@@ -265,7 +265,7 @@ def test_injected_rows_match_trace_at_step_one(tiny_weights, tiny_glyph, tiny_sa
     generate_with_injection(tiny_weights, "A text A logo", tiny_trace, plan, tiny_sampler, probe=probe)
     for branch in ("uncond", "cond"):
         for layer in range(tiny_weights.cfg.n_layers):
-            rows = plan.rows(1, layer)
+            rows = plan.sets[(1, layer)].rows()
             assert rows.size > 0
             got = captured[branch][layer]
             want = tiny_trace.step_logits(1, layer)
@@ -278,11 +278,16 @@ def test_injection_locality_at_step_one(tiny_weights, tiny_trace, tiny_sampler):
     # hook: no image state has diverged yet and the hook only touches I2I
     plan = build_injection(tiny_trace, ratio=1.0)
 
+    t_txt = tiny_weights.cfg.t_txt
+
     def grab(store):
         def probe(step, t, branch, caps):
             if step == 1:
                 store[branch] = {
-                    layer: {w: getattr(att, w)("logits").copy() for w in ("t2t", "t2i", "i2t")}
+                    layer: {
+                        "text rows": att.logits[:, :t_txt, :].copy(),
+                        "i2t": att.logits[:, t_txt:, :t_txt].copy(),
+                    }
                     for layer, att in caps.items()
                 }
         return probe
@@ -293,7 +298,7 @@ def test_injection_locality_at_step_one(tiny_weights, tiny_trace, tiny_sampler):
         tiny_weights, "A text A logo", tiny_trace, plan, tiny_sampler, probe=grab(hooked)
     )
     for branch in ("uncond", "cond"):
-        for which in ("t2t", "t2i", "i2t"):
+        for which in ("text rows", "i2t"):
             assert np.array_equal(hooked[branch][0][which], base[branch][0][which])
 
 
