@@ -2,8 +2,9 @@
 
 Commands: rasterize, reconstruct, generate, analyze, sweep, export-heatmap.
 A run command's config flags are named after the last part of their schema
-key (`--seed-noise` sets `sampler.seed_noise`); a --config file supplies
-defaults and flags win.
+key (`--seed-noise` sets `sampler.seed_noise`), and it takes only the flags
+of the config sections it reads; a --config file supplies defaults and flags
+win.
 
 Exit codes: 0 success, 2 configuration or input error, 3 runtime numeric
 failure, 4 partially failed sweep.
@@ -35,26 +36,19 @@ from .sampler import AttentionTrace, reconstruct_capture
 from .tensorio import read_tensors
 
 
-# config keys that every run command takes as flags, then each command's own
-_COMMON_KEYS = (
-    "model.seed_weights",
-    "sampler.steps",
-    "sampler.guidance",
-    "sampler.cutoff",
-    "sampler.seed_noise",
-    "injection.ratio",
-    "injection.mode",
-    "injection.averaging",
-    "io.word",
-    "io.style",
-    "io.layout",
-    "io.scale",
-    "io.out_dir",
-)
+# the config keys that have flags, grouped by config section; each run command
+# offers the groups it reads. io.out_dir is its own group because reconstruct
+# writes --out instead; analyze reads a saved trace, so it builds no weights
+# and samples nothing.
+_MODEL = ("model.seed_weights",)
+_SAMPLER = ("sampler.steps", "sampler.guidance", "sampler.cutoff", "sampler.seed_noise")
+_INJECTION = ("injection.ratio", "injection.mode", "injection.averaging")
+_IO = ("io.word", "io.style", "io.layout", "io.scale")
+_OUT_DIR = ("io.out_dir",)
 _CHOICES = {"mode": [m.value for m in ScoreMode], "layout": [l.value for l in Layout]}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, keys=_COMMON_KEYS):
+def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]):
     """--config, then one flag per schema key, named after the key's last part.
 
     A bool key that defaults to true gets --no-<name>, one that defaults to
@@ -127,7 +121,7 @@ def cmd_generate(args) -> int:
     cfg = _build_config(args)
     try:
         manifest, _ = run_generate(cfg, baseline=args.no_injection)
-    except GlyphFlowError as exc:
+    except (GlyphFlowError, OSError) as exc:
         write_error_manifest(cfg.io.out_dir, cfg, exc)
         raise
     injected = sum(1 for log in manifest.step_logs if log.injected_layer_count)
@@ -214,24 +208,28 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rasterize)
 
     p = sub.add_parser("reconstruct", help="capture reconstruction attention to a trace file")
-    _add_config_flags(p)
+    _add_config_flags(p, _MODEL + _SAMPLER + _IO)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("generate", help="run the full injection pipeline")
-    _add_config_flags(p, _COMMON_KEYS + ("io.predicted", "io.save_trace"))
+    _add_config_flags(
+        p, _MODEL + _SAMPLER + _INJECTION + _IO + _OUT_DIR + ("io.predicted", "io.save_trace")
+    )
     p.add_argument("--no-injection", action="store_true", help="baseline run")
     p.add_argument("--dataset", help="JSON array of {word, style, lang} records")
     p.add_argument("--record", type=int, default=0, help="dataset record index")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="score a trace and report the attention shift")
-    _add_config_flags(p)
+    _add_config_flags(p, _INJECTION + _IO + _OUT_DIR)
     p.add_argument("--trace", required=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="ratio x cutoff grid; CSV per metric")
-    _add_config_flags(p, _COMMON_KEYS + ("sweep.full_runs",))
+    _add_config_flags(
+        p, _MODEL + _SAMPLER + _INJECTION + _IO + _OUT_DIR + ("sweep.full_runs",)
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-heatmap", help="score vector to min-max PGM")

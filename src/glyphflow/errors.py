@@ -30,7 +30,8 @@ class NonFiniteActivation(GlyphFlowError):
 
 
 class TraceMismatch(GlyphFlowError):
-    """Injection plan does not belong to the supplied attention trace."""
+    """Injection plan does not belong to the supplied attention trace, or the
+    trace lacks the logits an operation reads."""
 
 
 class EmptyTrace(GlyphFlowError):

@@ -132,14 +132,15 @@ class AttentionHook:
 
     `i2i_out` is a (logits, probs) pair of (n_layers, n_heads, n_img, n_img)
     arrays; when set, every layer writes its post-override I2I blocks
-    straight into them, with no full-map capture.
+    straight into them, with no full-map capture. A logits slot of None is
+    skipped.
     """
 
     store_logits: bool = False
     store_probs: bool = False
     override: OverrideFn | None = None
     step: int = 0
-    i2i_out: tuple[np.ndarray, np.ndarray] | None = None
+    i2i_out: tuple[np.ndarray | None, np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------- weights
@@ -423,7 +424,8 @@ def forward(
 
         _softmax_rows(logits, out=probs)
         if i2i_out is not None:
-            i2i_out[0][layer] = logits[:, t_txt:, t_txt:]
+            if i2i_out[0] is not None:
+                i2i_out[0][layer] = logits[:, t_txt:, t_txt:]
             i2i_out[1][layer] = probs[:, t_txt:, t_txt:]
         ctx = (probs @ v).transpose(1, 0, 2).reshape(seq, cfg.d_model)
         x = x + ctx @ lw.wo

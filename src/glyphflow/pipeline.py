@@ -250,9 +250,10 @@ def run_sweep(
 
     One reconstruction capture at the largest grid cutoff serves every cell;
     each cell builds its own plan and reports the planned core rows' mask
-    coverage and attention shift. With sweep.full_runs each cell also runs
-    generation and writes its image. Cell failures are recorded and surface
-    as NA markers, not as an aborted sweep.
+    coverage and attention shift. With sweep.full_runs (and write_outputs)
+    each cell also runs generation and writes its image. Only then does the
+    trace keep logits: selection and the metrics read probabilities alone. Cell failures are
+    recorded and surface as NA markers, not as an aborted sweep.
     """
     out_dir = out_dir if out_dir is not None else config.io.out_dir
     ratios = config.sweep.ratios
@@ -272,7 +273,10 @@ def run_sweep(
     prompt = build_prompt(config.io.word, config.io.style).prompt
     mask_frac = glyph_mask_patches(glyph, config.model.patch)
     trace_cfg = replace(config.sampler, cutoff_step=max_cutoff)
-    trace = reconstruct_capture(weights, glyph, config.io.recon_prompt, trace_cfg)
+    full_runs = config.sweep.full_runs and write_outputs
+    trace = reconstruct_capture(
+        weights, glyph, config.io.recon_prompt, trace_cfg, keep_logits=full_runs
+    )
     masses = _trace_row_masses(trace, mask_frac)
 
     if write_outputs:
@@ -291,7 +295,7 @@ def run_sweep(
                 )
                 stats = _coverage_metrics(masses, plan)
                 ref = None
-                if config.sweep.full_runs and write_outputs:
+                if full_runs:
                     cell_cfg = replace(config.sampler, cutoff_step=step)
                     image, _ = generate_with_injection(weights, prompt, trace, plan, cell_cfg)
                     ref = os.path.join(out_dir, f"cell_r{ratio!r}_s{step}.pgm")

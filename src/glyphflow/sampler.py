@@ -125,29 +125,42 @@ def euler_step(x: np.ndarray, v: np.ndarray, t_i: float, t_next: float) -> np.nd
 
 @dataclass
 class AttentionTrace:
-    """I2I logits and probabilities for steps 1..steps at every layer and head."""
+    """I2I logits and probabilities for steps 1..steps at every layer and head.
+
+    `logits` is None in a probs-only trace (`reconstruct_capture` with
+    `keep_logits=False`). Core-token selection and the coverage/shift metrics
+    read only `probs`; the logit consumers (`step_logits`, `checksum`, `save`
+    and injection through `generate_with_injection`) refuse such a trace
+    with `TraceMismatch`.
+    """
 
     steps: int
     n_layers: int
     n_heads: int
     n_img: int
     t_values: tuple[float, ...]
-    logits: np.ndarray = field(repr=False)
+    logits: np.ndarray | None = field(repr=False)
     probs: np.ndarray = field(repr=False)
     _checksum: str | None = field(default=None, repr=False)
 
     def __post_init__(self):
         want = (self.steps, self.n_layers, self.n_heads, self.n_img, self.n_img)
-        if self.logits.shape != want or self.probs.shape != want:
+        logits_shape = want if self.logits is None else self.logits.shape
+        if logits_shape != want or self.probs.shape != want:
             raise ShapeMismatch(
-                f"trace arrays must have shape {want}, got {self.logits.shape} / {self.probs.shape}"
+                f"trace arrays must have shape {want}, got {logits_shape} / {self.probs.shape}"
             )
         if len(self.t_values) != self.steps:
             raise ShapeMismatch("one t value per captured step required")
 
+    def _logits(self) -> np.ndarray:
+        if self.logits is None:
+            raise TraceMismatch("trace holds probabilities only; it was captured without logits")
+        return self.logits
+
     def step_logits(self, step: int, layer: int) -> np.ndarray:
         """Per-head I2I logits for 1-based step."""
-        return self.logits[step - 1, layer]
+        return self._logits()[step - 1, layer]
 
     def step_probs(self, step: int, layer: int) -> np.ndarray:
         return self.probs[step - 1, layer]
@@ -161,15 +174,16 @@ class AttentionTrace:
             "t_values": ",".join(repr(float(t)) for t in self.t_values),
         }
 
+    def _tensors(self) -> dict[str, np.ndarray]:
+        return {"logits": self._logits(), "probs": self.probs}
+
     def checksum(self) -> str:
         if self._checksum is None:
-            self._checksum = tensors_checksum(
-                {"logits": self.logits, "probs": self.probs}, meta=self._meta()
-            )
+            self._checksum = tensors_checksum(self._tensors(), meta=self._meta())
         return self._checksum
 
     def save(self, path):
-        write_tensors(path, {"logits": self.logits, "probs": self.probs}, meta=self._meta())
+        write_tensors(path, self._tensors(), meta=self._meta())
 
     @classmethod
     def load(cls, path) -> "AttentionTrace":
@@ -200,6 +214,7 @@ def reconstruct_capture(
     recon_prompt: str = "",
     cfg: SamplerConfig | None = None,
     probe: ProbeFn | None = None,
+    keep_logits: bool = True,
 ) -> AttentionTrace:
     """Capture I2I attention while re-noising the glyph at each captured step.
 
@@ -208,6 +223,10 @@ def reconstruct_capture(
     captured. No trajectory is integrated. Each forward writes its I2I blocks
     straight into the trace; a probe also gets full-map copies from the same
     hook.
+
+    With keep_logits=False only the probabilities are allocated and filled,
+    which halves the trace; the result can drive selection and metrics but
+    not injection (see `AttentionTrace`).
     """
     cfg = cfg or SamplerConfig()
     mcfg = weights.cfg
@@ -218,7 +237,7 @@ def reconstruct_capture(
 
     n_steps = cfg.cutoff_step
     shape = (n_steps, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, mcfg.n_img)
-    logits = np.empty(shape, dtype=np.float64)
+    logits = np.empty(shape, dtype=np.float64) if keep_logits else None
     probs = np.empty(shape, dtype=np.float64)
     t_values = []
 
@@ -231,7 +250,7 @@ def reconstruct_capture(
             store_logits=probe is not None,
             store_probs=probe is not None,
             step=i,
-            i2i_out=(logits[i - 1], probs[i - 1]),
+            i2i_out=(None if logits is None else logits[i - 1], probs[i - 1]),
         )
         _, captured = forward(weights, tokens, t_i, hook)
         if probe is not None:
@@ -270,7 +289,8 @@ def generate_with_injection(
     plan are replaced by the trace's rows, identically in the conditional and
     unconditional branches. Pass trace=None, plan=None for a baseline run.
     The plan must have been built from `trace` itself or from a trace with
-    the same checksum; only the latter case hashes the traces.
+    the same checksum; only the latter case hashes the traces. A probs-only
+    trace is refused before any forward runs.
     Returns pixels clamped to [0,1] and a manifest skeleton that holds only
     the step logs: the weights and trace checksums are the caller's to add.
     """
@@ -279,6 +299,8 @@ def generate_with_injection(
     if (trace is None) != (plan is None):
         raise TraceMismatch("trace and plan must be supplied together")
     if plan is not None:
+        if trace.logits is None:
+            raise TraceMismatch("trace holds no logits to inject")
         if plan.trace is not trace and plan.trace.checksum() != trace.checksum():
             raise TraceMismatch("plan was built from a different trace")
         if plan.cutoff_step > trace.steps:

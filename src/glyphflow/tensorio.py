@@ -15,7 +15,7 @@ written.
 
 No tensor's bytes are copied on the way through: writing and hashing hand
 each array's own memory to the file and to sha256, and reading returns
-writable views of one buffer that holds the whole payload.
+writable views of one uninitialised uint8 array that holds the whole payload.
 """
 
 from __future__ import annotations
@@ -171,17 +171,18 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a tensor dump; returns (tensors, meta) in header order.
 
     The header is checked against the file size before any payload byte is
-    read. The payload is then read once into one bytearray, and every tensor
-    is a writable view of it; no two views share a byte, because
-    overlapping payload ranges are rejected.
+    read. The payload is then read once into one uint8 array, which numpy
+    allocates without zero-filling it, and every tensor is a writable view
+    of it; no two views share a byte, because overlapping payload ranges
+    are rejected.
     """
     with open(path, "rb") as fh:
         header, payload_start = _read_header(fh)
         payload_size = os.fstat(fh.fileno()).st_size - payload_start
         spans, meta = _parse_header(header, payload_size)
-        payload = bytearray(payload_size)
+        payload = np.empty(payload_size, dtype=np.uint8)
         fh.seek(payload_start)
-        if fh.readinto(payload) != payload_size:
+        if fh.readinto(memoryview(payload)) != payload_size:
             raise MalformedHeader("file ended before its payload")
     tensors = {}
     for name, (dtype, shape, offset, n) in spans.items():

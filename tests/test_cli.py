@@ -258,22 +258,22 @@ def test_argparse_and_version_exits(capsys):
     assert "glyphflow" in capsys.readouterr().out
 
 
-_RUN_FLAGS = {
-    "--config", "--cutoff", "--guidance", "--help", "--layout", "--mode", "--no-averaging",
-    "--out-dir", "--ratio", "--scale", "--seed-noise", "--seed-weights", "--steps", "--style",
-    "--word", "-h",
-}
-# every subcommand's option strings, as they were when the config flags were
-# still mapped by hand
+_MODEL_FLAGS = {"--seed-weights"}
+_SAMPLER_FLAGS = {"--cutoff", "--guidance", "--seed-noise", "--steps"}
+_INJECTION_FLAGS = {"--mode", "--no-averaging", "--ratio"}
+_IO_FLAGS = {"--config", "--help", "-h", "--layout", "--scale", "--style", "--word"}
+_RUN_FLAGS = _MODEL_FLAGS | _SAMPLER_FLAGS | _INJECTION_FLAGS | _IO_FLAGS | {"--out-dir"}
+# every subcommand's option strings: a run command takes --config and the
+# flags of the config sections it reads, and no others
 PINNED_OPTIONS = {
     "rasterize": {
         "--canvas", "--help", "--layout", "--mask-out", "--out", "--patch", "--scale", "--text",
         "-h",
     },
-    "reconstruct": _RUN_FLAGS | {"--out"},
+    "reconstruct": _MODEL_FLAGS | _SAMPLER_FLAGS | _IO_FLAGS | {"--out"},
     "generate": _RUN_FLAGS
     | {"--dataset", "--no-injection", "--predicted", "--record", "--save-trace"},
-    "analyze": _RUN_FLAGS | {"--trace"},
+    "analyze": _INJECTION_FLAGS | _IO_FLAGS | {"--out-dir", "--trace"},
     "sweep": _RUN_FLAGS | {"--full-runs"},
     "export-heatmap": {"--grid", "--help", "--name", "--out", "--scores", "-h"},
 }
@@ -347,6 +347,17 @@ def test_missing_input_files_exit_2(tmp_path, conf, capsys):
         capsys.readouterr()
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+def test_missing_glyph_writes_error_manifest(tmp_path, capsys):
+    glyph_conf = tmp_path / "glyph.conf"
+    glyph_conf.write_text(TINY_CONF + f"io.glyph_path = {tmp_path / 'missing.pgm'}\n")
+    d = tmp_path / "g"
+    assert main(["generate", "--config", str(glyph_conf), "--out-dir", str(d)]) == 2
+    assert "error:" in capsys.readouterr().err
+    man = RunManifest.load(str(d / "manifest.json"))
+    assert man.error["type"] == "FileNotFoundError"
+    assert man.outputs == {}
 
 
 def test_unwritable_out_exits_2(tmp_path, conf, capsys):

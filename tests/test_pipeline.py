@@ -235,6 +235,30 @@ def test_run_sweep_full_runs_hashes_nothing(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("full_runs, write_outputs", [(False, True), (True, True), (True, False)])
+def test_run_sweep_captures_logits_only_for_full_runs(
+    tmp_path, monkeypatch, full_runs, write_outputs
+):
+    # only a sweep that generates its cells reads the trace's logits
+    traces = []
+    inner = glyphflow.pipeline.reconstruct_capture
+
+    def tapped(*args, **kwargs):
+        traces.append(inner(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(glyphflow.pipeline, "reconstruct_capture", tapped)
+    cfg = tiny_run_config()
+    cfg = dataclasses.replace(
+        cfg, sweep=SweepConfig(ratios=(0.5,), steps=(1, 2), full_runs=full_runs)
+    )
+    result = run_sweep(cfg, out_dir=str(tmp_path), write_outputs=write_outputs)
+    assert result.failures == []
+    (trace,) = traces
+    assert trace.probs.shape[0] == 2
+    assert (trace.logits is not None) == (full_runs and write_outputs)
+
+
 def test_run_sweep_partial_failure(tmp_path):
     cfg = tiny_run_config()
     cfg = dataclasses.replace(cfg, sweep=SweepConfig(ratios=(0.0, 0.5), steps=(1,)))

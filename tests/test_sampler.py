@@ -1,11 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import glyphflow
 from glyphflow import (
     AttentionTrace,
     ConfigError,
+    ModelConfig,
     SamplerConfig,
     ShapeMismatch,
     TraceMismatch,
@@ -14,7 +17,9 @@ from glyphflow import (
     draw_noise,
     euler_step,
     generate_with_injection,
+    init_model,
     noise_to,
+    rasterize_text,
     reconstruct_capture,
 )
 
@@ -163,6 +168,56 @@ def test_trace_save_load_round_trip(tmp_path, tiny_trace):
     assert back.t_values == tiny_trace.t_values
     assert back.logits.tobytes() == tiny_trace.logits.tobytes()
     assert back.probs.tobytes() == tiny_trace.probs.tobytes()
+
+
+def test_probs_only_capture_equals_full_probs(tiny_weights, tiny_glyph, tiny_sampler, tiny_trace):
+    lean = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, keep_logits=False)
+    assert lean.logits is None
+    assert lean.probs.tobytes() == tiny_trace.probs.tobytes()
+    assert lean.step_probs(2, 1).tobytes() == tiny_trace.step_probs(2, 1).tobytes()
+
+
+def test_probs_only_trace_refuses_logit_consumers(
+    tmp_path, monkeypatch, tiny_weights, tiny_glyph, tiny_sampler
+):
+    lean = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, keep_logits=False)
+    with pytest.raises(TraceMismatch):
+        lean.step_logits(1, 0)
+    with pytest.raises(TraceMismatch):
+        lean.checksum()
+    with pytest.raises(TraceMismatch):
+        lean.save(tmp_path / "trace.bin")
+    assert not (tmp_path / "trace.bin").exists()
+
+    plan = build_injection(lean, ratio=0.25)
+    forwards = []
+    monkeypatch.setattr(glyphflow.sampler, "forward", lambda *a, **k: forwards.append(a))
+    with pytest.raises(TraceMismatch):
+        generate_with_injection(tiny_weights, "x", lean, plan, tiny_sampler)
+    assert forwards == []
+
+
+def test_probs_only_capture_allocates_no_logits():
+    # the default model at cutoff 1: one step of (layers, heads, n_img, n_img) logits
+    cfg = ModelConfig()
+    weights = init_model(cfg)
+    glyph = rasterize_text("logo", width=cfg.canvas, height=cfg.canvas, scale=4, patch=cfg.patch)
+    sampler = SamplerConfig(steps=1, cutoff_step=1)
+    reconstruct_capture(weights, glyph, "", sampler)  # forward's buffers are made once
+
+    traces, peaks = {}, {}
+    for keep_logits in (True, False):
+        tracemalloc.start()
+        try:
+            traces[keep_logits] = reconstruct_capture(
+                weights, glyph, "", sampler, keep_logits=keep_logits
+            )
+            peaks[keep_logits] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    logits_nbytes = traces[True].logits.nbytes
+    assert logits_nbytes == cfg.n_layers * cfg.n_heads * cfg.n_img**2 * 8  # 12.6 MB
+    assert peaks[True] - peaks[False] >= 0.9 * logits_nbytes
 
 
 def test_probe_sees_reconstruction(tiny_weights, tiny_glyph, tiny_sampler):
