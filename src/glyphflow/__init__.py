@@ -10,11 +10,11 @@ from .coreattn import (
     ScoreVector,
     SelectionSource,
     apply_injection,
-    attention_shift,
     build_injection,
     cumulative_update,
     save_scores,
     select_core_tokens,
+    step_scores,
     token_scores,
     variance_scores,
 )
@@ -50,7 +50,6 @@ from .metrics import (
     SweepCell,
     char_f1,
     exact_match,
-    mask_coverage,
     render_sweep_csv,
     sweep_aggregate,
 )

@@ -3,7 +3,7 @@
 Commands: rasterize, reconstruct, generate, analyze, sweep, export-heatmap.
 A run command's config flags are named after the last part of their schema
 key (`--seed-noise` sets `sampler.seed_noise`), and it takes only the flags
-of the config sections it reads; a --config file supplies defaults and flags
+of the config keys it reads; a --config file supplies defaults and flags
 win.
 
 Exit codes: 0 success, 2 configuration or input error, 3 runtime numeric
@@ -36,15 +36,20 @@ from .sampler import AttentionTrace, reconstruct_capture
 from .tensorio import read_tensors
 
 
-# the config keys that have flags, grouped by config section; each run command
-# offers the groups it reads. io.out_dir is its own group because reconstruct
-# writes --out instead; analyze reads a saved trace, so it builds no weights
-# and samples nothing.
-_MODEL = ("model.seed_weights",)
-_SAMPLER = ("sampler.steps", "sampler.guidance", "sampler.cutoff", "sampler.seed_noise")
-_INJECTION = ("injection.ratio", "injection.mode", "injection.averaging")
-_IO = ("io.word", "io.style", "io.layout", "io.scale")
-_OUT_DIR = ("io.out_dir",)
+# the config keys that have flags, per run command: each offers exactly the
+# keys it reads. Reconstruction is unguided and embeds io.recon_prompt, so it
+# reads neither sampler.guidance nor io.style; analyze reads a saved trace and
+# builds only the glyph mask; the sweep grid replaces injection.ratio and
+# sampler.cutoff.
+_GLYPH = ("io.word", "io.layout", "io.scale")
+_SELECT = ("injection.mode", "injection.averaging")
+_RECONSTRUCT = ("model.seed_weights", "sampler.steps", "sampler.cutoff", "sampler.seed_noise")
+_RECONSTRUCT += _GLYPH
+_GENERATE = _RECONSTRUCT + ("sampler.guidance", "injection.ratio") + _SELECT
+_GENERATE += ("io.style", "io.out_dir", "io.predicted", "io.save_trace")
+_ANALYZE = ("injection.ratio",) + _SELECT + _GLYPH + ("io.out_dir",)
+_SWEEP = ("model.seed_weights", "sampler.steps", "sampler.guidance", "sampler.seed_noise")
+_SWEEP += _SELECT + _GLYPH + ("io.style", "io.out_dir", "sweep.full_runs")
 _CHOICES = {"mode": [m.value for m in ScoreMode], "layout": [l.value for l in Layout]}
 
 
@@ -208,28 +213,24 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rasterize)
 
     p = sub.add_parser("reconstruct", help="capture reconstruction attention to a trace file")
-    _add_config_flags(p, _MODEL + _SAMPLER + _IO)
+    _add_config_flags(p, _RECONSTRUCT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("generate", help="run the full injection pipeline")
-    _add_config_flags(
-        p, _MODEL + _SAMPLER + _INJECTION + _IO + _OUT_DIR + ("io.predicted", "io.save_trace")
-    )
+    _add_config_flags(p, _GENERATE)
     p.add_argument("--no-injection", action="store_true", help="baseline run")
     p.add_argument("--dataset", help="JSON array of {word, style, lang} records")
     p.add_argument("--record", type=int, default=0, help="dataset record index")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("analyze", help="score a trace and report the attention shift")
-    _add_config_flags(p, _INJECTION + _IO + _OUT_DIR)
+    _add_config_flags(p, _ANALYZE)
     p.add_argument("--trace", required=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="ratio x cutoff grid; CSV per metric")
-    _add_config_flags(
-        p, _MODEL + _SAMPLER + _INJECTION + _IO + _OUT_DIR + ("sweep.full_runs",)
-    )
+    _add_config_flags(p, _SWEEP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-heatmap", help="score vector to min-max PGM")

@@ -1,9 +1,11 @@
 """Core-token machinery: score image tokens from I2I attention, average scores
-across layers, select top-k sets, build row-replacement plans, and measure how
-much core-token attention falls off the glyph mask.
+across layers, select top-k sets, and build row-replacement plans.
 
 Scores always come from head-averaged statistics of I2I probability maps; the
-same selected set drives every head during injection.
+same selected set drives every head during injection. `step_scores` is the one
+scoring and averaging path: `build_injection` selects from it and
+`pipeline.run_analyze` reports it. The coverage and shift of the selected rows
+are measured by `metrics.row_masses` and `metrics.row_fraction`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
     ShapeMismatch,
     TraceMismatch,
 )
-from .metrics import MASK_THRESHOLD, row_fraction, row_masses
 from .tensorio import write_tensors
 
 if TYPE_CHECKING:
@@ -173,6 +174,33 @@ def cumulative_update(state: CumulativeScore, s: ScoreVector) -> CumulativeScore
     return CumulativeScore(mean=mean, layers_absorbed=count, mode=state.mode)
 
 
+def step_scores(
+    trace: "AttentionTrace", step: int, mode: ScoreMode, averaging: bool
+) -> tuple[list[ScoreVector], list[ScoreVector]]:
+    """Per-layer raw scores of one captured step, and the vectors selection ranks.
+
+    Raw scores are row_mass in layer_variance mode. The ranked vectors are the
+    running means of layers 1..L (averaging on), the raw vectors (averaging
+    off), or the single per-step variance vector (layer_variance mode, where
+    averaging has no effect).
+    """
+    base = ScoreMode.ROW_MASS if mode == ScoreMode.LAYER_VARIANCE else mode
+    raw = [
+        token_scores(trace.step_probs(step, layer), base, layer, step)
+        for layer in range(trace.n_layers)
+    ]
+    if mode == ScoreMode.LAYER_VARIANCE:
+        return raw, [variance_scores(raw)]
+    if not averaging:
+        return raw, raw
+    state = CumulativeScore.empty(trace.n_img, mode)
+    ranked = []
+    for s in raw:
+        state = cumulative_update(state, s)
+        ranked.append(state.to_score_vector(s.layer, step))
+    return raw, ranked
+
+
 def select_core_tokens(s: ScoreVector, ratio: float, averaged: bool = False) -> CoreTokenSet:
     """Top-k by score, k = ceil(ratio * N); ties keep the lower index."""
     if not 0.0 < ratio <= 1.0:
@@ -229,12 +257,11 @@ def build_injection(
     mode: ScoreMode = ScoreMode.ROW_MASS,
     averaging: bool = True,
 ) -> InjectionPlan:
-    """Score the trace and select one core set per (step, layer).
+    """Select one core set per (step, layer) from the vectors `step_scores` ranks.
 
     With averaging on, layer L's selection uses the running mean of layers
-    1..L, reset at each step. In layer_variance mode one variance vector per
-    step (over the layers' row-mass scores) drives every layer's selection,
-    and the averaging flag has no effect.
+    1..L, reset at each step. In layer_variance mode the step's one variance
+    vector drives every layer's selection.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside [0,1]")
@@ -254,25 +281,13 @@ def build_injection(
             for layer in range(n_layers):
                 sets[(step, layer)] = _empty_set(n_img, step, layer, mode, averaging)
             continue
-        if mode == ScoreMode.LAYER_VARIANCE:
-            per_layer = [
-                token_scores(trace.step_probs(step, layer), ScoreMode.ROW_MASS, layer, step)
-                for layer in range(n_layers)
-            ]
-            var = variance_scores(per_layer)
-            for layer in range(n_layers):
-                chosen = select_core_tokens(replace(var, layer=layer), ratio)
-                sets[(step, layer)] = chosen
-            continue
-        state = CumulativeScore.empty(n_img, mode)
+        _, ranked = step_scores(trace, step, mode, averaging)
         for layer in range(n_layers):
-            s = token_scores(trace.step_probs(step, layer), mode, layer, step)
-            if averaging:
-                state = cumulative_update(state, s)
-                basis = state.to_score_vector(layer, step)
+            if mode == ScoreMode.LAYER_VARIANCE:
+                chosen = select_core_tokens(replace(ranked[0], layer=layer), ratio)
             else:
-                basis = s
-            sets[(step, layer)] = select_core_tokens(basis, ratio, averaged=averaging)
+                chosen = select_core_tokens(ranked[layer], ratio, averaged=averaging)
+            sets[(step, layer)] = chosen
 
     return InjectionPlan(
         trace=trace,
@@ -302,33 +317,6 @@ def apply_injection(
         idx = core.rows()
         gen[idx, :] = src[idx, :]
     return gen
-
-
-def attention_shift(
-    maps_per_layer: Sequence[np.ndarray],
-    mask_frac: np.ndarray,
-    core: CoreTokenSet,
-    threshold: float = MASK_THRESHOLD,
-) -> np.ndarray:
-    """Per layer: mean over core rows of the attention fraction on off-mask patches.
-
-    A patch counts as off-mask when its mask fraction is strictly below the
-    threshold. Row fractions are normalized by the row's own I2I mass.
-    """
-    mask_frac = np.asarray(mask_frac, dtype=np.float64)
-    if mask_frac.ndim != 1:
-        raise ShapeMismatch("mask fractions must be 1-D")
-    if not core.indices:
-        raise ConfigError("attention_shift needs a nonempty core set")
-    idx = core.rows()
-    out = np.empty(len(maps_per_layer), dtype=np.float64)
-    for i, maps in enumerate(maps_per_layer):
-        mean_map = _as_headset(maps).mean(axis=0)
-        if mean_map.shape[1] != mask_frac.shape[0]:
-            raise ShapeMismatch("map width differs from mask fraction length")
-        masses = row_masses(mean_map, mask_frac, threshold)
-        out[i] = row_fraction(masses.off, masses.total, idx)
-    return out
 
 
 # ---------------------------------------------------------------- serialization

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch, TextOverflow
-from .font8 import BitmapFont, builtin_font
+from .font8 import builtin_font
 from .netpbm import read_netpbm
 
 INK_THRESHOLD = 0.5
@@ -64,14 +64,13 @@ def _scaled(bitmap: np.ndarray, scale: int) -> np.ndarray:
 
 def rasterize_text(
     text: str,
-    font: BitmapFont | None = None,
     layout: Layout = Layout.HORIZONTAL,
     width: int = 128,
     height: int = 128,
     scale: int = 1,
     patch: int = 8,
 ) -> GlyphImage:
-    """Render `text` centered on a width x height canvas.
+    """Render `text` in the built-in 8x8 font, centered on a width x height canvas.
 
     Successive glyphs advance by their own scaled width: rightward for
     Horizontal, downward by the scaled cell height for Vertical, and equally
@@ -84,8 +83,7 @@ def rasterize_text(
         raise ConfigError("scale must be >= 1")
     if patch < 1 or width % patch or height % patch:
         raise ConfigError(f"canvas {width}x{height} must be a positive multiple of patch {patch}")
-    if font is None:
-        font = builtin_font()
+    font = builtin_font()
 
     warnings: list[str] = []
     glyphs: list[np.ndarray] = []

@@ -1,5 +1,5 @@
-"""Text-fidelity and structure metrics: exact match, character F1, on-mask
-attention coverage, and sweep-grid aggregation.
+"""Text-fidelity and structure metrics: exact match, character F1, the row
+masses behind on-mask coverage and attention shift, and sweep-grid aggregation.
 
 Character F1 is bag-of-codepoints: the multiset intersection of the two
 strings sets precision against the prediction and recall against the target.
@@ -94,22 +94,6 @@ def row_fraction(part: np.ndarray, total: np.ndarray, rows) -> float:
     return float(np.mean(part[rows] / denom))
 
 
-def mask_coverage(
-    rows: np.ndarray, mask_frac: np.ndarray, threshold: float = MASK_THRESHOLD
-) -> float:
-    """Mean on-mask attention fraction over the given I2I rows.
-
-    A patch is on-mask when its mask fraction is >= threshold; each row is
-    normalized by its own total mass. Complements attention_shift: the two
-    sum to 1 for identical inputs.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[None]
-    masses = row_masses(rows, mask_frac, threshold)
-    return row_fraction(masses.on, masses.total, slice(None))
-
-
 @dataclass(frozen=True)
 class SweepCell:
     ratio: float
@@ -120,13 +104,10 @@ class SweepCell:
 
 
 def sweep_aggregate(
-    cells: list[SweepCell],
-    ratios: tuple[float, ...] | None = None,
-    steps: tuple[int, ...] | None = None,
+    cells: list[SweepCell], ratios: tuple[float, ...], steps: tuple[int, ...]
 ) -> dict[str, dict[tuple[float, int], float | None]]:
-    """Arrange cells into complete (ratio x step) grids, one per metric.
+    """Arrange cells into complete (ratios x steps) grids, one per metric.
 
-    Grid axes come from the arguments when given, otherwise from the cells.
     Missing cells map to None; a repeated (ratio, step, metric) raises.
     """
     seen: set[tuple[float, int, str]] = set()
@@ -136,16 +117,14 @@ def sweep_aggregate(
             raise DuplicateCell(f"duplicate sweep cell {key}")
         seen.add(key)
 
-    grid_ratios = tuple(sorted(ratios if ratios is not None else {c.ratio for c in cells}))
-    grid_steps = tuple(sorted(steps if steps is not None else {c.step for c in cells}))
     metrics = sorted({c.metric for c in cells})
 
     values = {(c.ratio, c.step, c.metric): c.value for c in cells}
     tables: dict[str, dict[tuple[float, int], float | None]] = {}
     for metric in metrics:
         table: dict[tuple[float, int], float | None] = {}
-        for ratio in grid_ratios:
-            for step in grid_steps:
+        for ratio in sorted(ratios):
+            for step in sorted(steps):
                 table[(ratio, step)] = values.get((ratio, step, metric))
         tables[metric] = table
     return tables

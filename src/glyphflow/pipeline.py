@@ -12,15 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coreattn import (
-    CumulativeScore,
-    InjectionPlan,
-    ScoreMode,
-    build_injection,
-    cumulative_update,
-    token_scores,
-    variance_scores,
-)
+from .coreattn import InjectionPlan, ScoreMode, build_injection, step_scores
 from .errors import ConfigError, DuplicateCell, EmptyWord, GlyphFlowError, ShapeMismatch
 from .glyphs import GlyphImage, glyph_mask_patches, load_glyph_bitmap, rasterize_text
 from .manifest import VERSION, RunManifest
@@ -309,7 +301,7 @@ def run_sweep(
             except GlyphFlowError as exc:
                 failures.append((ratio, step, f"{type(exc).__name__}: {exc}"))
 
-    tables = sweep_aggregate(cells, ratios=tuple(sorted(ratios)), steps=tuple(sorted(steps)))
+    tables = sweep_aggregate(cells, ratios, steps)
     csv_paths: dict[str, str] = {}
     if write_outputs:
         for metric, table in tables.items():
@@ -338,31 +330,20 @@ def run_analyze(
     """Score every captured (step, layer), select core sets, measure the shift.
 
     raw_scores holds the per-layer statistics; selection_scores holds what
-    selection actually ranked (running means, or the per-step variance vector
-    in layer_variance mode). The CSV has one row per (step, layer) with the
-    attention shift and mask coverage of that pair's core rows.
+    selection actually ranked (running means, raw scores, or the per-step
+    variance vector in layer_variance mode), both from `step_scores`. The CSV
+    has one row per (step, layer) with the attention shift and mask coverage
+    of that pair's core rows.
     """
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside (0,1]")
     plan = build_injection(trace, ratio, mode=mode, averaging=averaging)
-    base_mode = ScoreMode.ROW_MASS if mode == ScoreMode.LAYER_VARIANCE else mode
     raw_scores = []
     selection_scores = []
     for step in range(1, trace.steps + 1):
-        per_layer = [
-            token_scores(trace.step_probs(step, layer), base_mode, layer, step)
-            for layer in range(trace.n_layers)
-        ]
-        raw_scores.extend(per_layer)
-        if mode == ScoreMode.LAYER_VARIANCE:
-            selection_scores.append(variance_scores(per_layer))
-        elif averaging:
-            state = CumulativeScore.empty(trace.n_img, mode)
-            for s in per_layer:
-                state = cumulative_update(state, s)
-                selection_scores.append(state.to_score_vector(s.layer, step))
-        else:
-            selection_scores.extend(per_layer)
+        raw, ranked = step_scores(trace, step, mode, averaging)
+        raw_scores.extend(raw)
+        selection_scores.extend(ranked)
 
     rows = _core_shift_rows(_trace_row_masses(trace, mask_frac), plan)
     lines = ["step,layer,attention_shift,mask_coverage"]

@@ -1,8 +1,9 @@
 """Rectified-flow Euler sampling with classifier-free guidance, plus the
 synchronous reconstruction pass that captures I2I attention.
 
-The schedule has steps+1 knots from 1 down to 0; step i evaluates the model
-at knot i-1, so a run costs exactly `steps` evaluations per CFG branch.
+The schedule has steps+1 evenly spaced knots from 1 down to 0; step i
+evaluates the model at knot i-1, so a run costs exactly `steps` evaluations
+per CFG branch.
 Reconstruction never integrates: each captured step re-noises the clean glyph
 latent to t_i with one fixed eps, runs a single unguided forward, and records
 every layer's I2I logits and probabilities.
@@ -47,7 +48,6 @@ class SamplerConfig:
     guidance: float = 7.5
     cutoff_step: int = 12
     noise_seed: int = 0
-    schedule: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.steps < 1:
@@ -58,19 +58,9 @@ class SamplerConfig:
             )
         if self.guidance < 0.0:
             raise ConfigError("guidance must be >= 0")
-        if self.schedule is not None:
-            k = self.knots()
-            if k.shape != (self.steps + 1,):
-                raise ConfigError(f"schedule needs steps+1 = {self.steps + 1} knots")
-            if k[0] != 1.0 or k[-1] != 0.0:
-                raise ConfigError("schedule must start at 1 and end at 0")
-            if not np.all(np.diff(k) < 0.0):
-                raise ConfigError("schedule must be strictly decreasing")
 
     def knots(self) -> np.ndarray:
-        """t values t_1 > ... > t_{steps} > t_end with t_1 = 1 and t_end = 0."""
-        if self.schedule is not None:
-            return np.asarray(self.schedule, dtype=np.float64)
+        """Evenly spaced t values t_1 > ... > t_{steps} > t_end, t_1 = 1 and t_end = 0."""
         return np.linspace(1.0, 0.0, self.steps + 1)
 
 
@@ -131,7 +121,8 @@ class AttentionTrace:
     `keep_logits=False`). Core-token selection and the coverage/shift metrics
     read only `probs`; the logit consumers (`step_logits`, `checksum`, `save`
     and injection through `generate_with_injection`) refuse such a trace
-    with `TraceMismatch`.
+    with `TraceMismatch`. A plan pairs with the trace object it was built
+    from, never by checksum, so nothing caches the checksum.
     """
 
     steps: int
@@ -141,7 +132,6 @@ class AttentionTrace:
     t_values: tuple[float, ...]
     logits: np.ndarray | None = field(repr=False)
     probs: np.ndarray = field(repr=False)
-    _checksum: str | None = field(default=None, repr=False)
 
     def __post_init__(self):
         want = (self.steps, self.n_layers, self.n_heads, self.n_img, self.n_img)
@@ -178,9 +168,8 @@ class AttentionTrace:
         return {"logits": self._logits(), "probs": self.probs}
 
     def checksum(self) -> str:
-        if self._checksum is None:
-            self._checksum = tensors_checksum(self._tensors(), meta=self._meta())
-        return self._checksum
+        """sha256 of the trace's tensors and meta; computed anew on every call."""
+        return tensors_checksum(self._tensors(), meta=self._meta())
 
     def save(self, path):
         write_tensors(path, self._tensors(), meta=self._meta())
@@ -288,9 +277,9 @@ def generate_with_injection(
     For steps <= plan.cutoff_step every layer's I2I logit rows listed in the
     plan are replaced by the trace's rows, identically in the conditional and
     unconditional branches. Pass trace=None, plan=None for a baseline run.
-    The plan must have been built from `trace` itself or from a trace with
-    the same checksum; only the latter case hashes the traces. A probs-only
-    trace is refused before any forward runs.
+    The plan must have been built from `trace` itself (`plan.trace is
+    trace`); a trace with the same bytes is still refused, so no trace is
+    hashed here. A probs-only trace is refused before any forward runs.
     Returns pixels clamped to [0,1] and a manifest skeleton that holds only
     the step logs: the weights and trace checksums are the caller's to add.
     """
@@ -301,7 +290,7 @@ def generate_with_injection(
     if plan is not None:
         if trace.logits is None:
             raise TraceMismatch("trace holds no logits to inject")
-        if plan.trace is not trace and plan.trace.checksum() != trace.checksum():
+        if plan.trace is not trace:
             raise TraceMismatch("plan was built from a different trace")
         if plan.cutoff_step > trace.steps:
             raise TraceMismatch(

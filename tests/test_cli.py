@@ -258,24 +258,35 @@ def test_argparse_and_version_exits(capsys):
     assert "glyphflow" in capsys.readouterr().out
 
 
-_MODEL_FLAGS = {"--seed-weights"}
-_SAMPLER_FLAGS = {"--cutoff", "--guidance", "--seed-noise", "--steps"}
-_INJECTION_FLAGS = {"--mode", "--no-averaging", "--ratio"}
-_IO_FLAGS = {"--config", "--help", "-h", "--layout", "--scale", "--style", "--word"}
-_RUN_FLAGS = _MODEL_FLAGS | _SAMPLER_FLAGS | _INJECTION_FLAGS | _IO_FLAGS | {"--out-dir"}
+_GLYPH_FLAGS = {"--config", "--help", "-h", "--layout", "--scale", "--word"}
+_SELECT_FLAGS = {"--mode", "--no-averaging"}
+_RECONSTRUCT_FLAGS = _GLYPH_FLAGS | {"--seed-weights", "--steps", "--cutoff", "--seed-noise"}
+_SWEEP_FLAGS = _GLYPH_FLAGS | _SELECT_FLAGS | {
+    "--seed-weights", "--steps", "--guidance", "--seed-noise", "--style", "--out-dir",
+}
 # every subcommand's option strings: a run command takes --config and the
-# flags of the config sections it reads, and no others
+# flags of the config keys it reads, and no others
 PINNED_OPTIONS = {
     "rasterize": {
         "--canvas", "--help", "--layout", "--mask-out", "--out", "--patch", "--scale", "--text",
         "-h",
     },
-    "reconstruct": _MODEL_FLAGS | _SAMPLER_FLAGS | _IO_FLAGS | {"--out"},
-    "generate": _RUN_FLAGS
-    | {"--dataset", "--no-injection", "--predicted", "--record", "--save-trace"},
-    "analyze": _INJECTION_FLAGS | _IO_FLAGS | {"--out-dir", "--trace"},
-    "sweep": _RUN_FLAGS | {"--full-runs"},
+    "reconstruct": _RECONSTRUCT_FLAGS | {"--out"},
+    "generate": _SWEEP_FLAGS | {
+        "--cutoff", "--ratio", "--dataset", "--no-injection", "--predicted", "--record",
+        "--save-trace",
+    },
+    "analyze": _GLYPH_FLAGS | _SELECT_FLAGS | {"--ratio", "--out-dir", "--trace"},
+    "sweep": _SWEEP_FLAGS | {"--full-runs"},
     "export-heatmap": {"--grid", "--help", "--name", "--out", "--scores", "-h"},
+}
+# flags of keys a command does not read: reconstruction is unguided and embeds
+# io.recon_prompt, only word, layout and scale shape analyze's mask, and the
+# sweep grid replaces injection.ratio and sampler.cutoff
+DROPPED_FLAGS = {
+    "reconstruct": (["--guidance", "2.5"], ["--style", "thin"]),
+    "analyze": (["--style", "thin"],),
+    "sweep": (["--ratio", "0.5"], ["--cutoff", "3"]),
 }
 
 
@@ -290,6 +301,16 @@ def test_cli_keeps_its_flags():
         for name, parser in _subparsers().items()
     }
     assert got == PINNED_OPTIONS
+
+
+def test_dropped_flags_exit_2(capsys):
+    required = {"reconstruct": ["--out", "x"], "analyze": ["--trace", "x"]}
+    for command, flags in DROPPED_FLAGS.items():
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *flag, *required.get(command, [])])
+            assert exc.value.code == 2, (command, flag)
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 # a valid non-default value for every key that has a flag

@@ -20,15 +20,16 @@ from glyphflow import (
     TraceMismatch,
     ZeroRowMass,
     apply_injection,
-    attention_shift,
     build_injection,
     cumulative_update,
     save_scores,
     select_core_tokens,
+    step_scores,
     token_scores,
     variance_scores,
 )
-from glyphflow import coreattn, metrics
+from glyphflow.metrics import row_fraction
+from glyphflow.pipeline import _trace_row_masses
 from glyphflow.tensorio import read_tensors
 
 
@@ -166,6 +167,24 @@ def test_cumulative_update_mismatches():
         cumulative_update(state, wrong_len)
 
 
+def test_step_scores_per_mode():
+    layer_scores = [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]
+    trace = make_trace(layer_scores, steps=2)
+    raw, ranked = step_scores(trace, 2, ScoreMode.ROW_MASS, averaging=True)
+    assert [(s.step, s.layer) for s in raw] == [(2, 0), (2, 1), (2, 2)]
+    assert all(s.mode == ScoreMode.ROW_MASS for s in raw)
+    assert np.allclose([s.scores for s in raw], layer_scores)
+    assert np.allclose([s.scores for s in ranked], [[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
+    assert [s.layer for s in ranked] == [0, 1, 2]
+    raw_off, ranked_off = step_scores(trace, 2, ScoreMode.ROW_MASS, averaging=False)
+    assert ranked_off is raw_off
+    raw_var, ranked_var = step_scores(trace, 2, ScoreMode.LAYER_VARIANCE, averaging=True)
+    assert all(s.mode == ScoreMode.ROW_MASS for s in raw_var)
+    (var,) = ranked_var
+    assert (var.step, var.layer, var.mode) == (2, 2, ScoreMode.LAYER_VARIANCE)
+    assert np.allclose(var.scores, np.var(layer_scores, axis=0))
+
+
 # ---------------------------------------------------------------- selection
 
 
@@ -301,7 +320,6 @@ def test_build_injection_empty_trace():
         t_values=(),
         logits=trace.logits[:0],
         probs=trace.probs[:0],
-        _checksum=None,
     )
     with pytest.raises(EmptyTrace):
         build_injection(empty, ratio=0.5, cutoff_step=1)
@@ -372,6 +390,19 @@ def test_apply_injection_errors(rng):
 # ---------------------------------------------------------------- shift
 
 
+def attention_shift(maps_per_layer, mask_frac, core):
+    """Per layer, the core rows' off-mask fraction, read as the pipeline reads it."""
+    probs = np.stack([np.asarray(m, dtype=np.float64) for m in maps_per_layer])[None]
+    _, n_layers, n_heads, n_img, _ = probs.shape
+    trace = AttentionTrace(
+        steps=1, n_layers=n_layers, n_heads=n_heads, n_img=n_img, t_values=(1.0,),
+        logits=None, probs=probs,
+    )
+    masses = _trace_row_masses(trace, mask_frac)
+    idx = core.rows()
+    return [row_fraction(masses.off[0, l], masses.total[0, l], idx) for l in range(n_layers)]
+
+
 def test_attention_shift_hand_cases():
     mask_frac = np.array([1.0, 0.0, 1.0, 0.0])  # off-mask at {1, 3}
     uniform = np.full((1, 4, 4), 0.25)
@@ -381,7 +412,7 @@ def test_attention_shift_hand_cases():
     row = np.array([[0.4, 0.1, 0.4, 0.1]] * 4)[None]
     assert np.allclose(attention_shift([row], mask_frac, core), [0.2])
     # row normalization: scaling every row by 0.5 changes nothing
-    assert np.allclose(attention_shift([row * 0.5], mask_frac, core), [0.2])
+    assert attention_shift([row * 0.5], mask_frac, core) == attention_shift([row], mask_frac, core)
 
     assert np.allclose(attention_shift([uniform], np.ones(4), core), [0.0])
     assert np.allclose(attention_shift([uniform], np.zeros(4), core), [1.0])
@@ -411,16 +442,12 @@ def test_attention_shift_errors():
     core = make_set([0], 2)
     with pytest.raises(ZeroRowMass):
         attention_shift([np.zeros((1, 2, 2))], np.ones(2), core)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ShapeMismatch, match="at least one row required"):
         attention_shift([np.full((1, 2, 2), 0.5)], np.ones(2), make_set([], 2, ratio=0.0))
     with pytest.raises(ShapeMismatch):
         attention_shift([np.full((1, 2, 2), 0.5)], np.ones(3), core)
     with pytest.raises(ShapeMismatch):
         attention_shift([np.full((1, 2, 2), 0.5)], np.ones((2, 2)), core)
-
-
-def test_one_mask_threshold():
-    assert coreattn.MASK_THRESHOLD is metrics.MASK_THRESHOLD
 
 
 # ---------------------------------------------------------------- serialization

@@ -4,7 +4,9 @@ Pins the full sha256 of the default injected PGM, the default
 `--no-injection` PGM, a digest of the default plan's index sets for every
 (step, layer), the default run's coverage and shift metrics, both default
 sweep CSVs, the default `analyze` shift.csv, and the image of a one-cell
-`sweep --full-runs` at the default (ratio, cutoff). A change that moves any
+`sweep --full-runs` at the default (ratio, cutoff). For every scoring mode,
+with averaging on and off, it pins `analyze`'s plan sets, shift.csv and both
+score dumps on the default probs-only trace. A change that moves any
 of them changes what the pipeline produces; only a change meant to do so may
 update these values, and it records the old and new ones in CHANGES.md.
 Trace and manifest checksums are not pinned: trace floats may drift by a few
@@ -19,6 +21,7 @@ import pytest
 from glyphflow import (
     AttentionTrace,
     RunConfig,
+    ScoreMode,
     glyph_mask_patches,
     init_model,
     pipeline,
@@ -27,6 +30,7 @@ from glyphflow import (
     run_analyze,
     run_generate,
     run_sweep,
+    save_scores,
 )
 
 INJECTED_PGM_SHA256 = "113fcb1ee8a191d03bb85f93ebc79da11c2efd7dc0a981e0b78fe500b3b31fad"
@@ -137,3 +141,89 @@ def test_golden_full_runs_cell_equals_default_run(tmp_path):
     refs = {cell.manifest_ref for cell in result.cells}
     assert refs == {str(tmp_path / "cell_r0.125_s12.pgm")}
     assert _file_sha256(refs.pop()) == INJECTED_PGM_SHA256
+
+
+# (mode, averaging) -> (plan digest, shift.csv sha256, scores_raw.bin sha256,
+# scores_selection.bin sha256) of `run_analyze` on the default probs-only trace
+# at the default ratio. layer_variance ignores averaging, so it is pinned once.
+ANALYZE_MODE_SHA256 = {
+    ("row_mass", True): (
+        "effd94aac30b98badd37b17bafcd6db44ea249e4781dbddc538df680137249e8",
+        "94e8064487d48d06cca145fb956d93809a243c924e1e31480132ba9d045b8b20",
+        "e9e7de6c1ef9b2a4d9fe19fe62bc6e4f8223a69462be7233240217451a8f3d87",
+        "d320840a1229651cb524dcd9f31e86642d3f93e78f7226fda6863b8b6c93e662",
+    ),
+    ("row_mass", False): (
+        "c33684ed38e05c56e474433be5036469cfedcad7fe2986967874908d4990a1fb",
+        "81f30c0de5d00a4d5d228fd8678677b86ad3b7ce42852b3d8ce1533d10f8d56e",
+        "e9e7de6c1ef9b2a4d9fe19fe62bc6e4f8223a69462be7233240217451a8f3d87",
+        "e9e7de6c1ef9b2a4d9fe19fe62bc6e4f8223a69462be7233240217451a8f3d87",
+    ),
+    ("row_max", True): (
+        "727ebb91bc6b1653925b792208b655b076619dfa54ece6e6681549208094a33d",
+        "f0e02b0b7f516eecbc521b1a356928ab74213eed49710e44714eedf91b879d2e",
+        "c5110b6134238cd28907fe0098f79e7c8afabfb5b14a6382bf70a9cbb07c780d",
+        "afa81b2e4dc9678a1f19f7e44336684938114de35e46260e40caab547547d822",
+    ),
+    ("row_max", False): (
+        "9bb1e53b53b50f46454907aa5667f87672ec735811a5b5a4b0a1b74783d92c8d",
+        "7d4393c776deba75386aeb9b0ec3c7502d104bd1691b433500e22deb58fe1328",
+        "c5110b6134238cd28907fe0098f79e7c8afabfb5b14a6382bf70a9cbb07c780d",
+        "c5110b6134238cd28907fe0098f79e7c8afabfb5b14a6382bf70a9cbb07c780d",
+    ),
+    ("column_mass", True): (
+        "fb0a7e50a723d9dd1b3885b1ba6cbd7f5559cdf8a60235e92424546e5d6455e1",
+        "e743ed8d5a262eef94e3c647caed6b3ef31069265dedebc42458a8375cd85f3d",
+        "cb2be6fe1d286c12e4f70bb07d7de623c598c303f456aa0c49a80c00fa205308",
+        "290a98d776fe82b124ab1dfd13126c1541c6d317fe346e0e7dbfabef4974b92b",
+    ),
+    ("column_mass", False): (
+        "a8278f7e384559c323de40125e23c1b0f269c51283bd93d872c9cd4fb7e67224",
+        "38bc1bedad06f52511176b9998f23880267f59b0bec5210ccb2d0e4cad7b7292",
+        "cb2be6fe1d286c12e4f70bb07d7de623c598c303f456aa0c49a80c00fa205308",
+        "cb2be6fe1d286c12e4f70bb07d7de623c598c303f456aa0c49a80c00fa205308",
+    ),
+    ("layer_variance", True): (
+        "9c8a07c604b028f41dff528c9028f73d3356249ef9fa6103fb7e9389dcf232b8",
+        "3479111905309b878e7b709290039f1768638a075762f8278c98bbcdcb0f2e23",
+        "e9e7de6c1ef9b2a4d9fe19fe62bc6e4f8223a69462be7233240217451a8f3d87",
+        "e95afad50ba4e7e0f3e8737d8195dcc30f477230063f9a62c74297a05978c93b",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def default_probs_trace():
+    cfg = RunConfig()
+    glyph = prepare_glyph(cfg)
+    trace = reconstruct_capture(
+        init_model(cfg.model), glyph, cfg.io.recon_prompt, cfg.sampler, keep_logits=False
+    )
+    return trace, glyph_mask_patches(glyph, cfg.model.patch)
+
+
+@pytest.mark.parametrize("mode,averaging", sorted(ANALYZE_MODE_SHA256))
+def test_golden_analyze_every_mode(default_probs_trace, tmp_path, mode, averaging):
+    """Plan sets, shift.csv and both score dumps of `analyze` in every scoring mode."""
+    trace, mask_frac = default_probs_trace
+    plans = []
+    inner = pipeline.build_injection
+
+    def tap(*args, **kwargs):
+        plans.append(inner(*args, **kwargs))
+        return plans[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "build_injection", tap)
+        ratio = RunConfig().injection.ratio
+        result = run_analyze(trace, mask_frac, ratio, mode=ScoreMode(mode), averaging=averaging)
+    assert len(plans) == 1
+    save_scores(tmp_path / "raw.bin", result.raw_scores)
+    save_scores(tmp_path / "selection.bin", result.selection_scores)
+    got = (
+        _plan_sha256(plans[0]),
+        hashlib.sha256(result.shift_csv.encode()).hexdigest(),
+        _file_sha256(tmp_path / "raw.bin"),
+        _file_sha256(tmp_path / "selection.bin"),
+    )
+    assert got == ANALYZE_MODE_SHA256[(mode, averaging)]

@@ -7,14 +7,11 @@ from glyphflow import (
     ShapeMismatch,
     SweepCell,
     ZeroRowMass,
-    attention_shift,
     char_f1,
     exact_match,
-    mask_coverage,
     render_sweep_csv,
     sweep_aggregate,
 )
-from glyphflow.coreattn import CoreTokenSet, ScoreMode, SelectionSource
 from glyphflow.metrics import MASK_THRESHOLD, row_fraction, row_masses
 
 
@@ -72,43 +69,47 @@ def test_char_f1_swap_symmetry(rng):
             assert ab.f1 == 1.0
 
 
+def _coverage(rows, mask_frac):
+    """Mean on-mask fraction of every given row, as the pipeline measures it."""
+    masses = row_masses(rows, mask_frac)
+    return row_fraction(masses.on, masses.total, slice(None))
+
+
 def test_mask_coverage_hand_cases():
     mask_frac = np.array([1.0, 0.0, 1.0, 0.0])
     uniform = np.full((2, 4), 0.25)
-    assert np.isclose(mask_coverage(uniform, mask_frac), 0.5)
-    assert np.isclose(mask_coverage(np.array([0.4, 0.1, 0.4, 0.1]), mask_frac), 0.8)
-    assert mask_coverage(uniform, np.ones(4)) == 1.0
-    assert mask_coverage(uniform, np.zeros(4)) == 0.0
+    assert np.isclose(_coverage(uniform, mask_frac), 0.5)
+    row = np.array([[0.4, 0.1, 0.4, 0.1]])
+    assert np.isclose(_coverage(row, mask_frac), 0.8)
+    # each row is normalized by its own mass: scaling a row changes nothing
+    assert _coverage(row * 0.5, mask_frac) == _coverage(row, mask_frac)
+    assert _coverage(uniform, np.ones(4)) == 1.0
+    assert _coverage(uniform, np.zeros(4)) == 0.0
     # the threshold is inclusive on-mask
-    assert np.isclose(mask_coverage(np.full(2, 0.5), np.array([0.5, 0.49])), 0.5)
+    assert np.isclose(_coverage(np.full((1, 2), 0.5), np.array([0.5, 0.49])), 0.5)
 
 
 def test_mask_coverage_errors():
-    with pytest.raises(ShapeMismatch):
-        mask_coverage(np.full((1, 3), 0.5), np.ones(4))
-    with pytest.raises(ShapeMismatch):
-        mask_coverage(np.empty((0, 4)), np.ones(4))
+    with pytest.raises(ShapeMismatch):  # map width differs from the mask
+        row_masses(np.full((1, 3), 0.5), np.ones(4))
+    with pytest.raises(ShapeMismatch):  # a 2-D mask
+        row_masses(np.full((2, 2), 0.5), np.ones((2, 2)))
+    with pytest.raises(ShapeMismatch):  # no rows
+        _coverage(np.empty((0, 4)), np.ones(4))
     with pytest.raises(ZeroRowMass):
-        mask_coverage(np.zeros(4), np.ones(4))
+        _coverage(np.zeros((1, 4)), np.ones(4))
 
 
 def test_coverage_complements_shift(rng):
-    # mask_coverage and attention_shift are computed independently but must
-    # sum to 1 for the same rows
+    # coverage and shift are summed over their own columns, yet they sum to 1
+    # for the same rows
     for _ in range(20):
         n = 8
-        maps = rng.random((2, n, n)) + 1e-3
-        mask_frac = rng.random(n)
-        idx = tuple(sorted(rng.choice(n, size=3, replace=False).tolist()))
-        core = CoreTokenSet(
-            indices=idx,
-            ratio=3 / n,
-            n_img=n,
-            source=SelectionSource(step=1, layer=0, mode=ScoreMode.ROW_MASS, averaged=False),
-        )
-        shift = attention_shift([maps], mask_frac, core)[0]
-        rows = maps.mean(axis=0)[core.rows()]
-        coverage = mask_coverage(rows, mask_frac)
+        mean_map = (rng.random((2, n, n)) + 1e-3).mean(axis=0)
+        masses = row_masses(mean_map, rng.random(n))
+        idx = np.sort(rng.choice(n, size=3, replace=False))
+        coverage = row_fraction(masses.on, masses.total, idx)
+        shift = row_fraction(masses.off, masses.total, idx)
         assert abs(coverage + shift - 1.0) < 1e-9
 
 
@@ -177,16 +178,17 @@ def test_sweep_aggregate_full_grid():
     assert tables["shift"][(0.25, 8)] == 8.25
 
 
-def test_sweep_aggregate_missing_and_inferred():
+def test_sweep_aggregate_missing_cells():
     cells = [
         SweepCell(ratio=0.5, step=8, metric="m", value=1.0),
         SweepCell(ratio=0.25, step=12, metric="m", value=2.0),
     ]
-    tables = sweep_aggregate(cells)
+    tables = sweep_aggregate(cells, ratios=(0.5, 0.25), steps=(12, 8))
     table = tables["m"]
-    assert set(table) == {(0.25, 8), (0.25, 12), (0.5, 8), (0.5, 12)}
+    assert list(table) == [(0.25, 8), (0.25, 12), (0.5, 8), (0.5, 12)]
     assert table[(0.25, 8)] is None
     assert table[(0.5, 8)] == 1.0
+    # the grid is the given axes: a cell outside them is left out
     explicit = sweep_aggregate(cells, ratios=(0.25,), steps=(12,))
     assert set(explicit["m"]) == {(0.25, 12)}
 
@@ -197,13 +199,15 @@ def test_sweep_aggregate_duplicate():
         SweepCell(ratio=0.5, step=8, metric="m", value=2.0),
     ]
     with pytest.raises(DuplicateCell):
-        sweep_aggregate(cells)
+        sweep_aggregate(cells, ratios=(0.5,), steps=(8,))
     # same cell under different metrics is fine
     ok = sweep_aggregate(
         [
             SweepCell(ratio=0.5, step=8, metric="m", value=1.0),
             SweepCell(ratio=0.5, step=8, metric="n", value=2.0),
-        ]
+        ],
+        ratios=(0.5,),
+        steps=(8,),
     )
     assert set(ok) == {"m", "n"}
 

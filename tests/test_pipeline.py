@@ -16,13 +16,11 @@ from glyphflow import (
     ScoreMode,
     ShapeMismatch,
     ZeroRowMass,
-    attention_shift,
     build_injection,
     build_prompt,
     export_heatmap,
     file_checksum,
     load_dataset,
-    mask_coverage,
     prepare_glyph,
     read_netpbm,
     run_analyze,
@@ -321,18 +319,20 @@ def test_run_analyze(tiny_trace, tiny_cfg):
 
 
 def test_trace_row_masses_match_the_public_metrics(tiny_trace, tiny_cfg):
-    """The once-per-trace table gives the bits mask_coverage and attention_shift give."""
+    """The once-per-trace table gives the bits of a direct per-core-set reduction."""
     mask_frac = np.linspace(0.0, 1.0, tiny_cfg.n_img)
     masses = _trace_row_masses(tiny_trace, mask_frac)
     shape = (tiny_trace.steps, tiny_trace.n_layers, tiny_trace.n_img)
     assert all(field.shape == shape for field in masses)
     plan = build_injection(tiny_trace, 0.25)
+    on = mask_frac >= 0.5
     coverages = []
     shifts = []
     for (step, layer), core in sorted(plan.sets.items()):
-        maps = tiny_trace.step_probs(step, layer)
-        coverages.append(mask_coverage(maps.mean(axis=0)[core.rows()], mask_frac))
-        shifts.append(float(attention_shift([maps], mask_frac, core)[0]))
+        rows = tiny_trace.step_probs(step, layer).mean(axis=0)[core.rows()]
+        total = rows.sum(axis=1)
+        coverages.append(float(np.mean(rows[:, on].sum(axis=1) / total)))
+        shifts.append(float(np.mean(rows[:, ~on].sum(axis=1) / total)))
     assert _coverage_metrics(masses, plan) == {
         "mask_coverage_mean": float(np.mean(coverages)),
         "attention_shift_mean": float(np.mean(shifts)),
@@ -342,7 +342,7 @@ def test_trace_row_masses_match_the_public_metrics(tiny_trace, tiny_cfg):
 def test_run_analyze_zero_mass_core_row(tiny_trace, tiny_cfg):
     probs = tiny_trace.probs.copy()
     probs[0, 1] = 0.0
-    trace = dataclasses.replace(tiny_trace, probs=probs, _checksum=None)
+    trace = dataclasses.replace(tiny_trace, probs=probs)
     with pytest.raises(ZeroRowMass):
         run_analyze(trace, np.linspace(0.0, 1.0, tiny_cfg.n_img), ratio=0.25)
 
