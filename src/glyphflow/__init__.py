@@ -47,11 +47,9 @@ from .glyphs import (
 from .manifest import VERSION, RunManifest, StepLog
 from .metrics import (
     CharF1Result,
-    SweepCell,
     char_f1,
     exact_match,
     render_sweep_csv,
-    sweep_aggregate,
 )
 from .model import (
     AttentionHook,

@@ -124,8 +124,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _build_config(args)
+    if args.no_injection:
+        cfg = apply_overrides(cfg, {"injection.enabled": False})
     try:
-        manifest, _ = run_generate(cfg, baseline=args.no_injection)
+        manifest, _ = run_generate(cfg)
     except (GlyphFlowError, OSError) as exc:
         write_error_manifest(cfg.io.out_dir, cfg, exc)
         raise
@@ -220,7 +222,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="run the full injection pipeline")
     _add_config_flags(p, _GENERATE)
     p.add_argument("--no-injection", action="store_true", help="baseline run")
-    p.add_argument("--dataset", help="JSON array of {word, style, lang} records")
+    p.add_argument("--dataset", help="JSON array of {word, style} records")
     p.add_argument("--record", type=int, default=0, help="dataset record index")
     p.set_defaults(func=cmd_generate)
 

@@ -1,5 +1,5 @@
 """Text-fidelity and structure metrics: exact match, character F1, the row
-masses behind on-mask coverage and attention shift, and sweep-grid aggregation.
+masses behind on-mask coverage and attention shift, and the sweep CSV.
 
 Character F1 is bag-of-codepoints: the multiset intersection of the two
 strings sets precision against the prediction and recall against the target.
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DuplicateCell, ShapeMismatch, ZeroRowMass
+from .errors import ShapeMismatch, ZeroRowMass
 
 MASK_THRESHOLD = 0.5
 
@@ -61,15 +61,13 @@ class RowMasses(NamedTuple):
     off: np.ndarray
 
 
-def row_masses(
-    mean_map: np.ndarray, mask_frac: np.ndarray, threshold: float = MASK_THRESHOLD
-) -> RowMasses:
+def row_masses(mean_map: np.ndarray, mask_frac: np.ndarray) -> RowMasses:
     """Total, on-mask and off-mask mass of every row of a head-mean I2I map.
 
-    A patch is on-mask when its mask fraction is >= threshold and off-mask
-    when it is strictly below. The off-mask mass is summed over its own
-    columns, never taken as total - on, so coverage + shift = 1 checks both
-    sums.
+    A patch is on-mask when its mask fraction is >= MASK_THRESHOLD and
+    off-mask when it is strictly below. The off-mask mass is summed over its
+    own columns, never taken as total - on, so coverage + shift = 1 checks
+    both sums.
     """
     mean_map = np.asarray(mean_map, dtype=np.float64)
     mask_frac = np.asarray(mask_frac, dtype=np.float64)
@@ -79,8 +77,8 @@ def row_masses(
         )
     return RowMasses(
         total=mean_map.sum(axis=1),
-        on=mean_map[:, mask_frac >= threshold].sum(axis=1),
-        off=mean_map[:, mask_frac < threshold].sum(axis=1),
+        on=mean_map[:, mask_frac >= MASK_THRESHOLD].sum(axis=1),
+        off=mean_map[:, mask_frac < MASK_THRESHOLD].sum(axis=1),
     )
 
 
@@ -92,42 +90,6 @@ def row_fraction(part: np.ndarray, total: np.ndarray, rows) -> float:
     if np.any(denom <= 0.0):
         raise ZeroRowMass("row carries no attention mass")
     return float(np.mean(part[rows] / denom))
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    ratio: float
-    step: int
-    metric: str
-    value: float
-    manifest_ref: str | None = None
-
-
-def sweep_aggregate(
-    cells: list[SweepCell], ratios: tuple[float, ...], steps: tuple[int, ...]
-) -> dict[str, dict[tuple[float, int], float | None]]:
-    """Arrange cells into complete (ratios x steps) grids, one per metric.
-
-    Missing cells map to None; a repeated (ratio, step, metric) raises.
-    """
-    seen: set[tuple[float, int, str]] = set()
-    for c in cells:
-        key = (c.ratio, c.step, c.metric)
-        if key in seen:
-            raise DuplicateCell(f"duplicate sweep cell {key}")
-        seen.add(key)
-
-    metrics = sorted({c.metric for c in cells})
-
-    values = {(c.ratio, c.step, c.metric): c.value for c in cells}
-    tables: dict[str, dict[tuple[float, int], float | None]] = {}
-    for metric in metrics:
-        table: dict[tuple[float, int], float | None] = {}
-        for ratio in sorted(ratios):
-            for step in sorted(steps):
-                table[(ratio, step)] = values.get((ratio, step, metric))
-        tables[metric] = table
-    return tables
 
 
 def render_sweep_csv(table: dict[tuple[float, int], float | None], metric: str) -> str:

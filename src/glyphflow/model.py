@@ -126,9 +126,11 @@ class AttentionHook:
 
     The override receives (step, layer, head, i2i_logits) with the logits
     already scaled by 1/sqrt(d_head), and returns the block to use; it cannot
-    touch T2T/T2I/I2T. The block it receives is a buffer that the next call
-    reuses, so an override that keeps it must copy. `store_logits` and
-    `store_probs` capture full-map copies at every layer.
+    touch T2T/T2I/I2T. The block it receives is a view of forward's logits
+    buffer, so writing it writes the logits, and an override may edit it in
+    place and return it; the next layer overwrites it, so an override that
+    keeps it must copy. `store_logits` and `store_probs` capture full-map
+    copies at every layer.
 
     `i2i_out` is a (logits, probs) pair of (n_layers, n_heads, n_img, n_img)
     arrays; when set, every layer writes its post-override I2I blocks
@@ -166,9 +168,9 @@ class ModelWeights:
     layers: tuple[LayerWeights, ...]
     head_w: np.ndarray
     pos_enc: np.ndarray = field(repr=False, default=None)
-    # forward's attention buffers: (logits, probs, override block), made by
-    # the first forward and reused by every later one
-    _attn: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+    # forward's attention buffers: (logits, probs), made by the first forward
+    # and reused by every later one
+    _attn: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -347,20 +349,20 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row softmax into `out`, or into one fresh buffer; `logits` is never written."""
+def _softmax_rows(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row softmax of `logits` into `out`, which is returned; `logits` is never written."""
     e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _attention_buffers(weights: ModelWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The weights' (heads, T, T) logits and probs and (n_img, n_img) override block."""
+def _attention_buffers(weights: ModelWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The weights' (heads, T, T) logits and probs buffers."""
     if weights._attn is None:
         cfg = weights.cfg
         maps = (cfg.n_heads, cfg.seq_len, cfg.seq_len)
-        weights._attn = (np.empty(maps), np.empty(maps), np.empty((cfg.n_img, cfg.n_img)))
+        weights._attn = (np.empty(maps), np.empty(maps))
     return weights._attn
 
 
@@ -385,11 +387,13 @@ def forward(
     the pass is bit-deterministic for fixed inputs.
 
     Every layer computes its logits and probs in one pair of buffers that
-    `weights` owns, so a forward allocates no attention maps. With
-    `hook.i2i_out` set, each layer's I2I blocks are written straight into it;
-    full-map captures are copies. Because of the shared buffers, forward is
-    not re-entrant on one `ModelWeights`: an override must not call forward on
-    the same weights, and two threads must not run it on them at once.
+    `weights` owns, so a forward allocates no attention maps. The override
+    gets each head's I2I block as a view of the logits buffer, and its return
+    value is assigned back into that view. With `hook.i2i_out` set, each
+    layer's I2I blocks are written straight into it; full-map captures are
+    copies. Because of the shared buffers, forward is not re-entrant on one
+    `ModelWeights`: an override must not call forward on the same weights,
+    and two threads must not run it on them at once.
     """
     cfg = weights.cfg
     if not 0.0 <= t <= 1.0:
@@ -402,7 +406,7 @@ def forward(
     scale = 1.0 / math.sqrt(d_head)
     t_emb = timestep_embedding(t, cfg.d_model)
     captured: dict[int, JointAttention] = {}
-    logits, probs, block = _attention_buffers(weights)
+    logits, probs = _attention_buffers(weights)
     i2i_out = hook.i2i_out if hook is not None else None
 
     x = tokens.joint()
@@ -418,8 +422,8 @@ def forward(
 
         if hook is not None and hook.override is not None:
             for head in range(n_heads):
-                np.copyto(block, logits[head, t_txt:, t_txt:])
-                logits[head, t_txt:, t_txt:] = hook.override(hook.step, layer, head, block)
+                block = logits[head, t_txt:, t_txt:]
+                block[...] = hook.override(hook.step, layer, head, block)
         _require_finite(logits, "attention logits", layer)
 
         _softmax_rows(logits, out=probs)

@@ -18,13 +18,11 @@ from .glyphs import GlyphImage, glyph_mask_patches, load_glyph_bitmap, rasterize
 from .manifest import VERSION, RunManifest
 from .metrics import (
     RowMasses,
-    SweepCell,
     char_f1,
     exact_match,
     render_sweep_csv,
     row_fraction,
     row_masses,
-    sweep_aggregate,
 )
 from .model import init_model
 from .netpbm import write_pgm
@@ -40,7 +38,6 @@ PROMPT_MIDDLE = " logo decorated with "
 class PromptRecord:
     word: str
     style: str
-    lang: str = ""
     prompt: str = ""
 
     def __post_init__(self):
@@ -49,16 +46,16 @@ class PromptRecord:
             raise ConfigError(f"rendered prompt must be {expected!r}")
 
 
-def build_prompt(word: str, style: str, lang: str = "") -> PromptRecord:
+def build_prompt(word: str, style: str) -> PromptRecord:
     """Instantiate the fixed logo prompt template."""
     if not word:
         raise EmptyWord("word must be nonempty")
     prompt = f"{PROMPT_PREFIX}{word}{PROMPT_MIDDLE}{style}."
-    return PromptRecord(word=word, style=style, lang=lang, prompt=prompt)
+    return PromptRecord(word=word, style=style, prompt=prompt)
 
 
 def load_dataset(path) -> list[PromptRecord]:
-    """JSON array of {word, style, lang?} objects."""
+    """JSON array of {word, style} objects; other keys are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -70,9 +67,7 @@ def load_dataset(path) -> list[PromptRecord]:
     for i, item in enumerate(doc):
         if not isinstance(item, dict) or "word" not in item or "style" not in item:
             raise ConfigError(f"dataset entry {i} needs word and style")
-        records.append(
-            build_prompt(str(item["word"]), str(item["style"]), str(item.get("lang", "")))
-        )
+        records.append(build_prompt(str(item["word"]), str(item["style"])))
     return records
 
 
@@ -152,15 +147,20 @@ def run_generate(
     probe: ProbeFn | None = None,
     write_outputs: bool = True,
 ) -> tuple[RunManifest, np.ndarray]:
-    """Full pipeline: rasterize, reconstruct, plan, generate, measure, write."""
+    """Full pipeline: rasterize, reconstruct, plan, generate, measure, write.
+
+    baseline=True runs the config with injection.enabled = False, so the
+    manifest's config hash is that of the run that happened.
+    """
+    if baseline:
+        config = replace(config, injection=replace(config.injection, enabled=False))
     out_dir = out_dir if out_dir is not None else config.io.out_dir
     prompt = build_prompt(config.io.word, config.io.style).prompt
     glyph = prepare_glyph(config)
     weights = init_model(config.model)
 
-    inject = config.injection.enabled and not baseline
     trace = plan = None
-    if inject:
+    if config.injection.enabled:
         trace = reconstruct_capture(
             weights, glyph, config.io.recon_prompt, config.sampler, probe=probe
         )
@@ -232,20 +232,18 @@ class SweepResult:
     tables: dict[str, dict[tuple[float, int], float | None]]
     failures: list[tuple[float, int, str]]
     csv_paths: dict[str, str]
-    cells: list[SweepCell]
 
 
-def run_sweep(
-    config: RunConfig, out_dir: str | None = None, write_outputs: bool = True
-) -> SweepResult:
+def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
     """Evaluate the (top-k ratio x injection-cutoff) grid from one shared trace.
 
     One reconstruction capture at the largest grid cutoff serves every cell;
-    each cell builds its own plan and reports the planned core rows' mask
-    coverage and attention shift. With sweep.full_runs (and write_outputs)
-    each cell also runs generation and writes its image. Only then does the
-    trace keep logits: selection and the metrics read probabilities alone. Cell failures are
-    recorded and surface as NA markers, not as an aborted sweep.
+    each cell builds its own plan and fills its planned core rows' mask
+    coverage and attention shift into the two grids. With sweep.full_runs
+    each cell also runs generation and writes its image; only then does the
+    trace keep logits, since selection and the metrics read probabilities
+    alone. A failed cell is recorded and stays None, written as NA, so a
+    sweep whose every cell fails still writes both CSVs.
     """
     out_dir = out_dir if out_dir is not None else config.io.out_dir
     ratios = config.sweep.ratios
@@ -265,15 +263,17 @@ def run_sweep(
     prompt = build_prompt(config.io.word, config.io.style).prompt
     mask_frac = glyph_mask_patches(glyph, config.model.patch)
     trace_cfg = replace(config.sampler, cutoff_step=max_cutoff)
-    full_runs = config.sweep.full_runs and write_outputs
+    full_runs = config.sweep.full_runs
     trace = reconstruct_capture(
         weights, glyph, config.io.recon_prompt, trace_cfg, keep_logits=full_runs
     )
     masses = _trace_row_masses(trace, mask_frac)
 
-    if write_outputs:
-        os.makedirs(out_dir, exist_ok=True)
-    cells: list[SweepCell] = []
+    os.makedirs(out_dir, exist_ok=True)
+    tables: dict[str, dict[tuple[float, int], float | None]] = {
+        metric: {(r, s): None for r in sorted(ratios) for s in sorted(steps)}
+        for metric in ("attention_shift", "mask_coverage")
+    }
     failures: list[tuple[float, int, str]] = []
     for ratio in ratios:
         for step in steps:
@@ -286,30 +286,22 @@ def run_sweep(
                     averaging=config.injection.averaging,
                 )
                 stats = _coverage_metrics(masses, plan)
-                ref = None
                 if full_runs:
                     cell_cfg = replace(config.sampler, cutoff_step=step)
                     image, _ = generate_with_injection(weights, prompt, trace, plan, cell_cfg)
-                    ref = os.path.join(out_dir, f"cell_r{ratio!r}_s{step}.pgm")
-                    write_pgm(ref, image)
-                cells.append(
-                    SweepCell(ratio, step, "mask_coverage", stats["mask_coverage_mean"], ref)
-                )
-                cells.append(
-                    SweepCell(ratio, step, "attention_shift", stats["attention_shift_mean"], ref)
-                )
+                    write_pgm(os.path.join(out_dir, f"cell_r{ratio!r}_s{step}.pgm"), image)
+                tables["mask_coverage"][(ratio, step)] = stats["mask_coverage_mean"]
+                tables["attention_shift"][(ratio, step)] = stats["attention_shift_mean"]
             except GlyphFlowError as exc:
                 failures.append((ratio, step, f"{type(exc).__name__}: {exc}"))
 
-    tables = sweep_aggregate(cells, ratios, steps)
     csv_paths: dict[str, str] = {}
-    if write_outputs:
-        for metric, table in tables.items():
-            path = os.path.join(out_dir, f"sweep_{metric}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(render_sweep_csv(table, metric))
-            csv_paths[metric] = path
-    return SweepResult(tables=tables, failures=failures, csv_paths=csv_paths, cells=cells)
+    for metric, table in tables.items():
+        path = os.path.join(out_dir, f"sweep_{metric}.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(render_sweep_csv(table, metric))
+        csv_paths[metric] = path
+    return SweepResult(tables=tables, failures=failures, csv_paths=csv_paths)
 
 
 @dataclass
@@ -317,7 +309,6 @@ class AnalyzeResult:
     shift_csv: str
     raw_scores: list
     selection_scores: list
-    shift_rows: list[tuple[int, int, float, float]]
 
 
 def run_analyze(
@@ -352,7 +343,6 @@ def run_analyze(
         shift_csv="\n".join(lines) + "\n",
         raw_scores=raw_scores,
         selection_scores=selection_scores,
-        shift_rows=rows,
     )
 
 

@@ -325,11 +325,13 @@ def generate_with_injection(
             )
             hook = capture
 
-        tokens_u = TokenSequence(text=text_uncond, image=embed_patches(weights, x))
+        # forward copies its tokens, so both branches can share one embedding
+        image = embed_patches(weights, x)
+        tokens_u = TokenSequence(text=text_uncond, image=image)
         v_uncond, cap_u = forward(weights, tokens_u, t_i, hook)
         if probe is not None:
             probe(i, t_i, "uncond", cap_u)
-        tokens_c = TokenSequence(text=text_cond, image=embed_patches(weights, x))
+        tokens_c = TokenSequence(text=text_cond, image=image)
         v_cond, cap_c = forward(weights, tokens_c, t_i, hook)
         if probe is not None:
             probe(i, t_i, "cond", cap_c)

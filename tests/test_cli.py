@@ -82,6 +82,18 @@ def test_generate_no_injection_equals_ratio_zero(tmp_path, conf):
     assert open(f"{a}/output.pgm", "rb").read() == open(f"{b}/output.pgm", "rb").read()
 
 
+def test_generate_no_injection_hashes_the_config_that_ran(tmp_path, conf):
+    # equal config hashes promise equal outputs, so a baseline run into the
+    # same directory must not reuse the injected run's hash
+    d = str(tmp_path / "same")
+    assert main(["generate", "--config", conf, "--out-dir", d]) == 0
+    injected = RunManifest.load(f"{d}/manifest.json")
+    assert main(["generate", "--config", conf, "--no-injection", "--out-dir", d]) == 0
+    baseline = RunManifest.load(f"{d}/manifest.json")
+    assert injected.checksums["image"] != baseline.checksums["image"]
+    assert injected.config_hash != baseline.config_hash
+
+
 def test_generate_ratio_zero_logs_no_injected_layers(tmp_path, conf, capsys):
     d = str(tmp_path / "zero")
     assert main(["generate", "--config", conf, "--ratio", "0", "--out-dir", d]) == 0
@@ -177,7 +189,14 @@ def test_sweep_exit_codes(tmp_path, conf, capsys):
 
     dead = tmp_path / "dead.conf"
     dead.write_text(TINY_CONF + "sweep.ratios = 0.0\nsweep.steps = 1\n")
+    capsys.readouterr()
     assert main(["sweep", "--config", str(dead), "--out-dir", str(tmp_path / "d")]) == 3
+    # every cell failed, yet both CSVs are written, all NA, and reported
+    out = capsys.readouterr().out
+    for metric in ("attention_shift", "mask_coverage"):
+        path = tmp_path / "d" / f"sweep_{metric}.csv"
+        assert f"wrote {path}" in out
+        assert path.read_text() == f"ratio,step,{metric}\n0.0,1,NA\n"
 
 
 def test_sweep_full_runs_writes_cell_images(tmp_path):

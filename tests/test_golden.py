@@ -138,9 +138,8 @@ def test_golden_full_runs_cell_equals_default_run(tmp_path):
     )
     result = run_sweep(cfg, out_dir=str(tmp_path))
     assert result.failures == []
-    refs = {cell.manifest_ref for cell in result.cells}
-    assert refs == {str(tmp_path / "cell_r0.125_s12.pgm")}
-    assert _file_sha256(refs.pop()) == INJECTED_PGM_SHA256
+    assert [p.name for p in tmp_path.glob("cell_*.pgm")] == ["cell_r0.125_s12.pgm"]
+    assert _file_sha256(tmp_path / "cell_r0.125_s12.pgm") == INJECTED_PGM_SHA256
 
 
 # (mode, averaging) -> (plan digest, shift.csv sha256, scores_raw.bin sha256,

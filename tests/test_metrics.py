@@ -3,14 +3,11 @@ import pytest
 
 from glyphflow import (
     CharF1Result,
-    DuplicateCell,
     ShapeMismatch,
-    SweepCell,
     ZeroRowMass,
     char_f1,
     exact_match,
     render_sweep_csv,
-    sweep_aggregate,
 )
 from glyphflow.metrics import MASK_THRESHOLD, row_fraction, row_masses
 
@@ -161,55 +158,6 @@ def test_row_fraction_gathered_after_the_sum_is_bit_identical(rng):
         masses = row_masses(mean_map, mask_frac)
         assert row_fraction(masses.on, masses.total, idx) == want_cov
         assert row_fraction(masses.off, masses.total, idx) == want_shift
-
-
-def test_sweep_aggregate_full_grid():
-    ratios = (0.125, 0.25)
-    steps = (8, 12)
-    cells = [
-        SweepCell(ratio=r, step=s, metric=m, value=r + s)
-        for r in ratios
-        for s in steps
-        for m in ("coverage", "shift")
-    ]
-    tables = sweep_aggregate(cells, ratios=ratios, steps=steps)
-    assert set(tables) == {"coverage", "shift"}
-    assert set(tables["coverage"]) == {(r, s) for r in ratios for s in steps}
-    assert tables["shift"][(0.25, 8)] == 8.25
-
-
-def test_sweep_aggregate_missing_cells():
-    cells = [
-        SweepCell(ratio=0.5, step=8, metric="m", value=1.0),
-        SweepCell(ratio=0.25, step=12, metric="m", value=2.0),
-    ]
-    tables = sweep_aggregate(cells, ratios=(0.5, 0.25), steps=(12, 8))
-    table = tables["m"]
-    assert list(table) == [(0.25, 8), (0.25, 12), (0.5, 8), (0.5, 12)]
-    assert table[(0.25, 8)] is None
-    assert table[(0.5, 8)] == 1.0
-    # the grid is the given axes: a cell outside them is left out
-    explicit = sweep_aggregate(cells, ratios=(0.25,), steps=(12,))
-    assert set(explicit["m"]) == {(0.25, 12)}
-
-
-def test_sweep_aggregate_duplicate():
-    cells = [
-        SweepCell(ratio=0.5, step=8, metric="m", value=1.0),
-        SweepCell(ratio=0.5, step=8, metric="m", value=2.0),
-    ]
-    with pytest.raises(DuplicateCell):
-        sweep_aggregate(cells, ratios=(0.5,), steps=(8,))
-    # same cell under different metrics is fine
-    ok = sweep_aggregate(
-        [
-            SweepCell(ratio=0.5, step=8, metric="m", value=1.0),
-            SweepCell(ratio=0.5, step=8, metric="n", value=2.0),
-        ],
-        ratios=(0.5,),
-        steps=(8,),
-    )
-    assert set(ok) == {"m", "n"}
 
 
 def test_render_sweep_csv():

@@ -232,7 +232,9 @@ def test_softmax_rows_matches_out_of_place_formula(rng):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     want = e / e.sum(axis=-1, keepdims=True)
-    got = _softmax_rows(logits)
+    out = np.full_like(logits, np.nan)
+    got = _softmax_rows(logits, out=out)
+    assert got is out
     assert got.tobytes() == want.tobytes()
     assert logits.tobytes() == before
     assert not np.shares_memory(got, logits)
@@ -258,7 +260,8 @@ def test_captures_are_consistent_and_distinct(tiny_weights, tiny_glyph, override
     assert set(caps) == set(range(tiny_weights.cfg.n_layers))
     arrays = []
     for att in caps.values():
-        assert _softmax_rows(att.logits).tobytes() == att.probs.tobytes()
+        probs = _softmax_rows(att.logits, out=np.empty_like(att.logits))
+        assert probs.tobytes() == att.probs.tobytes()
         arrays += [att.logits, att.probs]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
@@ -331,12 +334,26 @@ def test_i2i_out_matches_capture(tiny_weights, tiny_glyph, override):
     assert plain[1].tobytes() == sink[1].tobytes()
 
 
-def test_softmax_rows_into_out_matches_fresh(rng):
-    logits = rng.standard_normal((3, 20, 20)) * 30.0
-    out = np.full_like(logits, np.nan)
-    got = _softmax_rows(logits, out=out)
-    assert got is out
-    assert out.tobytes() == _softmax_rows(logits).tobytes()
+def test_in_place_override_matches_returned_copy(tiny_weights, tiny_glyph):
+    # the block is a view of forward's logits: editing it in place and
+    # returning it gives the bytes of returning an edited copy
+    tokens = make_tokens(tiny_weights, "A", tiny_glyph.pixels)
+
+    def in_place(step, layer, head, block):
+        block[::3] = block[1::3].mean() + head
+        return block
+
+    def copied(step, layer, head, block):
+        out = block.copy()
+        out[::3] = block[1::3].mean() + head
+        return out
+
+    results = []
+    for override in (in_place, copied):
+        hook = AttentionHook(store_logits=True, store_probs=True, override=override)
+        vel, caps = forward(tiny_weights, tokens, 0.5, hook)
+        results.append([vel.tobytes()] + [caps[layer].logits.tobytes() for layer in sorted(caps)])
+    assert results[0] == results[1]
 
 
 # ------------------------------------------------------------------

@@ -50,7 +50,7 @@ def tiny_run_config(**io_updates) -> RunConfig:
 def test_build_prompt_template():
     rec = build_prompt("cat", "bold strokes")
     assert rec.prompt == "A text cat logo decorated with bold strokes."
-    assert (rec.word, rec.style, rec.lang) == ("cat", "bold strokes", "")
+    assert (rec.word, rec.style) == ("cat", "bold strokes")
     with pytest.raises(EmptyWord):
         build_prompt("", "bold")
 
@@ -74,7 +74,6 @@ def test_load_dataset(tmp_path):
     )
     records = load_dataset(path)
     assert [r.word for r in records] == ["logo", "mark"]
-    assert records[1].lang == "en"
     assert records[0].prompt == "A text logo logo decorated with bold."
 
     path.write_text("{}")
@@ -148,12 +147,19 @@ def test_run_generate_deterministic(tmp_path):
 
 def test_run_generate_baseline_matches_disabled(tmp_path):
     cfg = tiny_run_config()
-    _, base = run_generate(cfg, out_dir=str(tmp_path / "a"), baseline=True)
+    out = str(tmp_path / "out")
+    base_man, base = run_generate(cfg, out_dir=out, baseline=True)
+    base_bytes = (tmp_path / "out" / "manifest.json").read_bytes()
     disabled = dataclasses.replace(cfg, injection=InjectionConfig(ratio=0.25, enabled=False))
-    man, off = run_generate(disabled, out_dir=str(tmp_path / "b"))
+    man, off = run_generate(disabled, out_dir=out)
     assert np.array_equal(base, off)
     assert "trace" not in man.checksums
     assert "mask_coverage_mean" not in man.metrics
+    # baseline=True is the disabled config: its manifest, config hash included, is the same
+    assert man == base_man
+    assert (tmp_path / "out" / "manifest.json").read_bytes() == base_bytes
+    injected, _ = run_generate(cfg, out_dir=out)
+    assert injected.config_hash != man.config_hash
 
 
 def test_run_generate_predicted_metrics(tmp_path):
@@ -207,10 +213,8 @@ def test_run_sweep_full_runs_writes_cells(tmp_path):
     cfg = tiny_run_config()
     cfg = dataclasses.replace(cfg, sweep=SweepConfig(ratios=(0.5,), steps=(1,), full_runs=True))
     result = run_sweep(cfg, out_dir=str(tmp_path))
-    refs = {c.manifest_ref for c in result.cells}
-    assert len(refs) == 1
-    (ref,) = refs
-    assert ref is not None
+    assert result.failures == []
+    (ref,) = tmp_path.glob("cell_*.pgm")
     arr = read_netpbm(ref)
     assert arr.shape == (TINY.canvas, TINY.canvas)
 
@@ -233,10 +237,8 @@ def test_run_sweep_full_runs_hashes_nothing(tmp_path, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("full_runs, write_outputs", [(False, True), (True, True), (True, False)])
-def test_run_sweep_captures_logits_only_for_full_runs(
-    tmp_path, monkeypatch, full_runs, write_outputs
-):
+@pytest.mark.parametrize("full_runs", [False, True])
+def test_run_sweep_captures_logits_only_for_full_runs(tmp_path, monkeypatch, full_runs):
     # only a sweep that generates its cells reads the trace's logits
     traces = []
     inner = glyphflow.pipeline.reconstruct_capture
@@ -250,11 +252,11 @@ def test_run_sweep_captures_logits_only_for_full_runs(
     cfg = dataclasses.replace(
         cfg, sweep=SweepConfig(ratios=(0.5,), steps=(1, 2), full_runs=full_runs)
     )
-    result = run_sweep(cfg, out_dir=str(tmp_path), write_outputs=write_outputs)
+    result = run_sweep(cfg, out_dir=str(tmp_path))
     assert result.failures == []
     (trace,) = traces
     assert trace.probs.shape[0] == 2
-    assert (trace.logits is not None) == (full_runs and write_outputs)
+    assert (trace.logits is not None) == full_runs
 
 
 def test_run_sweep_partial_failure(tmp_path):
@@ -307,11 +309,11 @@ def test_run_analyze(tiny_trace, tiny_cfg):
     n_pairs = tiny_trace.steps * tiny_trace.n_layers
     assert len(result.raw_scores) == n_pairs
     assert len(result.selection_scores) == n_pairs
-    assert len(result.shift_rows) == n_pairs
     lines = result.shift_csv.strip().split("\n")
     assert lines[0] == "step,layer,attention_shift,mask_coverage"
     assert len(lines) == 1 + n_pairs
-    for _, _, shift, cov in result.shift_rows:
+    for line in lines[1:]:
+        shift, cov = map(float, line.split(",")[2:])
         assert 0.0 <= shift <= 1.0
         assert abs(shift + cov - 1.0) < 1e-9
     # layer 0 selection scores equal raw scores (running mean of one layer)
