@@ -30,6 +30,7 @@ from .errors import (
     MalformedHeader,
     ModeMismatch,
     NonFiniteActivation,
+    NonFiniteValue,
     ShapeMismatch,
     TextOverflow,
     TraceMismatch,

@@ -29,6 +29,10 @@ class NonFiniteActivation(GlyphFlowError):
     """A forward pass produced NaN or infinity; the run must abort."""
 
 
+class NonFiniteValue(GlyphFlowError):
+    """An input array holds NaN or infinity where only finite values have a meaning."""
+
+
 class TraceMismatch(GlyphFlowError):
     """Injection plan does not belong to the supplied attention trace, or the
     trace lacks the logits an operation reads."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionZero, MalformedHeader, ShapeMismatch
+from .errors import DimensionZero, MalformedHeader, NonFiniteValue, ShapeMismatch
 
 
 def _read_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
@@ -124,7 +124,8 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     """Write a [0, 1] float array as an ASCII P2 graymap with maxval 255.
 
     Quantization is round-half-to-even of 255 * value after clamping, so a
-    given array always produces byte-identical files.
+    given array always produces byte-identical files. NaN and infinite
+    pixels have no gray level and are rejected before the file is opened.
     """
     arr = np.asarray(pixels, dtype=np.float64)
     if arr.ndim != 2:
@@ -132,6 +133,8 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     height, width = arr.shape
     if width == 0 or height == 0:
         raise DimensionZero(f"{width}x{height} graymap")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("pixels must be finite")
     levels = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.int64)
     lines = ["P2", f"{width} {height}", "255"]
     flat = levels.ravel()

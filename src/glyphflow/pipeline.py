@@ -13,7 +13,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coreattn import InjectionPlan, ScoreMode, build_injection, step_scores
-from .errors import ConfigError, DuplicateCell, EmptyWord, GlyphFlowError, ShapeMismatch
+from .errors import (
+    ConfigError,
+    DuplicateCell,
+    EmptyWord,
+    GlyphFlowError,
+    NonFiniteValue,
+    ShapeMismatch,
+)
 from .glyphs import GlyphImage, glyph_mask_patches, load_glyph_bitmap, rasterize_text
 from .manifest import VERSION, RunManifest
 from .metrics import (
@@ -349,11 +356,14 @@ def run_analyze(
 def export_heatmap(scores: np.ndarray, grid: int, path):
     """Min-max normalize a grid^2 vector and write it as one PGM heatmap.
 
-    Constant input normalizes to all zeros.
+    Constant input normalizes to all zeros. NaN or infinite scores have no
+    place on the scale and are rejected.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if scores.shape[0] != grid * grid:
         raise ShapeMismatch(f"{scores.shape[0]} values cannot fill a {grid}x{grid} grid")
+    if not np.isfinite(scores).all():
+        raise NonFiniteValue("scores must be finite to scale into a heatmap")
     lo = scores.min()
     hi = scores.max()
     if hi > lo:

@@ -194,10 +194,22 @@ def parse_file(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+# keys that only an injected run reads: plan selection and its cutoff
+_INJECTION_KEYS = ("injection.ratio", "injection.mode", "injection.averaging", "sampler.cutoff")
+
+
 def config_hash(config: RunConfig, inputs: dict[str, str] | None = None) -> str:
-    """sha256 over the serialized config plus sorted named input checksums."""
+    """sha256 over the serialized config plus sorted named input checksums.
+
+    A config with injection.enabled = false leaves the `_INJECTION_KEYS`
+    lines out, since such a run never reads them: baseline runs that differ
+    only there write the same bytes and get the same hash.
+    """
+    lines = serialize(config).splitlines(keepends=True)
+    if not config.injection.enabled:
+        lines = [line for line in lines if line.partition(" ")[0] not in _INJECTION_KEYS]
     h = hashlib.sha256()
-    h.update(serialize(config).encode("utf-8"))
+    h.update("".join(lines).encode("utf-8"))
     for key in sorted(inputs or {}):
         h.update(f"input {key} {(inputs or {})[key]}\n".encode("utf-8"))
     return h.hexdigest()

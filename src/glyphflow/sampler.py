@@ -168,7 +168,9 @@ class AttentionTrace:
         return {"logits": self._logits(), "probs": self.probs}
 
     def checksum(self) -> str:
-        """sha256 of the trace's tensors and meta; computed anew on every call."""
+        """`tensors_checksum` of the trace's tensors and meta: one sha256 over
+        the meta lines, tensor headers and per-8-MiB-chunk sha256 digests
+        (see `glyphflow.tensorio`). Computed anew on every call."""
         return tensors_checksum(self._tensors(), meta=self._meta())
 
     def save(self, path):

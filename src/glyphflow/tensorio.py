@@ -16,6 +16,21 @@ written.
 No tensor's bytes are copied on the way through: writing and hashing hand
 each array's own memory to the file and to sha256, and reading returns
 writable views of one uninitialised uint8 array that holds the whole payload.
+
+The checksum of named tensors and string meta is one sha256 over:
+
+    meta <key> <value>                      one LF-terminated line per meta
+                                            key, in sorted key order
+    tensor <name> <dtype> <d0,d1,...>       per tensor, in sorted name order,
+    <32-byte digest> ...                    an LF-terminated line, then the
+                                            raw sha256 digest of each 8 MiB
+                                            chunk of the tensor's bytes
+
+A tensor's bytes are the ones a dump would hold (dtype token as above,
+little-endian, C order); its last chunk may be shorter, and an empty tensor
+adds no digest. The chunk size is a constant, so a checksum depends on
+neither the machine nor the thread count; the chunk digests are computed on
+one thread per core the process may use.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -33,6 +49,8 @@ _END = b"\nend\n"
 _DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8")}
 _MAX_NBYTES = np.iinfo(np.int64).max
 _HEADER_CHUNK = 1 << 16
+# part of the checksum's definition: changing it changes every checksum
+_CHECKSUM_CHUNK = 8 << 20
 
 
 def _canonical(arr: np.ndarray) -> tuple[str, np.ndarray]:
@@ -194,19 +212,72 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     return tensors, meta
 
 
+def _sha256_digests(chunks: list[np.ndarray]) -> list[bytes]:
+    """sha256 digest of each chunk, hashed on up to one thread per core.
+
+    hashlib releases the GIL while it hashes a large buffer, so the threads
+    run in parallel; each takes the next unhashed chunk until none is left.
+    With one worker everything runs on the calling thread.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cores = os.cpu_count() or 1
+    workers = min(cores, len(chunks))
+    if workers <= 1:
+        return [hashlib.sha256(chunk).digest() for chunk in chunks]
+    digests = [b""] * len(chunks)
+    pending = iter(range(len(chunks)))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                digests[i] = hashlib.sha256(chunks[i]).digest()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return digests
+
+
 def tensors_checksum(tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> str:
-    """sha256 over a canonical encoding: sorted names, dtype, shape, raw bytes."""
+    """sha256 over sorted meta lines and, per sorted tensor name, its header
+    line and the digests of its 8 MiB chunks (the module docstring gives
+    the exact encoding)."""
     h = hashlib.sha256()
     for key in sorted(meta or {}):
         h.update(f"meta {key} {(meta or {})[key]}\n".encode())
+    headers: list[bytes] = []
+    spans: list[tuple[int, int]] = []
+    chunks: list[np.ndarray] = []
     for name in sorted(tensors):
         arr = np.asarray(tensors[name])
         if arr.ndim < 1:
             arr = arr.reshape(1)
         token, canon = _canonical(arr)
         shape = ",".join(str(d) for d in canon.shape)
-        h.update(f"tensor {name} {token} {shape}\n".encode())
-        h.update(_raw_bytes(canon))
+        headers.append(f"tensor {name} {token} {shape}\n".encode())
+        raw = _raw_bytes(canon)
+        first = len(chunks)
+        chunks += [raw[i : i + _CHECKSUM_CHUNK] for i in range(0, raw.size, _CHECKSUM_CHUNK)]
+        spans.append((first, len(chunks)))
+    digests = _sha256_digests(chunks)
+    for header, (first, stop) in zip(headers, spans):
+        h.update(header)
+        h.update(b"".join(digests[first:stop]))
     return h.hexdigest()
 
 

@@ -94,6 +94,35 @@ def test_generate_no_injection_hashes_the_config_that_ran(tmp_path, conf):
     assert injected.config_hash != baseline.config_hash
 
 
+def test_baseline_hash_ignores_keys_a_baseline_never_reads(tmp_path, conf):
+    # --ratio, --cutoff, --mode and --no-averaging change nothing a baseline
+    # writes, so they must not change its hash; --seed-noise does both. The
+    # runs share one --out-dir, since io.out_dir is in the hash.
+    d = str(tmp_path / "base")
+
+    def baseline(*flags):
+        assert main(["generate", "--config", conf, "--no-injection", "--out-dir", d, *flags]) == 0
+        return RunManifest.load(f"{d}/manifest.json")
+
+    base = baseline()
+    other = baseline("--ratio", "0.5", "--cutoff", "1", "--mode", "row_max", "--no-averaging")
+    assert other.checksums["image"] == base.checksums["image"]
+    assert other.config_hash == base.config_hash
+    noise = baseline("--seed-noise", "9")
+    assert noise.checksums["image"] != base.checksums["image"]
+    assert noise.config_hash != base.config_hash
+
+    # the error manifest of a failed baseline run hashes the same way
+    glyph_conf = tmp_path / "glyph.conf"
+    glyph_conf.write_text(TINY_CONF + f"io.glyph_path = {tmp_path / 'missing.pgm'}\n")
+    hashes = []
+    for ratio in ("0.125", "0.5"):
+        args = ["generate", "--config", str(glyph_conf), "--no-injection", "--ratio", ratio]
+        assert main(args + ["--out-dir", d]) == 2
+        hashes.append(RunManifest.load(f"{d}/manifest.json").config_hash)
+    assert hashes[0] == hashes[1]
+
+
 def test_generate_ratio_zero_logs_no_injected_layers(tmp_path, conf, capsys):
     d = str(tmp_path / "zero")
     assert main(["generate", "--config", conf, "--ratio", "0", "--out-dir", d]) == 0
@@ -233,6 +262,17 @@ def test_export_heatmap_roundtrip(tmp_path):
               "--out", str(named)])
         == 2
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_export_heatmap_rejects_non_finite_scores(tmp_path, capsys, bad):
+    scores = tmp_path / "s.bin"
+    write_tensors(str(scores), {"a": np.array([0.0, 0.5, bad, 0.25])})
+    out = tmp_path / "h.pgm"
+    code = main(["export-heatmap", "--scores", str(scores), "--grid", "2", "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

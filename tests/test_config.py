@@ -102,11 +102,8 @@ def test_parse_file(tmp_path):
         parse_file(tmp_path / "missing.cfg")
 
 
-def test_config_hash_covers_every_key():
-    base = RunConfig()
-    base_hash = config_hash(base)
-    assert base_hash == config_hash(RunConfig())
-
+def _one_key_mutations(base: RunConfig):
+    """(key, config) pairs: `base` with that one schema key set to another value."""
     mutated_values = {
         "int": "3",
         "float": "0.625",
@@ -117,21 +114,41 @@ def test_config_hash_covers_every_key():
         "floats": "0.0625",
         "ints": "2,3",
     }
+    current = serialize(base)
     for key, (_section, _name, tag) in _SCHEMA.items():
         raw = mutated_values[tag]
         if tag == "bool":
             # flip whatever the default is
-            current = serialize(base)
             raw = "false" if f"{key} = true" in current else "true"
-        text = serialize(base).replace(
-            next(l for l in serialize(base).splitlines() if l.startswith(f"{key} ")),
+        text = current.replace(
+            next(l for l in current.splitlines() if l.startswith(f"{key} ")),
             f"{key} = {raw}",
         )
         try:
             mutated = parse(text)
         except ConfigError:
             continue  # a mutation clashing with cross-field validation
+        yield key, mutated
+
+
+def test_config_hash_covers_every_key():
+    base = RunConfig()
+    base_hash = config_hash(base)
+    assert base_hash == config_hash(RunConfig())
+    for key, mutated in _one_key_mutations(base):
         assert config_hash(mutated) != base_hash, key
+
+
+def test_baseline_config_hash_covers_the_keys_it_reads():
+    # a run with injection off reads neither the plan settings nor the cutoff
+    unread = {"injection.ratio", "injection.mode", "injection.averaging", "sampler.cutoff"}
+    base = apply_overrides(RunConfig(), {"injection.enabled": False})
+    base_hash = config_hash(base, {"glyph": "aa"})
+    seen = set()
+    for key, mutated in _one_key_mutations(base):
+        seen.add(key)
+        assert (config_hash(mutated, {"glyph": "aa"}) == base_hash) == (key in unread), key
+    assert unread <= seen
 
 
 def test_config_hash_inputs():

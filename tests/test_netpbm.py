@@ -3,7 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glyphflow import DimensionZero, GlyphFlowError, MalformedHeader, read_netpbm, write_pgm
+from glyphflow import (
+    DimensionZero,
+    GlyphFlowError,
+    MalformedHeader,
+    NonFiniteValue,
+    read_netpbm,
+    write_pgm,
+)
 
 
 def test_p1_basic(tmp_path):
@@ -99,6 +106,14 @@ def test_write_pgm_clamps(tmp_path):
     p = tmp_path / "out.pgm"
     write_pgm(p, np.array([[-0.5, 1.5]]))
     assert np.array_equal(read_netpbm(p), [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_pgm_rejects_non_finite(tmp_path, bad):
+    p = tmp_path / "out.pgm"
+    with pytest.raises(NonFiniteValue):
+        write_pgm(p, np.array([[0.0, bad]]))
+    assert not p.exists()
 
 
 # ---------------------------------------------------------------- properties

@@ -10,6 +10,7 @@ from glyphflow import (
     ConfigError,
     DuplicateCell,
     EmptyWord,
+    NonFiniteValue,
     PromptRecord,
     RunConfig,
     RunManifest,
@@ -376,3 +377,7 @@ def test_export_heatmap_normalizes_and_validates(tmp_path):
     assert np.array_equal(read_netpbm(path), np.zeros((2, 2)))
     with pytest.raises(ShapeMismatch):
         export_heatmap(np.zeros(5), 2, path)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteValue):
+            export_heatmap(np.array([5.0, bad, 6.0, 5.0]), 2, tmp_path / "bad.pgm")
+    assert not (tmp_path / "bad.pgm").exists()

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from glyphflow import (
     tensors_checksum,
     write_tensors,
 )
+from glyphflow import tensorio
 
 
 def test_round_trip_bit_exact(tmp_path, rng):
@@ -168,9 +172,12 @@ def test_read_returns_writable_views_that_never_alias(tmp_path, rng):
 
 # ---------------------------------------------------------------- properties
 
+_CHUNK = tensorio._CHECKSUM_CHUNK
 
-def _tobytes_checksum(tensors, meta=None):
-    """The checksum as first defined: each canonical array copied with tobytes()."""
+
+def _tobytes_checksum(tensors, meta=None, chunk=_CHUNK):
+    """The checksum's definition, computed the slow way: each canonical array
+    copied with tobytes(), then one sha256 per `chunk` bytes in order."""
     h = hashlib.sha256()
     for key in sorted(meta or {}):
         h.update(f"meta {key} {meta[key]}\n".encode())
@@ -184,7 +191,9 @@ def _tobytes_checksum(tensors, meta=None):
         canon = np.ascontiguousarray(arr, dtype="<" + token)
         shape = ",".join(str(d) for d in canon.shape)
         h.update(f"tensor {name} {token} {shape}\n".encode())
-        h.update(canon.tobytes(order="C"))
+        raw = canon.tobytes(order="C")
+        for i in range(0, len(raw), chunk):
+            h.update(hashlib.sha256(raw[i : i + chunk]).digest())
     return h.hexdigest()
 
 
@@ -208,9 +217,60 @@ def _arrays(draw):
 @given(
     st.dictionaries(st.sampled_from(["a", "b", "logits", "x.y"]), _arrays(), max_size=3),
     st.dictionaries(st.sampled_from(["k", "steps"]), st.text("ab c,.0", max_size=6), max_size=2),
+    st.sampled_from([1, 7, 8, 64, _CHUNK]),
 )
-def test_checksum_equals_tobytes_formula(tensors, meta):
-    assert tensors_checksum(tensors, meta) == _tobytes_checksum(tensors, meta)
+def test_checksum_equals_tobytes_formula(tensors, meta, chunk):
+    # small chunks make the drawn arrays (up to 1000 bytes) span many chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensorio, "_CHECKSUM_CHUNK", chunk)
+        got = tensors_checksum(tensors, meta)
+    assert got == _tobytes_checksum(tensors, meta, chunk)
+
+
+@pytest.mark.parametrize(
+    "chunk, nbytes, n_digests",
+    [
+        (7, 0, 0),  # an empty tensor adds no digest
+        (7, 8, 2),  # 1 chunk and 1 byte
+        (7, 56, 8),  # exactly 8 chunks
+        (7, 64, 10),  # 9 chunks and 1 byte
+        (_CHUNK, 0, 0),
+        (_CHUNK, 2 * _CHUNK, 2),  # exactly 2 chunks
+        (_CHUNK, 2 * _CHUNK + 8, 3),  # one float past 2 chunks
+    ],
+)
+def test_checksum_at_chunk_boundaries(monkeypatch, chunk, nbytes, n_digests):
+    monkeypatch.setattr(tensorio, "_CHECKSUM_CHUNK", chunk)
+    values = np.arange(nbytes // 8, dtype=np.float64)
+    raw = values.tobytes()
+    digests = [hashlib.sha256(raw[i * chunk : (i + 1) * chunk]).digest() for i in range(n_digests)]
+    want = hashlib.sha256(f"tensor a f8 {values.size}\n".encode() + b"".join(digests))
+    assert tensors_checksum({"a": values}) == want.hexdigest()
+
+
+_ONE_CPU_CHECKSUM = """
+import os
+import numpy as np
+from glyphflow import tensorio
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+tensorio._CHECKSUM_CHUNK = 64
+values = np.arange(10_000, dtype=np.float64)
+print(len(os.sched_getaffinity(0)), tensorio.tensors_checksum({"a": values, "b": values[::-1]}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_checksum_independent_of_worker_count(monkeypatch):
+    # the child hashes the 2500 chunks on one thread, this process on one per core
+    monkeypatch.setattr(tensorio, "_CHECKSUM_CHUNK", 64)
+    values = np.arange(10_000, dtype=np.float64)
+    here = tensors_checksum({"a": values, "b": values[::-1]})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_CHECKSUM],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert child.stdout.split() == ["1", here]
 
 
 _NUM = st.one_of(st.integers(-2, 40), st.sampled_from([0, 1 << 32, 1 << 62, 1 << 70]))
