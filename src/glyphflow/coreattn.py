@@ -229,25 +229,25 @@ class InjectionPlan:
     """One CoreTokenSet per (step <= cutoff, layer), tied to the trace it was built from.
 
     `trace` is that trace itself, held by reference; plan equality ignores it.
+    The plan's layer count and n_img are the trace's.
     """
 
     trace: "AttentionTrace" = field(repr=False, compare=False)
     cutoff_step: int
-    n_layers: int
-    n_img: int
     ratio: float
     mode: ScoreMode
     averaging: bool
     sets: dict[tuple[int, int], CoreTokenSet]
 
     def __post_init__(self):
-        want = {(s, l) for s in range(1, self.cutoff_step + 1) for l in range(self.n_layers)}
+        layers = range(self.trace.n_layers)
+        want = {(s, l) for s in range(1, self.cutoff_step + 1) for l in layers}
         have = set(self.sets)
         if want != have:
             raise ConfigError("plan must hold exactly one set per (step <= cutoff, layer)")
         for core in self.sets.values():
-            if core.n_img != self.n_img:
-                raise ShapeMismatch("core set length differs from plan n_img")
+            if core.n_img != self.trace.n_img:
+                raise ShapeMismatch("core set length differs from the trace's n_img")
 
 
 def build_injection(
@@ -292,8 +292,6 @@ def build_injection(
     return InjectionPlan(
         trace=trace,
         cutoff_step=cutoff,
-        n_layers=n_layers,
-        n_img=n_img,
         ratio=ratio,
         mode=mode,
         averaging=averaging,

@@ -26,34 +26,35 @@ class Layout(str, enum.Enum):
 
 @dataclass
 class GlyphImage:
-    """Grayscale canvas in [0,1] with a binary ink mask of the same shape."""
+    """Grayscale (height, width) canvas in [0,1], plus the rasterizer's warnings.
 
-    width: int
-    height: int
+    `width` and `height` are read from `pixels.shape`, and the binary ink
+    `mask` is computed from the pixels on each access: pixels >= INK_THRESHOLD.
+    """
+
     pixels: np.ndarray = field(repr=False)
-    mask: np.ndarray = field(repr=False)
-    text: str
-    layout: Layout
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("canvas dimensions must be positive")
-        if self.pixels.shape != (self.height, self.width):
-            raise ShapeMismatch(
-                f"pixels shape {self.pixels.shape} != (height, width) ({self.height}, {self.width})"
-            )
-        if self.mask.shape != self.pixels.shape:
-            raise ShapeMismatch("mask shape differs from pixels shape")
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
+        if self.pixels.ndim != 2:
+            raise ShapeMismatch(f"pixels must be (height, width), got shape {self.pixels.shape}")
+        if self.pixels.size == 0:
+            raise ConfigError("canvas dimensions must be positive")
         if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
             raise ConfigError("pixel intensities must lie in [0,1]")
-        # every masked cell must carry at least threshold ink
-        if np.any(self.pixels[self.mask] < INK_THRESHOLD):
-            raise ConfigError("mask covers cells below the ink threshold")
-        if self.text and not self.mask.any():
-            raise ConfigError("nonempty text produced an empty mask")
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def mask(self) -> np.ndarray:
+        return self.pixels >= INK_THRESHOLD
 
 
 def _scaled(bitmap: np.ndarray, scale: int) -> np.ndarray:
@@ -75,7 +76,9 @@ def rasterize_text(
     Successive glyphs advance by their own scaled width: rightward for
     Horizontal, downward by the scaled cell height for Vertical, and equally
     right and down for Diagonal. Unknown codepoints render as the fallback box
-    and are recorded in the result's warning list, never raised.
+    and are recorded in the result's warning list, never raised. A run larger
+    than the canvas raises TextOverflow before any glyph is scaled up; text
+    that renders no ink, such as only spaces, raises ConfigError.
     """
     if not text:
         raise ConfigError("text must be nonempty")
@@ -86,31 +89,34 @@ def rasterize_text(
     font = builtin_font()
 
     warnings: list[str] = []
-    glyphs: list[np.ndarray] = []
+    bitmaps: list[np.ndarray] = []
     for ch in text:
         bitmap, known = font.glyph(ch)
         if not known:
             warnings.append(f"codepoint U+{ord(ch):04X} not in font, fallback glyph used")
-        glyphs.append(_scaled(bitmap, scale))
+        bitmaps.append(bitmap)
 
+    # the run is sized from the bitmap shapes times scale: an oversized run is
+    # refused before any bitmap is scaled up
     cell_h = font.glyph_height * scale
-    advances = [g.shape[1] for g in glyphs]
+    advances = [b.shape[1] * scale for b in bitmaps]
+    heights = [b.shape[0] * scale for b in bitmaps]
 
     # glyph origin offsets inside the run's bounding box
     if layout is Layout.HORIZONTAL:
         xs = np.concatenate([[0], np.cumsum(advances[:-1])]).astype(int)
-        ys = np.zeros(len(glyphs), dtype=int)
+        ys = np.zeros(len(bitmaps), dtype=int)
     elif layout is Layout.VERTICAL:
-        xs = np.zeros(len(glyphs), dtype=int)
-        ys = np.arange(len(glyphs)) * cell_h
+        xs = np.zeros(len(bitmaps), dtype=int)
+        ys = np.arange(len(bitmaps)) * cell_h
     elif layout is Layout.DIAGONAL:
         xs = np.concatenate([[0], np.cumsum(advances[:-1])]).astype(int)
         ys = xs.copy()
     else:
         raise ConfigError(f"unknown layout {layout!r}")
 
-    run_w = int(max(x + g.shape[1] for x, g in zip(xs, glyphs)))
-    run_h = int(max(y + g.shape[0] for y, g in zip(ys, glyphs)))
+    run_w = int(max(x + w for x, w in zip(xs, advances)))
+    run_h = int(max(y + h for y, h in zip(ys, heights)))
     if run_w > width or run_h > height:
         raise TextOverflow(
             f"rendered run {run_w}x{run_h} exceeds canvas {width}x{height}"
@@ -119,19 +125,14 @@ def rasterize_text(
     ox = (width - run_w) // 2
     oy = (height - run_h) // 2
     canvas = np.zeros((height, width), dtype=bool)
-    for g, x, y in zip(glyphs, xs, ys):
+    for bitmap, x, y in zip(bitmaps, xs, ys):
+        g = _scaled(bitmap, scale)
         gh, gw = g.shape
         canvas[oy + y : oy + y + gh, ox + x : ox + x + gw] |= g
+    if not canvas.any():
+        raise ConfigError(f"text {text!r} renders no ink")
 
-    return GlyphImage(
-        width=width,
-        height=height,
-        pixels=canvas.astype(np.float64),
-        mask=canvas.copy(),
-        text=text,
-        layout=layout,
-        warnings=tuple(warnings),
-    )
+    return GlyphImage(pixels=canvas.astype(np.float64), warnings=tuple(warnings))
 
 
 def load_glyph_bitmap(path, patch: int = 8) -> GlyphImage:
@@ -148,14 +149,7 @@ def load_glyph_bitmap(path, patch: int = 8) -> GlyphImage:
     pad_w = (-w) % patch
     if pad_h or pad_w:
         arr = np.pad(arr, ((0, pad_h), (0, pad_w)), mode="constant")
-    return GlyphImage(
-        width=arr.shape[1],
-        height=arr.shape[0],
-        pixels=arr,
-        mask=arr >= INK_THRESHOLD,
-        text="",
-        layout=Layout.HORIZONTAL,
-    )
+    return GlyphImage(pixels=arr)
 
 
 def glyph_mask_patch_counts(g: GlyphImage, patch: int) -> np.ndarray:

@@ -46,6 +46,8 @@ class ModelConfig:
         for name in ("d_model", "n_heads", "n_layers", "patch", "grid", "t_txt"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.d_model % self.n_heads:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"

@@ -45,20 +45,18 @@ PROMPT_MIDDLE = " logo decorated with "
 class PromptRecord:
     word: str
     style: str
-    prompt: str = ""
 
-    def __post_init__(self):
-        expected = f"{PROMPT_PREFIX}{self.word}{PROMPT_MIDDLE}{self.style}."
-        if self.prompt != expected:
-            raise ConfigError(f"rendered prompt must be {expected!r}")
+    @property
+    def prompt(self) -> str:
+        """The fixed logo prompt template, instantiated with word and style."""
+        return f"{PROMPT_PREFIX}{self.word}{PROMPT_MIDDLE}{self.style}."
 
 
 def build_prompt(word: str, style: str) -> PromptRecord:
     """Instantiate the fixed logo prompt template."""
     if not word:
         raise EmptyWord("word must be nonempty")
-    prompt = f"{PROMPT_PREFIX}{word}{PROMPT_MIDDLE}{style}."
-    return PromptRecord(word=word, style=style, prompt=prompt)
+    return PromptRecord(word=word, style=style)
 
 
 def load_dataset(path) -> list[PromptRecord]:
@@ -360,6 +358,8 @@ def export_heatmap(scores: np.ndarray, grid: int, path):
     place on the scale and are rejected.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if grid < 1:
+        raise ShapeMismatch(f"heatmap grid {grid} must be >= 1")
     if scores.shape[0] != grid * grid:
         raise ShapeMismatch(f"{scores.shape[0]} values cannot fill a {grid}x{grid} grid")
     if not np.isfinite(scores).all():

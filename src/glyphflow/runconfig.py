@@ -1,15 +1,16 @@
 """Flat key-value run configuration.
 
 File format: one `key = value` per line, `#` comments and blank lines
-ignored. Keys are dotted (model.*, sampler.*, injection.*, io.*, sweep.*) and
-every key has a typed schema entry; unknown keys are rejected. Serialization
+ignored. Keys are dotted (model.*, sampler.*, injection.*, io.*, sweep.*):
+one per field of each RunConfig section, typed by the field's annotation.
+Unknown keys are rejected. Serialization
 is deterministic (sorted keys, repr floats) and parse(serialize(c)) == c.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .coreattn import ScoreMode
 from .errors import ConfigError
@@ -67,35 +68,30 @@ class RunConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
 
-# key -> (section attr, field name, type tag)
+# annotation of a section field -> type tag of its key
+_TAGS = {
+    "int": "int",
+    "float": "float",
+    "bool": "bool",
+    "str": "str",
+    "ScoreMode": "mode",
+    "Layout": "layout",
+    "tuple[float, ...]": "floats",
+    "tuple[int, ...]": "ints",
+}
+# (section, field) pairs whose key is not `section.field`
+_RENAMED = {
+    ("model", "seed"): "seed_weights",
+    ("sampler", "cutoff_step"): "cutoff",
+    ("sampler", "noise_seed"): "seed_noise",
+}
+
+# key -> (section attr, field name, type tag), one key per field of every
+# RunConfig section, so no field can be left out of serialize or config_hash
 _SCHEMA: dict[str, tuple[str, str, str]] = {
-    "model.d_model": ("model", "d_model", "int"),
-    "model.n_heads": ("model", "n_heads", "int"),
-    "model.n_layers": ("model", "n_layers", "int"),
-    "model.patch": ("model", "patch", "int"),
-    "model.grid": ("model", "grid", "int"),
-    "model.t_txt": ("model", "t_txt", "int"),
-    "model.seed_weights": ("model", "seed", "int"),
-    "sampler.steps": ("sampler", "steps", "int"),
-    "sampler.guidance": ("sampler", "guidance", "float"),
-    "sampler.cutoff": ("sampler", "cutoff_step", "int"),
-    "sampler.seed_noise": ("sampler", "noise_seed", "int"),
-    "injection.ratio": ("injection", "ratio", "float"),
-    "injection.mode": ("injection", "mode", "mode"),
-    "injection.averaging": ("injection", "averaging", "bool"),
-    "injection.enabled": ("injection", "enabled", "bool"),
-    "io.word": ("io", "word", "str"),
-    "io.style": ("io", "style", "str"),
-    "io.layout": ("io", "layout", "layout"),
-    "io.scale": ("io", "scale", "int"),
-    "io.glyph_path": ("io", "glyph_path", "str"),
-    "io.recon_prompt": ("io", "recon_prompt", "str"),
-    "io.out_dir": ("io", "out_dir", "str"),
-    "io.save_trace": ("io", "save_trace", "bool"),
-    "io.predicted": ("io", "predicted", "str"),
-    "sweep.ratios": ("sweep", "ratios", "floats"),
-    "sweep.steps": ("sweep", "steps", "ints"),
-    "sweep.full_runs": ("sweep", "full_runs", "bool"),
+    f"{s.name}.{_RENAMED.get((s.name, f.name), f.name)}": (s.name, f.name, _TAGS[f.type])
+    for s in fields(RunConfig)
+    for f in fields(s.default_factory)
 }
 
 

@@ -15,6 +15,7 @@ their seeds match.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,8 +57,10 @@ class SamplerConfig:
             raise ConfigError(
                 f"cutoff_step {self.cutoff_step} outside [0, steps={self.steps}]"
             )
-        if self.guidance < 0.0:
-            raise ConfigError("guidance must be >= 0")
+        if not (math.isfinite(self.guidance) and self.guidance >= 0.0):
+            raise ConfigError(f"guidance {self.guidance} must be finite and >= 0")
+        if self.noise_seed < 0:
+            raise ConfigError("noise_seed must be >= 0")
 
     def knots(self) -> np.ndarray:
         """Evenly spaced t values t_1 > ... > t_{steps} > t_end, t_1 = 1 and t_end = 0."""
@@ -117,31 +120,48 @@ def euler_step(x: np.ndarray, v: np.ndarray, t_i: float, t_next: float) -> np.nd
 class AttentionTrace:
     """I2I logits and probabilities for steps 1..steps at every layer and head.
 
-    `logits` is None in a probs-only trace (`reconstruct_capture` with
-    `keep_logits=False`). Core-token selection and the coverage/shift metrics
-    read only `probs`; the logit consumers (`step_logits`, `checksum`, `save`
-    and injection through `generate_with_injection`) refuse such a trace
-    with `TraceMismatch`. A plan pairs with the trace object it was built
-    from, never by checksum, so nothing caches the checksum.
+    `probs` has shape (steps, n_layers, n_heads, n_img, n_img) and there is
+    one t value per step; `steps`, `n_layers`, `n_heads` and `n_img` are
+    read-only properties of that shape, so no copy of them is stored.
+    `logits` has the same shape, or is None in a probs-only trace
+    (`reconstruct_capture` with `keep_logits=False`). Core-token selection
+    and the coverage/shift metrics read only `probs`; the logit consumers
+    (`step_logits`, `checksum`, `save` and injection through
+    `generate_with_injection`) refuse such a trace with `TraceMismatch`. A
+    plan pairs with the trace object it was built from, never by checksum,
+    so nothing caches the checksum.
     """
 
-    steps: int
-    n_layers: int
-    n_heads: int
-    n_img: int
     t_values: tuple[float, ...]
     logits: np.ndarray | None = field(repr=False)
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        want = (self.steps, self.n_layers, self.n_heads, self.n_img, self.n_img)
-        logits_shape = want if self.logits is None else self.logits.shape
-        if logits_shape != want or self.probs.shape != want:
+        shape = self.probs.shape
+        if len(shape) != 5 or shape[3] != shape[4]:
             raise ShapeMismatch(
-                f"trace arrays must have shape {want}, got {logits_shape} / {self.probs.shape}"
+                f"trace probs must have shape (steps, layers, heads, n_img, n_img), got {shape}"
             )
+        if self.logits is not None and self.logits.shape != shape:
+            raise ShapeMismatch(f"trace logits shape {self.logits.shape} != probs shape {shape}")
         if len(self.t_values) != self.steps:
             raise ShapeMismatch("one t value per captured step required")
+
+    @property
+    def steps(self) -> int:
+        return self.probs.shape[0]
+
+    @property
+    def n_layers(self) -> int:
+        return self.probs.shape[1]
+
+    @property
+    def n_heads(self) -> int:
+        return self.probs.shape[2]
+
+    @property
+    def n_img(self) -> int:
+        return self.probs.shape[3]
 
     def _logits(self) -> np.ndarray:
         if self.logits is None:
@@ -178,22 +198,21 @@ class AttentionTrace:
 
     @classmethod
     def load(cls, path) -> "AttentionTrace":
+        """Read a saved trace; its meta dims must agree with its tensors."""
         tensors, meta = read_tensors(path)
         try:
             t_values = tuple(
                 float(t) for t in meta["t_values"].split(",") if t
             )
-            return cls(
-                steps=int(meta["steps"]),
-                n_layers=int(meta["n_layers"]),
-                n_heads=int(meta["n_heads"]),
-                n_img=int(meta["n_img"]),
-                t_values=t_values,
-                logits=tensors["logits"],
-                probs=tensors["probs"],
-            )
+            dims = tuple(int(meta[key]) for key in ("steps", "n_layers", "n_heads", "n_img"))
+            trace = cls(t_values=t_values, logits=tensors["logits"], probs=tensors["probs"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"trace file missing or bad field: {exc}") from exc
+        if dims != trace.probs.shape[:4]:
+            raise ShapeMismatch(
+                f"trace meta dims {dims} disagree with its tensors' shape {trace.probs.shape}"
+            )
+        return trace
 
 
 # ---------------------------------------------------------------- runs
@@ -247,15 +266,7 @@ def reconstruct_capture(
         if probe is not None:
             probe(i, t_i, "recon", captured)
 
-    return AttentionTrace(
-        steps=n_steps,
-        n_layers=mcfg.n_layers,
-        n_heads=mcfg.n_heads,
-        n_img=mcfg.n_img,
-        t_values=tuple(t_values),
-        logits=logits,
-        probs=probs,
-    )
+    return AttentionTrace(t_values=tuple(t_values), logits=logits, probs=probs)
 
 
 def _injection_hook(trace: AttentionTrace, plan: InjectionPlan, step: int) -> AttentionHook:
@@ -281,7 +292,8 @@ def generate_with_injection(
     unconditional branches. Pass trace=None, plan=None for a baseline run.
     The plan must have been built from `trace` itself (`plan.trace is
     trace`); a trace with the same bytes is still refused, so no trace is
-    hashed here. A probs-only trace is refused before any forward runs.
+    hashed here. A probs-only trace, or one whose layers, heads or n_img
+    differ from the model's, is refused before any forward runs.
     Returns pixels clamped to [0,1] and a manifest skeleton that holds only
     the step logs: the weights and trace checksums are the caller's to add.
     """
@@ -302,8 +314,11 @@ def generate_with_injection(
             raise TraceMismatch(
                 f"plan cutoff {plan.cutoff_step} exceeds sampler steps {cfg.steps}"
             )
-        if plan.n_layers != mcfg.n_layers or plan.n_img != mcfg.n_img:
-            raise TraceMismatch("plan dimensions do not match the model")
+        model_dims = (mcfg.n_layers, mcfg.n_heads, mcfg.n_img)
+        if trace.probs.shape[1:4] != model_dims:
+            raise TraceMismatch(
+                f"trace (layers, heads, n_img) {trace.probs.shape[1:4]} != model's {model_dims}"
+            )
 
     knots = cfg.knots()
     x = draw_noise(cfg.noise_seed, (mcfg.n_img, mcfg.patch_dim))

@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -212,12 +211,16 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     return tensors, meta
 
 
+def _digest(chunk: np.ndarray) -> bytes:
+    return hashlib.sha256(chunk).digest()
+
+
 def _sha256_digests(chunks: list[np.ndarray]) -> list[bytes]:
     """sha256 digest of each chunk, hashed on up to one thread per core.
 
     hashlib releases the GIL while it hashes a large buffer, so the threads
-    run in parallel; each takes the next unhashed chunk until none is left.
-    With one worker everything runs on the calling thread.
+    run in parallel. With one core or one chunk everything runs on the
+    calling thread.
     """
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
@@ -225,32 +228,12 @@ def _sha256_digests(chunks: list[np.ndarray]) -> list[bytes]:
         cores = os.cpu_count() or 1
     workers = min(cores, len(chunks))
     if workers <= 1:
-        return [hashlib.sha256(chunk).digest() for chunk in chunks]
-    digests = [b""] * len(chunks)
-    pending = iter(range(len(chunks)))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
+        return list(map(_digest, chunks))
+    # imported here so that an import of glyphflow does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        try:
-            while True:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                digests[i] = hashlib.sha256(chunks[i]).digest()
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return digests
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_digest, chunks))
 
 
 def tensors_checksum(tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> str:

@@ -275,6 +275,50 @@ def test_export_heatmap_rejects_non_finite_scores(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def test_export_heatmap_rejects_a_grid_below_one(tmp_path, capsys):
+    scores = tmp_path / "s.bin"
+    write_tensors(str(scores), {"a": np.arange(256.0)})
+    out = tmp_path / "h.pgm"
+    code = main(["export-heatmap", "--scores", str(scores), "--grid", "-16", "--out", str(out)])
+    assert code == 2
+    assert "grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--seed-weights", "-1"],
+        ["generate", "--seed-noise", "-5"],
+        ["reconstruct", "--seed-noise", "-5"],
+        ["reconstruct", "--seed-weights", "-1"],
+        ["generate", "--guidance", "nan"],
+        ["generate", "--guidance", "inf"],
+        ["sweep", "--guidance", "nan"],
+    ],
+)
+def test_config_values_out_of_range_exit_2(tmp_path, conf, capsys, argv):
+    out = tmp_path / "o"
+    tail = ["--out", str(out)] if argv[0] == "reconstruct" else ["--out-dir", str(out)]
+    assert main(argv + ["--config", conf] + tail) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and ("seed" in err or "guidance" in err)
+    # the value is rejected while the config is built, before any run starts
+    assert not out.exists()
+
+
+def test_oversized_scale_overflows_the_canvas(tmp_path, conf, capsys):
+    out = tmp_path / "g.pgm"
+    assert main(["rasterize", "--text", "a", "--scale", "1000000", "--out", str(out)]) == 2
+    assert "exceeds canvas" in capsys.readouterr().err
+    assert not out.exists()
+    d = tmp_path / "o"
+    assert main(["generate", "--config", conf, "--scale", "1000000", "--out-dir", str(d)]) == 2
+    assert "exceeds canvas" in capsys.readouterr().err
+    man = RunManifest.load(str(d / "manifest.json"))
+    assert man.error["type"] == "TextOverflow"
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("model.bogus = 1\n")

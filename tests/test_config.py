@@ -67,6 +67,20 @@ def test_serialize_sorted_and_stable():
     assert "sweep.steps = 8,10,12,15,18" in text
 
 
+def test_config_keys_are_pinned():
+    # keys are derived from the config dataclasses, so renaming a field must
+    # not silently rename its key and orphan existing config files
+    assert list(_SCHEMA) == [
+        "model.d_model", "model.n_heads", "model.n_layers", "model.patch", "model.grid",
+        "model.t_txt", "model.seed_weights",
+        "sampler.steps", "sampler.guidance", "sampler.cutoff", "sampler.seed_noise",
+        "injection.ratio", "injection.mode", "injection.averaging", "injection.enabled",
+        "io.word", "io.style", "io.layout", "io.scale", "io.glyph_path", "io.recon_prompt",
+        "io.out_dir", "io.save_trace", "io.predicted",
+        "sweep.ratios", "sweep.steps", "sweep.full_runs",
+    ]
+
+
 def test_parse_comments_and_blanks():
     c = parse("# comment\n\nio.word = mark\n  sampler.steps = 30  \n")
     assert c.io.word == "mark"
@@ -265,7 +279,7 @@ def _configs(draw):
         ),
         sampler=SamplerConfig(
             steps=steps,
-            guidance=draw(st.floats(min_value=0.0, allow_nan=False)),
+            guidance=draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
             cutoff_step=draw(st.integers(0, steps)),
             noise_seed=draw(st.integers(0, 2**64)),
         ),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -43,10 +42,6 @@ def make_trace(layer_scores, steps=1):
             probs[:, layer, 0, j, :] = s / n
     logits = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), -1e9)
     return AttentionTrace(
-        steps=steps,
-        n_layers=n_layers,
-        n_heads=1,
-        n_img=n,
         t_values=tuple(1.0 - i / max(steps, 1) for i in range(steps)),
         logits=logits,
         probs=probs,
@@ -313,14 +308,7 @@ def test_build_injection_cutoff_and_ratio_zero():
 
 
 def test_build_injection_empty_trace():
-    trace = make_trace([[0.5, 0.4], [0.3, 0.2]], steps=1)
-    empty = dataclasses.replace(
-        trace,
-        steps=0,
-        t_values=(),
-        logits=trace.logits[:0],
-        probs=trace.probs[:0],
-    )
+    empty = make_trace([[0.5, 0.4], [0.3, 0.2]], steps=0)
     with pytest.raises(EmptyTrace):
         build_injection(empty, ratio=0.5, cutoff_step=1)
     ok = build_injection(empty, ratio=0.5)  # cutoff defaults to trace.steps == 0
@@ -393,14 +381,12 @@ def test_apply_injection_errors(rng):
 def attention_shift(maps_per_layer, mask_frac, core):
     """Per layer, the core rows' off-mask fraction, read as the pipeline reads it."""
     probs = np.stack([np.asarray(m, dtype=np.float64) for m in maps_per_layer])[None]
-    _, n_layers, n_heads, n_img, _ = probs.shape
-    trace = AttentionTrace(
-        steps=1, n_layers=n_layers, n_heads=n_heads, n_img=n_img, t_values=(1.0,),
-        logits=None, probs=probs,
-    )
+    trace = AttentionTrace(t_values=(1.0,), logits=None, probs=probs)
     masses = _trace_row_masses(trace, mask_frac)
     idx = core.rows()
-    return [row_fraction(masses.off[0, l], masses.total[0, l], idx) for l in range(n_layers)]
+    return [
+        row_fraction(masses.off[0, l], masses.total[0, l], idx) for l in range(trace.n_layers)
+    ]
 
 
 def test_attention_shift_hand_cases():

@@ -32,7 +32,6 @@ def test_pixels_binary_and_match_mask():
     g = rasterize_text("Ab", width=32, height=32, scale=1, patch=8)
     assert set(np.unique(g.pixels)) <= {0.0, 1.0}
     assert np.array_equal(g.mask, g.pixels >= 0.5)
-    assert g.text == "Ab"
     assert g.warnings == ()
 
 
@@ -74,6 +73,8 @@ def test_diagonal_advance():
 def test_empty_text_rejected():
     with pytest.raises(ConfigError):
         rasterize_text("", width=16, height=16, patch=4)
+    with pytest.raises(ConfigError, match="no ink"):
+        rasterize_text("  ", width=16, height=16, patch=4)
 
 
 def test_overflow():
@@ -81,6 +82,9 @@ def test_overflow():
         rasterize_text("toolong", width=16, height=16, scale=1, patch=4)
     with pytest.raises(TextOverflow):
         rasterize_text("AB", layout=Layout.VERTICAL, width=16, height=8, scale=1, patch=4)
+    # measured before any bitmap is scaled: one scaled glyph would take 58 TiB
+    with pytest.raises(TextOverflow):
+        rasterize_text("a", width=128, height=128, scale=10**6, patch=8)
 
 
 def test_canvas_patch_divisibility():
@@ -118,21 +122,20 @@ def test_font_covers_printable_ascii():
 
 
 def test_glyph_image_validation(rng):
-    pix = rng.random((8, 8))
+    pix = rng.random((8, 16))
+    g = GlyphImage(pixels=pix)
+    assert (g.height, g.width) == (8, 16)
+    assert np.array_equal(g.mask, pix >= 0.5)
     with pytest.raises(ShapeMismatch):
-        GlyphImage(width=8, height=8, pixels=pix, mask=np.zeros((4, 8), bool), text="", layout=Layout.HORIZONTAL)
+        GlyphImage(pixels=pix.reshape(-1))
     with pytest.raises(ShapeMismatch):
-        GlyphImage(width=9, height=8, pixels=pix, mask=pix > 0.5, text="", layout=Layout.HORIZONTAL)
+        GlyphImage(pixels=pix.reshape(2, 4, 16))
     with pytest.raises(ConfigError):
-        GlyphImage(width=8, height=8, pixels=pix * 2.0, mask=pix > 0.5, text="", layout=Layout.HORIZONTAL)
-    # mask claiming a low-ink cell is inconsistent
-    mask = np.zeros((8, 8), bool)
-    mask[0, 0] = True
-    low = np.zeros((8, 8))
+        GlyphImage(pixels=np.zeros((0, 8)))
     with pytest.raises(ConfigError):
-        GlyphImage(width=8, height=8, pixels=low, mask=mask, text="", layout=Layout.HORIZONTAL)
+        GlyphImage(pixels=pix * 2.0)
     with pytest.raises(ConfigError):
-        GlyphImage(width=8, height=8, pixels=low, mask=np.zeros((8, 8), bool), text="x", layout=Layout.HORIZONTAL)
+        GlyphImage(pixels=-pix)
 
 
 def test_load_glyph_bitmap_threshold_and_padding(tmp_path):
@@ -140,7 +143,6 @@ def test_load_glyph_bitmap_threshold_and_padding(tmp_path):
     p.write_bytes(b"P2\n3 2\n255\n0 127 128\n255 0 255\n")
     g = load_glyph_bitmap(p, patch=4)
     assert (g.width, g.height) == (4, 4)
-    assert g.text == ""
     # 127/255 < 0.5 <= 128/255
     assert np.array_equal(g.mask[:2, :3], [[False, False, True], [True, False, True]])
     assert not g.mask[2:].any() and not g.mask[:, 3].any()
@@ -161,22 +163,19 @@ def test_patch_counts_hand_case():
     pix[1, 5] = 1.0   # patch 1
     pix[5, 6] = 1.0   # patch 3
     pix[6, 7] = 1.0   # patch 3
-    g = GlyphImage(width=8, height=8, pixels=pix, mask=pix >= 0.5, text="", layout=Layout.HORIZONTAL)
+    g = GlyphImage(pixels=pix)
     assert np.array_equal(glyph_mask_patch_counts(g, 4), [1, 1, 0, 2])
     assert np.allclose(glyph_mask_patches(g, 4), [1 / 16, 1 / 16, 0.0, 2 / 16])
 
 
 def test_patch_counts_row_major_and_total(rng):
     pix = (rng.random((16, 16)) > 0.5).astype(np.float64)
-    g = GlyphImage(width=16, height=16, pixels=pix, mask=pix >= 0.5, text="", layout=Layout.HORIZONTAL)
+    g = GlyphImage(pixels=pix)
     counts = glyph_mask_patch_counts(g, 8)
     assert counts.shape == (4,)
     assert counts.sum() == g.mask.sum()
     assert counts[1] == g.mask[0:8, 8:16].sum()  # index 1 is row 0, col 1
-    full = GlyphImage(
-        width=8, height=8, pixels=np.ones((8, 8)), mask=np.ones((8, 8), bool),
-        text="", layout=Layout.HORIZONTAL,
-    )
+    full = GlyphImage(pixels=np.ones((8, 8)))
     assert np.array_equal(glyph_mask_patches(full, 4), [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ShapeMismatch):
         glyph_mask_patch_counts(g, 5)

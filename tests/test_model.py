@@ -34,6 +34,8 @@ def test_config_validation():
         ModelConfig(d_model=65, n_heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(grid=0)
+    with pytest.raises(ConfigError):
+        ModelConfig(seed=-1)
     cfg = ModelConfig(d_model=16, n_heads=2, n_layers=2, patch=4, grid=4, t_txt=4)
     assert cfg.n_img == 16
     assert cfg.seq_len == 20

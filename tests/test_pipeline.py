@@ -11,7 +11,6 @@ from glyphflow import (
     DuplicateCell,
     EmptyWord,
     NonFiniteValue,
-    PromptRecord,
     RunConfig,
     RunManifest,
     ScoreMode,
@@ -56,13 +55,6 @@ def test_build_prompt_template():
         build_prompt("", "bold")
 
 
-def test_prompt_record_validates_template():
-    with pytest.raises(ConfigError):
-        PromptRecord(word="cat", style="bold", prompt="a cat logo")
-    ok = PromptRecord(word="cat", style="bold", prompt="A text cat logo decorated with bold.")
-    assert ok.word == "cat"
-
-
 def test_load_dataset(tmp_path):
     path = tmp_path / "set.json"
     path.write_text(
@@ -90,7 +82,6 @@ def test_load_dataset(tmp_path):
 def test_prepare_glyph_rasterizes_at_model_canvas():
     glyph = prepare_glyph(tiny_run_config())
     assert (glyph.height, glyph.width) == (TINY.canvas, TINY.canvas)
-    assert glyph.text == "A"
 
 
 def test_prepare_glyph_from_file(tmp_path):
@@ -377,6 +368,11 @@ def test_export_heatmap_normalizes_and_validates(tmp_path):
     assert np.array_equal(read_netpbm(path), np.zeros((2, 2)))
     with pytest.raises(ShapeMismatch):
         export_heatmap(np.zeros(5), 2, path)
+    # (-16)^2 values fill no grid, nor do zero values a 0x0 one
+    with pytest.raises(ShapeMismatch):
+        export_heatmap(np.zeros(256), -16, path)
+    with pytest.raises(ShapeMismatch):
+        export_heatmap(np.zeros(0), 0, path)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonFiniteValue):
             export_heatmap(np.array([5.0, bad, 6.0, 5.0]), 2, tmp_path / "bad.pgm")

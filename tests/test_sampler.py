@@ -8,6 +8,7 @@ import glyphflow
 from glyphflow import (
     AttentionTrace,
     ConfigError,
+    GlyphFlowError,
     ModelConfig,
     SamplerConfig,
     ShapeMismatch,
@@ -21,6 +22,7 @@ from glyphflow import (
     noise_to,
     rasterize_text,
     reconstruct_capture,
+    write_tensors,
 )
 
 
@@ -29,8 +31,11 @@ def test_sampler_config_validation():
         SamplerConfig(steps=0)
     with pytest.raises(ConfigError):
         SamplerConfig(steps=4, cutoff_step=5)
+    for guidance in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            SamplerConfig(guidance=guidance)
     with pytest.raises(ConfigError):
-        SamplerConfig(guidance=-1.0)
+        SamplerConfig(noise_seed=-1)
     assert SamplerConfig(steps=2, cutoff_step=0).cutoff_step == 0
     # the default cutoff only fits runs of at least that many steps
     with pytest.raises(ConfigError):
@@ -154,6 +159,32 @@ def test_trace_save_load_round_trip(tmp_path, tiny_trace):
     assert back.t_values == tiny_trace.t_values
     assert back.logits.tobytes() == tiny_trace.logits.tobytes()
     assert back.probs.tobytes() == tiny_trace.probs.tobytes()
+
+
+def test_trace_rejects_inconsistent_arrays():
+    probs = np.zeros((2, 1, 1, 3, 3))
+    AttentionTrace(t_values=(1.0, 0.5), logits=np.zeros_like(probs), probs=probs)
+    with pytest.raises(ShapeMismatch):
+        AttentionTrace(t_values=(1.0, 0.5), logits=None, probs=probs[0])
+    with pytest.raises(ShapeMismatch):
+        AttentionTrace(t_values=(1.0, 0.5), logits=None, probs=probs[..., :2])
+    with pytest.raises(ShapeMismatch):
+        AttentionTrace(t_values=(1.0, 0.5), logits=probs[:, :, :, :2, :2], probs=probs)
+    with pytest.raises(ShapeMismatch):
+        AttentionTrace(t_values=(1.0,), logits=None, probs=probs)
+
+
+@pytest.mark.parametrize("key", ["steps", "n_layers", "n_heads", "n_img"])
+def test_trace_load_rejects_meta_dims_that_disagree(tmp_path, tiny_trace, key):
+    meta = tiny_trace._meta()
+    path = tmp_path / "trace.bin"
+    tensors = {"logits": tiny_trace.logits, "probs": tiny_trace.probs}
+    write_tensors(path, tensors, meta=meta)
+    assert AttentionTrace.load(path).checksum() == tiny_trace.checksum()
+    meta[key] = str(int(meta[key]) + 1)
+    write_tensors(path, tensors, meta=meta)
+    with pytest.raises(GlyphFlowError):
+        AttentionTrace.load(path)
 
 
 def test_probs_only_capture_equals_full_probs(tiny_weights, tiny_glyph, tiny_sampler, tiny_trace):
@@ -291,6 +322,25 @@ def test_generate_trace_plan_pairing(tiny_weights, tiny_glyph, tiny_trace, tiny_
     small = dataclasses.replace(tiny_sampler, steps=1, cutoff_step=1)
     with pytest.raises(TraceMismatch):
         generate_with_injection(tiny_weights, "x", tiny_trace, plan, small)
+
+
+@pytest.mark.parametrize("trace_heads, model_heads", [(2, 4), (4, 2)])
+def test_injection_refuses_a_trace_with_other_heads(
+    monkeypatch, tiny_cfg, tiny_glyph, tiny_sampler, trace_heads, model_heads
+):
+    def weights(n_heads):
+        return init_model(dataclasses.replace(tiny_cfg, n_heads=n_heads))
+
+    trace = reconstruct_capture(weights(trace_heads), tiny_glyph, "", tiny_sampler)
+    plan = build_injection(trace, ratio=0.25)
+    model = weights(model_heads)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward ran before the trace was checked")
+
+    monkeypatch.setattr(glyphflow.sampler, "forward", no_forward)
+    with pytest.raises(TraceMismatch, match="heads"):
+        generate_with_injection(model, "x", trace, plan, tiny_sampler)
 
 
 def test_injected_rows_match_trace_at_step_one(tiny_weights, tiny_glyph, tiny_sampler, tiny_trace):
