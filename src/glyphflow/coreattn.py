@@ -3,9 +3,10 @@ across layers, select top-k sets, and build row-replacement plans.
 
 Scores always come from head-averaged statistics of I2I probability maps; the
 same selected set drives every head during injection. `step_scores` is the one
-scoring and averaging path: `build_injection` selects from it and
-`pipeline.run_analyze` reports it. The coverage and shift of the selected rows
-are measured by `metrics.row_masses` and `metrics.row_fraction`.
+scoring and averaging path and `select_step` the one selection path:
+`build_injection` and `pipeline.StreamedTrace` select through both, and
+`pipeline.run_analyze` reports the scores. The coverage and shift of the
+selected rows are measured by `metrics.row_masses` and `metrics.row_fraction`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
 from .tensorio import write_tensors
 
 if TYPE_CHECKING:
+    from .pipeline import StreamedTrace
     from .sampler import AttentionTrace
 
 
@@ -175,25 +177,23 @@ def cumulative_update(state: CumulativeScore, s: ScoreVector) -> CumulativeScore
 
 
 def step_scores(
-    trace: "AttentionTrace", step: int, mode: ScoreMode, averaging: bool
+    probs: np.ndarray, step: int, mode: ScoreMode, averaging: bool
 ) -> tuple[list[ScoreVector], list[ScoreVector]]:
     """Per-layer raw scores of one captured step, and the vectors selection ranks.
 
-    Raw scores are row_mass in layer_variance mode. The ranked vectors are the
-    running means of layers 1..L (averaging on), the raw vectors (averaging
-    off), or the single per-step variance vector (layer_variance mode, where
-    averaging has no effect).
+    `probs` is the step's (n_layers, n_heads, n_img, n_img) I2I probability
+    block. Raw scores are row_mass in layer_variance mode. The ranked vectors
+    are the running means of layers 1..L (averaging on), the raw vectors
+    (averaging off), or the single per-step variance vector (layer_variance
+    mode, where averaging has no effect).
     """
     base = ScoreMode.ROW_MASS if mode == ScoreMode.LAYER_VARIANCE else mode
-    raw = [
-        token_scores(trace.step_probs(step, layer), base, layer, step)
-        for layer in range(trace.n_layers)
-    ]
+    raw = [token_scores(maps, base, layer, step) for layer, maps in enumerate(probs)]
     if mode == ScoreMode.LAYER_VARIANCE:
         return raw, [variance_scores(raw)]
     if not averaging:
         return raw, raw
-    state = CumulativeScore.empty(trace.n_img, mode)
+    state = CumulativeScore.empty(probs.shape[-1], mode)
     ranked = []
     for s in raw:
         state = cumulative_update(state, s)
@@ -224,15 +224,29 @@ def _empty_set(n_img: int, step: int, layer: int, mode: ScoreMode, averaged: boo
     )
 
 
+def select_step(
+    ranked: Sequence[ScoreVector], ratio: float, n_layers: int, mode: ScoreMode, averaging: bool
+) -> list[CoreTokenSet]:
+    """One step's core set per layer, from the vectors `step_scores` ranks.
+
+    In layer_variance mode the step's one variance vector drives every
+    layer's selection.
+    """
+    if mode == ScoreMode.LAYER_VARIANCE:
+        return [select_core_tokens(replace(ranked[0], layer=l), ratio) for l in range(n_layers)]
+    return [select_core_tokens(ranked[l], ratio, averaged=averaging) for l in range(n_layers)]
+
+
 @dataclass
 class InjectionPlan:
     """One CoreTokenSet per (step <= cutoff, layer), tied to the trace it was built from.
 
-    `trace` is that trace itself, held by reference; plan equality ignores it.
+    `trace` is that trace itself, an `AttentionTrace` or a
+    `pipeline.StreamedTrace`, held by reference; plan equality ignores it.
     The plan's layer count and n_img are the trace's.
     """
 
-    trace: "AttentionTrace" = field(repr=False, compare=False)
+    trace: "AttentionTrace | StreamedTrace" = field(repr=False, compare=False)
     cutoff_step: int
     ratio: float
     mode: ScoreMode
@@ -251,17 +265,19 @@ class InjectionPlan:
 
 
 def build_injection(
-    trace: "AttentionTrace",
+    trace: "AttentionTrace | StreamedTrace",
     ratio: float,
     cutoff_step: int | None = None,
     mode: ScoreMode = ScoreMode.ROW_MASS,
     averaging: bool = True,
 ) -> InjectionPlan:
-    """Select one core set per (step, layer) from the vectors `step_scores` ranks.
+    """Select one core set per (step, layer) from each step's ranked vectors.
 
-    With averaging on, layer L's selection uses the running mean of layers
-    1..L, reset at each step. In layer_variance mode the step's one variance
-    vector drives every layer's selection.
+    `trace.ranked_scores(step, mode, averaging)` gives those vectors: a full
+    trace scores the step with `step_scores`, a streamed one returns what it
+    scored while it captured. With averaging on, layer L's selection uses
+    the running mean of layers 1..L, reset at each step. In layer_variance
+    mode the step's one variance vector drives every layer's selection.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside [0,1]")
@@ -274,20 +290,15 @@ def build_injection(
         raise TraceMismatch(f"trace covers {trace.steps} steps, cutoff {cutoff} requested")
 
     n_layers = trace.n_layers
-    n_img = trace.n_img
     sets: dict[tuple[int, int], CoreTokenSet] = {}
     for step in range(1, cutoff + 1):
         if ratio == 0.0:
-            for layer in range(n_layers):
-                sets[(step, layer)] = _empty_set(n_img, step, layer, mode, averaging)
-            continue
-        _, ranked = step_scores(trace, step, mode, averaging)
-        for layer in range(n_layers):
-            if mode == ScoreMode.LAYER_VARIANCE:
-                chosen = select_core_tokens(replace(ranked[0], layer=layer), ratio)
-            else:
-                chosen = select_core_tokens(ranked[layer], ratio, averaged=averaging)
-            sets[(step, layer)] = chosen
+            chosen = [_empty_set(trace.n_img, step, l, mode, averaging) for l in range(n_layers)]
+        else:
+            ranked = trace.ranked_scores(step, mode, averaging)
+            chosen = select_step(ranked, ratio, n_layers, mode, averaging)
+        for layer, core in enumerate(chosen):
+            sets[(step, layer)] = core
 
     return InjectionPlan(
         trace=trace,
@@ -300,20 +311,25 @@ def build_injection(
 
 
 def apply_injection(
-    gen_logits_i2i: np.ndarray, trace_logits_i2i: np.ndarray, core: CoreTokenSet
+    gen_logits_i2i: np.ndarray, core_rows: np.ndarray, core: CoreTokenSet
 ) -> np.ndarray:
-    """Replace the core rows of the generation logits with the trace rows.
+    """Replace the core rows of the generation logits with the trace's rows.
 
-    The rows are replaced in place: `gen_logits_i2i` is written and returned.
+    `core_rows` holds the trace's logit row of each core index, in the
+    set's ascending order: shape (len(core.indices), n_img). The rows are
+    replaced in place: `gen_logits_i2i` is written and returned.
     """
-    gen, src = gen_logits_i2i, trace_logits_i2i
-    if gen.shape != src.shape or gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
-        raise ShapeMismatch(f"logit blocks {gen.shape} vs {src.shape} must be equal squares")
+    gen = gen_logits_i2i
+    if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
+        raise ShapeMismatch(f"generation logit block {gen.shape} must be square")
+    if core_rows.shape != (len(core.indices), gen.shape[1]):
+        raise ShapeMismatch(
+            f"{core_rows.shape} trace rows for {len(core.indices)} core rows of {gen.shape}"
+        )
     if core.indices and core.indices[-1] >= gen.shape[0]:
         raise IndexOutOfRange(f"core index {core.indices[-1]} >= {gen.shape[0]}")
     if core.indices:
-        idx = core.rows()
-        gen[idx, :] = src[idx, :]
+        gen[core.rows(), :] = core_rows
     return gen
 
 

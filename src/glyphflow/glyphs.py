@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, TextOverflow
+from .errors import ConfigError, NonFiniteValue, ShapeMismatch, TextOverflow
 from .font8 import builtin_font
 from .netpbm import read_netpbm
 
@@ -41,6 +41,9 @@ class GlyphImage:
             raise ShapeMismatch(f"pixels must be (height, width), got shape {self.pixels.shape}")
         if self.pixels.size == 0:
             raise ConfigError("canvas dimensions must be positive")
+        # NaN compares False against both bounds, so it needs its own check
+        if not np.isfinite(self.pixels).all():
+            raise NonFiniteValue("pixel intensities must be finite")
         if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
             raise ConfigError("pixel intensities must lie in [0,1]")
 

@@ -12,7 +12,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coreattn import InjectionPlan, ScoreMode, build_injection, step_scores
+from .coreattn import (
+    CoreTokenSet,
+    InjectionPlan,
+    ScoreMode,
+    ScoreVector,
+    build_injection,
+    select_step,
+    step_scores,
+)
 from .errors import (
     ConfigError,
     DuplicateCell,
@@ -20,6 +28,7 @@ from .errors import (
     GlyphFlowError,
     NonFiniteValue,
     ShapeMismatch,
+    TraceMismatch,
 )
 from .glyphs import GlyphImage, glyph_mask_patches, load_glyph_bitmap, rasterize_text
 from .manifest import VERSION, RunManifest
@@ -34,8 +43,14 @@ from .metrics import (
 from .model import init_model
 from .netpbm import write_pgm
 from .runconfig import RunConfig, config_hash
-from .sampler import AttentionTrace, ProbeFn, generate_with_injection, reconstruct_capture
-from .tensorio import file_checksum, tensors_checksum
+from .sampler import (
+    AttentionTrace,
+    ProbeFn,
+    generate_with_injection,
+    reconstruct_capture,
+    trace_meta,
+)
+from .tensorio import ChecksumStream, file_checksum, tensors_checksum
 
 PROMPT_PREFIX = "A text "
 PROMPT_MIDDLE = " logo decorated with "
@@ -101,20 +116,89 @@ def _glyph_checksum(glyph: GlyphImage) -> str:
     return tensors_checksum({"pixels": glyph.pixels, "mask": glyph.mask})
 
 
+def _step_row_masses(probs: np.ndarray, mask_frac: np.ndarray) -> RowMasses:
+    """Head-mean row masses of one step's (n_layers, n_heads, n_img, n_img)
+    probs, one reduction per layer; each field has shape (n_layers, n_img)."""
+    per_layer = [row_masses(maps.mean(axis=0), mask_frac) for maps in probs]
+    return RowMasses(*(np.stack(field) for field in zip(*per_layer)))
+
+
+def _empty_row_masses(steps: int, n_layers: int, n_img: int) -> RowMasses:
+    return RowMasses(*(np.empty((steps, n_layers, n_img)) for _ in RowMasses._fields))
+
+
 def _trace_row_masses(trace: AttentionTrace, mask_frac: np.ndarray) -> RowMasses:
-    """Head-mean row masses of every captured (step, layer), one reduction each.
+    """`_step_row_masses` of every captured step, as one table.
 
     Each field has shape (steps, n_layers, n_img); every plan over the trace
     reads its core rows' coverage and shift from this one table.
     """
-    shape = (trace.steps, trace.n_layers, trace.n_img)
-    table = RowMasses(*(np.empty(shape, dtype=np.float64) for _ in RowMasses._fields))
-    for step in range(1, trace.steps + 1):
-        for layer in range(trace.n_layers):
-            masses = row_masses(trace.step_probs(step, layer).mean(axis=0), mask_frac)
-            for dst, src in zip(table, masses):
-                dst[step - 1, layer] = src
+    table = _empty_row_masses(trace.steps, trace.n_layers, trace.n_img)
+    for step, probs in enumerate(trace.probs):
+        for dst, src in zip(table, _step_row_masses(probs, mask_frac)):
+            dst[step] = src
     return table
+
+
+class StreamedTrace:
+    """What an injected generate reads of its reconstruction capture, kept
+    step by step instead of as an `AttentionTrace`.
+
+    Passed to `reconstruct_capture` as `on_step`, it reduces each step's I2I
+    buffers before the next step overwrites them, with the operations a full
+    trace would see:
+    - the ranked vectors of `step_scores` and the core sets of `select_step`;
+    - the (n_heads, k, n_img) logit rows of those sets, per layer;
+    - the `_step_row_masses` behind coverage and shift;
+    - the logits and probs bytes, fed to the trace checksum's `ChecksumStream`.
+    At ratio 0 nothing is selected, so only the checksum is fed. Like a full
+    trace it answers `ranked_scores` (for `build_injection`), `core_rows`
+    (for `generate_with_injection`) and `checksum`, with the same results.
+    """
+
+    def __init__(self, config: RunConfig, mask_frac: np.ndarray):
+        mcfg, inj = config.model, config.injection
+        self.steps = config.sampler.cutoff_step
+        self.n_layers, self.n_heads, self.n_img = mcfg.n_layers, mcfg.n_heads, mcfg.n_img
+        self.ratio, self.mode, self.averaging = inj.ratio, inj.mode, inj.averaging
+        self.masses = _empty_row_masses(self.steps, self.n_layers, self.n_img)
+        self._mask_frac = mask_frac
+        self._t_values: list[float] = []
+        self._ranked: list[list[ScoreVector]] = []
+        self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
+        shape = (self.steps, self.n_layers, self.n_heads, self.n_img, self.n_img)
+        self._hash = ChecksumStream({"logits": ("f8", shape), "probs": ("f8", shape)})
+
+    def __call__(self, step: int, t: float, logits: np.ndarray, probs: np.ndarray):
+        self._t_values.append(t)
+        self._hash.update({"logits": logits, "probs": probs})
+        if self.ratio == 0.0:
+            return
+        _, ranked = step_scores(probs, step, self.mode, self.averaging)
+        self._ranked.append(ranked)
+        chosen = select_step(ranked, self.ratio, self.n_layers, self.mode, self.averaging)
+        for layer, core in enumerate(chosen):
+            self._rows[(step, layer)] = (core.indices, logits[layer][:, core.rows(), :])
+        for dst, src in zip(self.masses, _step_row_masses(probs, self._mask_frac)):
+            dst[step - 1] = src
+
+    def ranked_scores(self, step: int, mode: ScoreMode, averaging: bool) -> list[ScoreVector]:
+        if (mode, averaging) != (self.mode, self.averaging) or step > len(self._ranked):
+            raise TraceMismatch(f"streamed trace kept no {mode.value} scores for step {step}")
+        return self._ranked[step - 1]
+
+    def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
+        if not core.indices:
+            return np.empty((self.n_heads, 0, self.n_img))
+        indices, rows = self._rows.get((step, layer), ((), None))
+        if indices != core.indices:
+            raise TraceMismatch(f"streamed trace kept other rows at step {step} layer {layer}")
+        return rows
+
+    def checksum(self) -> str:
+        """The checksum the full trace of the same capture would have."""
+        dims = (self.steps, self.n_layers, self.n_heads, self.n_img)
+        return self._hash.hexdigest(trace_meta(tuple(self._t_values), dims))
 
 
 def _core_shift_rows(
@@ -155,7 +239,10 @@ def run_generate(
     """Full pipeline: rasterize, reconstruct, plan, generate, measure, write.
 
     baseline=True runs the config with injection.enabled = False, so the
-    manifest's config hash is that of the run that happened.
+    manifest's config hash is that of the run that happened. An injected
+    run keeps a full `AttentionTrace` only when io.save_trace asks for it;
+    otherwise it keeps a `StreamedTrace`, with the same plan, image,
+    metrics and trace checksum.
     """
     if baseline:
         config = replace(config, injection=replace(config.injection, enabled=False))
@@ -164,11 +251,15 @@ def run_generate(
     glyph = prepare_glyph(config)
     weights = init_model(config.model)
 
+    mask_frac = glyph_mask_patches(glyph, config.model.patch)
     trace = plan = None
     if config.injection.enabled:
-        trace = reconstruct_capture(
-            weights, glyph, config.io.recon_prompt, config.sampler, probe=probe
-        )
+        capture = (weights, glyph, config.io.recon_prompt, config.sampler)
+        if config.io.save_trace:
+            trace = reconstruct_capture(*capture, probe=probe)
+        else:
+            trace = StreamedTrace(config, mask_frac)
+            reconstruct_capture(*capture, probe=probe, on_step=trace)
         plan = build_injection(
             trace,
             config.injection.ratio,
@@ -188,8 +279,10 @@ def run_generate(
     manifest.metrics["char_recall"] = f1.recall
     manifest.metrics["char_f1"] = f1.f1
     if plan is not None and plan.ratio > 0.0 and plan.cutoff_step > 0:
-        mask_frac = glyph_mask_patches(glyph, config.model.patch)
-        masses = _trace_row_masses(trace, mask_frac)
+        if isinstance(trace, StreamedTrace):
+            masses = trace.masses
+        else:
+            masses = _trace_row_masses(trace, mask_frac)
         manifest.metrics.update(_coverage_metrics(masses, plan))
 
     manifest.checksums["weights"] = weights.checksum()
@@ -337,7 +430,7 @@ def run_analyze(
     raw_scores = []
     selection_scores = []
     for step in range(1, trace.steps + 1):
-        raw, ranked = step_scores(trace, step, mode, averaging)
+        raw, ranked = step_scores(trace.probs[step - 1], step, mode, averaging)
         raw_scores.extend(raw)
         selection_scores.extend(ranked)
 

@@ -17,11 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .coreattn import InjectionPlan, apply_injection
+from .coreattn import (
+    CoreTokenSet,
+    InjectionPlan,
+    ScoreMode,
+    ScoreVector,
+    apply_injection,
+    step_scores,
+)
 from .errors import ConfigError, ShapeMismatch, TraceMismatch
 from .glyphs import GlyphImage
 from .manifest import RunManifest, StepLog
@@ -37,6 +44,9 @@ from .model import (
     unpatchify,
 )
 from .tensorio import read_tensors, tensors_checksum, write_tensors
+
+if TYPE_CHECKING:
+    from .pipeline import StreamedTrace
 
 # A probe receives (step, t, branch, captures) after each forward. The
 # captures are copies of the forward's attention maps that the probe may keep.
@@ -116,6 +126,13 @@ def euler_step(x: np.ndarray, v: np.ndarray, t_i: float, t_next: float) -> np.nd
 # ---------------------------------------------------------------- trace
 
 
+def trace_meta(t_values: tuple[float, ...], dims: tuple[int, int, int, int]) -> dict[str, str]:
+    """A trace's tensordump meta: its (steps, n_layers, n_heads, n_img) and t values."""
+    meta = dict(zip(("steps", "n_layers", "n_heads", "n_img"), map(str, dims)))
+    meta["t_values"] = ",".join(repr(float(t)) for t in t_values)
+    return meta
+
+
 @dataclass
 class AttentionTrace:
     """I2I logits and probabilities for steps 1..steps at every layer and head.
@@ -126,10 +143,13 @@ class AttentionTrace:
     `logits` has the same shape, or is None in a probs-only trace
     (`reconstruct_capture` with `keep_logits=False`). Core-token selection
     and the coverage/shift metrics read only `probs`; the logit consumers
-    (`step_logits`, `checksum`, `save` and injection through
-    `generate_with_injection`) refuse such a trace with `TraceMismatch`. A
-    plan pairs with the trace object it was built from, never by checksum,
-    so nothing caches the checksum.
+    (`step_logits`, `core_rows`, `checksum` and `save`) refuse such a trace
+    with `TraceMismatch`. A plan pairs with the trace object it was built
+    from, never by checksum, so nothing caches the checksum.
+
+    Only `reconstruct`, `analyze`, `sweep` and `generate --save-trace` hold a
+    full trace; an injected generate keeps a `pipeline.StreamedTrace`, which
+    answers `ranked_scores`, `core_rows` and `checksum` alike.
     """
 
     t_values: tuple[float, ...]
@@ -175,14 +195,16 @@ class AttentionTrace:
     def step_probs(self, step: int, layer: int) -> np.ndarray:
         return self.probs[step - 1, layer]
 
+    def ranked_scores(self, step: int, mode: ScoreMode, averaging: bool) -> list[ScoreVector]:
+        """The vectors core-token selection ranks at 1-based `step` (`step_scores`)."""
+        return step_scores(self.probs[step - 1], step, mode, averaging)[1]
+
+    def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
+        """The (n_heads, k, n_img) logit rows of a core set: what injection writes."""
+        return self.step_logits(step, layer)[:, core.rows(), :]
+
     def _meta(self) -> dict[str, str]:
-        return {
-            "steps": str(self.steps),
-            "n_layers": str(self.n_layers),
-            "n_heads": str(self.n_heads),
-            "n_img": str(self.n_img),
-            "t_values": ",".join(repr(float(t)) for t in self.t_values),
-        }
+        return trace_meta(self.t_values, self.probs.shape[:4])
 
     def _tensors(self) -> dict[str, np.ndarray]:
         return {"logits": self._logits(), "probs": self.probs}
@@ -225,7 +247,8 @@ def reconstruct_capture(
     cfg: SamplerConfig | None = None,
     probe: ProbeFn | None = None,
     keep_logits: bool = True,
-) -> AttentionTrace:
+    on_step: Callable[[int, float, np.ndarray | None, np.ndarray], None] | None = None,
+) -> AttentionTrace | None:
     """Capture I2I attention while re-noising the glyph at each captured step.
 
     For step i <= cutoff_step: x_{t_i} = noise_to(patchify(glyph), t_i, eps)
@@ -237,6 +260,12 @@ def reconstruct_capture(
     With keep_logits=False only the probabilities are allocated and filled,
     which halves the trace; the result can drive selection and metrics but
     not injection (see `AttentionTrace`).
+
+    With `on_step` set no trace is built and None is returned: every step
+    writes into one (n_layers, n_heads, n_img, n_img) logits/probs pair,
+    handed to on_step(step, t, logits, probs) after the forward (and the
+    probe) and overwritten by the next step; logits is None when
+    keep_logits=False.
     """
     cfg = cfg or SamplerConfig()
     mcfg = weights.cfg
@@ -246,7 +275,8 @@ def reconstruct_capture(
     knots = cfg.knots()
 
     n_steps = cfg.cutoff_step
-    shape = (n_steps, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, mcfg.n_img)
+    n_slots = n_steps if on_step is None else 1
+    shape = (n_slots, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, mcfg.n_img)
     logits = np.empty(shape, dtype=np.float64) if keep_logits else None
     probs = np.empty(shape, dtype=np.float64)
     t_values = []
@@ -256,23 +286,29 @@ def reconstruct_capture(
         t_values.append(t_i)
         x_t = noise_to(x0, t_i, eps)
         tokens = TokenSequence(text=text, image=embed_patches(weights, x_t))
+        slot = (i - 1) % n_slots
         hook = AttentionHook(
             store_logits=probe is not None,
             store_probs=probe is not None,
             step=i,
-            i2i_out=(None if logits is None else logits[i - 1], probs[i - 1]),
+            i2i_out=(None if logits is None else logits[slot], probs[slot]),
         )
         _, captured = forward(weights, tokens, t_i, hook)
         if probe is not None:
             probe(i, t_i, "recon", captured)
+        if on_step is not None:
+            on_step(i, t_i, *hook.i2i_out)
 
+    if on_step is not None:
+        return None
     return AttentionTrace(t_values=tuple(t_values), logits=logits, probs=probs)
 
 
-def _injection_hook(trace: AttentionTrace, plan: InjectionPlan, step: int) -> AttentionHook:
+def _injection_hook(
+    rows: dict[tuple[int, int], np.ndarray], plan: InjectionPlan, step: int
+) -> AttentionHook:
     def override(step_: int, layer: int, head: int, block: np.ndarray) -> np.ndarray:
-        src = trace.step_logits(step_, layer)[head]
-        return apply_injection(block, src, plan.sets[(step_, layer)])
+        return apply_injection(block, rows[(step_, layer)][head], plan.sets[(step_, layer)])
 
     return AttentionHook(override=override, step=step)
 
@@ -280,7 +316,7 @@ def _injection_hook(trace: AttentionTrace, plan: InjectionPlan, step: int) -> At
 def generate_with_injection(
     weights: ModelWeights,
     prompt: str,
-    trace: AttentionTrace | None,
+    trace: "AttentionTrace | StreamedTrace | None",
     plan: InjectionPlan | None,
     cfg: SamplerConfig | None = None,
     probe: ProbeFn | None = None,
@@ -289,21 +325,23 @@ def generate_with_injection(
 
     For steps <= plan.cutoff_step every layer's I2I logit rows listed in the
     plan are replaced by the trace's rows, identically in the conditional and
-    unconditional branches. Pass trace=None, plan=None for a baseline run.
-    The plan must have been built from `trace` itself (`plan.trace is
-    trace`); a trace with the same bytes is still refused, so no trace is
-    hashed here. A probs-only trace, or one whose layers, heads or n_img
-    differ from the model's, is refused before any forward runs.
-    Returns pixels clamped to [0,1] and a manifest skeleton that holds only
-    the step logs: the weights and trace checksums are the caller's to add.
+    unconditional branches. `trace` is an `AttentionTrace` or a
+    `pipeline.StreamedTrace`; either gives the plan's (n_heads, k, n_img)
+    rows through `core_rows`, read once before the first forward. Pass
+    trace=None, plan=None for a baseline run. The plan must have been built
+    from `trace` itself (`plan.trace is trace`); a trace with the same bytes
+    is still refused, so no trace is hashed here. A probs-only trace, or one
+    whose layers, heads or n_img differ from the model's, is refused before
+    any forward runs. Returns pixels clamped to [0,1] and a manifest
+    skeleton that holds only the step logs: the weights and trace checksums
+    are the caller's to add.
     """
     cfg = cfg or SamplerConfig()
     mcfg = weights.cfg
     if (trace is None) != (plan is None):
         raise TraceMismatch("trace and plan must be supplied together")
+    rows = {}
     if plan is not None:
-        if trace.logits is None:
-            raise TraceMismatch("trace holds no logits to inject")
         if plan.trace is not trace:
             raise TraceMismatch("plan was built from a different trace")
         if plan.cutoff_step > trace.steps:
@@ -315,10 +353,12 @@ def generate_with_injection(
                 f"plan cutoff {plan.cutoff_step} exceeds sampler steps {cfg.steps}"
             )
         model_dims = (mcfg.n_layers, mcfg.n_heads, mcfg.n_img)
-        if trace.probs.shape[1:4] != model_dims:
+        trace_dims = (trace.n_layers, trace.n_heads, trace.n_img)
+        if trace_dims != model_dims:
             raise TraceMismatch(
-                f"trace (layers, heads, n_img) {trace.probs.shape[1:4]} != model's {model_dims}"
+                f"trace (layers, heads, n_img) {trace_dims} != model's {model_dims}"
             )
+        rows = {key: trace.core_rows(*key, core) for key, core in plan.sets.items()}
 
     knots = cfg.knots()
     x = draw_noise(cfg.noise_seed, (mcfg.n_img, mcfg.patch_dim))
@@ -332,7 +372,7 @@ def generate_with_injection(
         t_next = float(knots[i])
         hook = None
         if i <= hooked_steps:
-            hook = _injection_hook(trace, plan, i)
+            hook = _injection_hook(rows, plan, i)
         if probe is not None:
             capture = AttentionHook(
                 store_logits=True,

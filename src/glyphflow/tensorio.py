@@ -29,8 +29,9 @@ The checksum of named tensors and string meta is one sha256 over:
 A tensor's bytes are the ones a dump would hold (dtype token as above,
 little-endian, C order); its last chunk may be shorter, and an empty tensor
 adds no digest. The chunk size is a constant, so a checksum depends on
-neither the machine nor the thread count; the chunk digests are computed on
-one thread per core the process may use.
+neither the machine nor the thread count, nor on how a tensor's bytes are
+split into the pieces a `ChecksumStream` is fed; the chunk digests are
+computed on one thread per core the process may use.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, MalformedHeader
+from .errors import ConfigError, MalformedHeader, ShapeMismatch
 
 _MAGIC = "tensordump 1"
 _END = b"\nend\n"
@@ -211,57 +212,103 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     return tensors, meta
 
 
-def _digest(chunk: np.ndarray) -> bytes:
-    return hashlib.sha256(chunk).digest()
+def _hash(task: tuple) -> bytes | None:
+    """Feed one run of bytes to its chunk's sha256. The run ends that chunk
+    when the task names the chunk's tensor; then the digest is returned."""
+    hasher, run, tensor = task
+    hasher.update(run)
+    return None if tensor is None else hasher.digest()
 
 
-def _sha256_digests(chunks: list[np.ndarray]) -> list[bytes]:
-    """sha256 digest of each chunk, hashed on up to one thread per core.
+def _run_hashes(tasks: list[tuple]) -> list[bytes | None]:
+    """Run hash tasks on up to one thread per core; results in task order.
 
     hashlib releases the GIL while it hashes a large buffer, so the threads
-    run in parallel. With one core or one chunk everything runs on the
-    calling thread.
+    run in parallel. No two tasks share a hasher. With one core or one task
+    everything runs on the calling thread.
     """
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:  # no affinity mask on this platform
         cores = os.cpu_count() or 1
-    workers = min(cores, len(chunks))
+    workers = min(cores, len(tasks))
     if workers <= 1:
-        return list(map(_digest, chunks))
+        return list(map(_hash, tasks))
     # imported here so that an import of glyphflow does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_digest, chunks))
+        return list(pool.map(_hash, tasks))
+
+
+class ChecksumStream:
+    """`tensors_checksum` of tensors whose bytes arrive piece by piece.
+
+    Each tensor is declared up front by name, dtype token and shape, and
+    `update` appends the next C-order piece of any of them. Between calls
+    only the sha256 state of a chunk that a piece left unfinished is kept,
+    never the bytes, so the caller may overwrite a piece once `update`
+    returns.
+    """
+
+    def __init__(self, tensors: dict[str, tuple[str, tuple[int, ...]]]):
+        self._chunk = _CHECKSUM_CHUNK
+        self._heads = dict(tensors)
+        self._fed = dict.fromkeys(tensors, 0)
+        self._digests: dict[str, list[bytes]] = {name: [] for name in tensors}
+        self._open: dict[str, object] = {}  # sha256 of each unfinished chunk
+
+    def update(self, pieces: dict[str, np.ndarray]):
+        """Hash the next bytes of each named tensor, on up to one thread per core."""
+        tasks = []
+        for name, piece in pieces.items():
+            token, canon = _canonical(np.asarray(piece))
+            if token != self._heads[name][0]:
+                raise ConfigError(f"tensor {name!r} declared {self._heads[name][0]}, fed {token}")
+            raw, fed, start = _raw_bytes(canon), self._fed[name], 0
+            while start < raw.size:
+                # the run up to the end of the chunk that byte `fed + start` is in
+                stop = min(raw.size, start + self._chunk - (fed + start) % self._chunk)
+                hasher = self._open.pop(name, None) or hashlib.sha256()
+                if (fed + stop) % self._chunk:
+                    self._open[name] = hasher
+                tasks.append((hasher, raw[start:stop], None if name in self._open else name))
+                start = stop
+            self._fed[name] = fed + raw.size
+        for (_, _, name), digest in zip(tasks, _run_hashes(tasks)):
+            if name is not None:
+                self._digests[name].append(digest)
+
+    def hexdigest(self, meta: dict[str, str] | None = None) -> str:
+        """The checksum of the declared tensors and `meta`; a tensor that did
+        not get exactly its declared bytes is refused."""
+        meta = meta or {}
+        h = hashlib.sha256()
+        for key in sorted(meta):
+            h.update(f"meta {key} {meta[key]}\n".encode())
+        for name in sorted(self._heads):
+            token, shape = self._heads[name]
+            nbytes = math.prod(shape) * _DTYPES[token].itemsize
+            if self._fed[name] != nbytes:
+                raise ShapeMismatch(f"tensor {name!r} got {self._fed[name]} of {nbytes} bytes")
+            h.update(f"tensor {name} {token} {','.join(str(d) for d in shape)}\n".encode())
+            h.update(b"".join(self._digests[name]))
+            if name in self._open:
+                h.update(self._open[name].digest())
+        return h.hexdigest()
 
 
 def tensors_checksum(tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None) -> str:
     """sha256 over sorted meta lines and, per sorted tensor name, its header
     line and the digests of its 8 MiB chunks (the module docstring gives
-    the exact encoding)."""
-    h = hashlib.sha256()
-    for key in sorted(meta or {}):
-        h.update(f"meta {key} {(meta or {})[key]}\n".encode())
-    headers: list[bytes] = []
-    spans: list[tuple[int, int]] = []
-    chunks: list[np.ndarray] = []
-    for name in sorted(tensors):
-        arr = np.asarray(tensors[name])
-        if arr.ndim < 1:
-            arr = arr.reshape(1)
-        token, canon = _canonical(arr)
-        shape = ",".join(str(d) for d in canon.shape)
-        headers.append(f"tensor {name} {token} {shape}\n".encode())
-        raw = _raw_bytes(canon)
-        first = len(chunks)
-        chunks += [raw[i : i + _CHECKSUM_CHUNK] for i in range(0, raw.size, _CHECKSUM_CHUNK)]
-        spans.append((first, len(chunks)))
-    digests = _sha256_digests(chunks)
-    for header, (first, stop) in zip(headers, spans):
-        h.update(header)
-        h.update(b"".join(digests[first:stop]))
-    return h.hexdigest()
+    the exact encoding): a `ChecksumStream` fed each whole tensor."""
+    canon = {}
+    for name, arr in tensors.items():
+        arr = np.asarray(arr)
+        canon[name] = _canonical(arr.reshape(1) if arr.ndim < 1 else arr)
+    stream = ChecksumStream({name: (token, c.shape) for name, (token, c) in canon.items()})
+    stream.update({name: c for name, (_, c) in canon.items()})
+    return stream.hexdigest(meta)
 
 
 def file_checksum(path) -> str:

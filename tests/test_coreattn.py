@@ -165,15 +165,15 @@ def test_cumulative_update_mismatches():
 def test_step_scores_per_mode():
     layer_scores = [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]
     trace = make_trace(layer_scores, steps=2)
-    raw, ranked = step_scores(trace, 2, ScoreMode.ROW_MASS, averaging=True)
+    raw, ranked = step_scores(trace.probs[1], 2, ScoreMode.ROW_MASS, averaging=True)
     assert [(s.step, s.layer) for s in raw] == [(2, 0), (2, 1), (2, 2)]
     assert all(s.mode == ScoreMode.ROW_MASS for s in raw)
     assert np.allclose([s.scores for s in raw], layer_scores)
     assert np.allclose([s.scores for s in ranked], [[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
     assert [s.layer for s in ranked] == [0, 1, 2]
-    raw_off, ranked_off = step_scores(trace, 2, ScoreMode.ROW_MASS, averaging=False)
+    raw_off, ranked_off = step_scores(trace.probs[1], 2, ScoreMode.ROW_MASS, averaging=False)
     assert ranked_off is raw_off
-    raw_var, ranked_var = step_scores(trace, 2, ScoreMode.LAYER_VARIANCE, averaging=True)
+    raw_var, ranked_var = step_scores(trace.probs[1], 2, ScoreMode.LAYER_VARIANCE, averaging=True)
     assert all(s.mode == ScoreMode.ROW_MASS for s in raw_var)
     (var,) = ranked_var
     assert (var.step, var.layer, var.mode) == (2, 2, ScoreMode.LAYER_VARIANCE)
@@ -343,12 +343,12 @@ def test_variance_mode_needs_two_layers():
 def test_apply_injection_hand_case():
     gen = np.array([[1.0, 2.0], [3.0, 4.0]])
     src = np.array([[9.0, 8.0], [7.0, 6.0]])
-    out = apply_injection(gen, src, make_set([0], 2))
+    out = apply_injection(gen, src[[0]], make_set([0], 2))
     assert out is gen  # rows are replaced in place
     assert np.array_equal(gen, [[9.0, 8.0], [3.0, 4.0]])
     assert np.array_equal(src, [[9.0, 8.0], [7.0, 6.0]])  # source untouched
     empty = make_set([], 2, ratio=0.0)
-    assert np.array_equal(apply_injection(gen, src, empty), [[9.0, 8.0], [3.0, 4.0]])
+    assert np.array_equal(apply_injection(gen, src[:0], empty), [[9.0, 8.0], [3.0, 4.0]])
     assert np.array_equal(apply_injection(gen, src, make_set([0, 1], 2)), src)
 
 
@@ -357,10 +357,11 @@ def test_apply_injection_idempotent_and_commutative(rng):
     src = rng.random((6, 6))
     a = make_set([1, 4], 6)
     b = make_set([0, 5], 6)
-    once = apply_injection(gen.copy(), src, a)
-    assert np.array_equal(apply_injection(once.copy(), src, a), once)
-    ab = apply_injection(apply_injection(gen.copy(), src, a), src, b)
-    ba = apply_injection(apply_injection(gen.copy(), src, b), src, a)
+    rows_a, rows_b = src[a.rows()], src[b.rows()]
+    once = apply_injection(gen.copy(), rows_a, a)
+    assert np.array_equal(apply_injection(once.copy(), rows_a, a), once)
+    ab = apply_injection(apply_injection(gen.copy(), rows_a, a), rows_b, b)
+    ba = apply_injection(apply_injection(gen.copy(), rows_b, b), rows_a, a)
     assert np.array_equal(ab, ba)
     assert not np.array_equal(ab, gen)
 
@@ -370,7 +371,9 @@ def test_apply_injection_errors(rng):
     with pytest.raises(ShapeMismatch):
         apply_injection(gen, rng.random((3, 3)), make_set([0], 4))
     with pytest.raises(ShapeMismatch):
-        apply_injection(rng.random((2, 3)), rng.random((2, 3)), make_set([0], 4))
+        apply_injection(gen, rng.random((2, 4)), make_set([0], 4))
+    with pytest.raises(ShapeMismatch):
+        apply_injection(rng.random((2, 3)), rng.random((1, 3)), make_set([0], 4))
     with pytest.raises(IndexOutOfRange):
         apply_injection(rng.random((2, 2)), rng.random((2, 2)), make_set([1, 3], 4))
 

@@ -5,6 +5,7 @@ from glyphflow import (
     ConfigError,
     GlyphImage,
     Layout,
+    NonFiniteValue,
     ShapeMismatch,
     TextOverflow,
     builtin_font,
@@ -136,6 +137,16 @@ def test_glyph_image_validation(rng):
         GlyphImage(pixels=pix * 2.0)
     with pytest.raises(ConfigError):
         GlyphImage(pixels=-pix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_glyph_image_rejects_non_finite_pixels(bad):
+    pix = np.full((8, 8), 0.5)
+    pix[3, 4] = bad
+    with pytest.raises(NonFiniteValue):
+        GlyphImage(pixels=pix)
+    with pytest.raises(NonFiniteValue):
+        GlyphImage(pixels=np.full((8, 8), bad))
 
 
 def test_load_glyph_bitmap_threshold_and_padding(tmp_path):

@@ -248,6 +248,73 @@ def test_checksum_at_chunk_boundaries(monkeypatch, chunk, nbytes, n_digests):
     assert tensors_checksum({"a": values}) == want.hexdigest()
 
 
+def _stream(tensors, meta, feeds):
+    """ChecksumStream of `tensors`, fed the (name, start, stop) element ranges
+    of their flat arrays, one update per inner list."""
+    stream = tensorio.ChecksumStream({name: ("f8", arr.shape) for name, arr in tensors.items()})
+    for feed in feeds:
+        stream.update({name: tensors[name].reshape(-1)[a:b] for name, a, b in feed})
+    return stream.hexdigest(meta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.sampled_from([8, 24, 40, 64]),
+    st.lists(st.integers(0, 60), max_size=12),
+    st.lists(st.integers(0, 60), max_size=12),
+)
+def test_streamed_checksum_equals_tensors_checksum(steps, chunk, cuts_a, cuts_b):
+    """Random split points, repeated points (zero-length pieces) and steps=0
+    (empty tensors); each update carries one piece of each tensor, as a
+    capture step does, and pieces straddle chunks of 1, 3, 5 or 8 floats."""
+    rng = np.random.default_rng(steps)
+    tensors = {"logits": rng.standard_normal((steps, 3, 5)), "probs": rng.random((steps, 3, 5))}
+    meta = {"steps": str(steps)}
+    size = steps * 15
+
+    def ranges(cuts):
+        points = [0] + sorted(min(c, size) for c in cuts) + [size]
+        return list(zip(points, points[1:]))
+
+    a, b = ranges(cuts_a), ranges(cuts_b)
+    feeds = []
+    for i in range(max(len(a), len(b))):
+        feeds.append([("logits", *a[i])] if i < len(a) else [])
+        feeds[-1] += [("probs", *b[i])] if i < len(b) else []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensorio, "_CHECKSUM_CHUNK", chunk)
+        want = tensors_checksum(tensors, meta)
+        assert _stream(tensors, meta, feeds) == want
+    assert want == _tobytes_checksum(tensors, meta, chunk)
+
+
+def test_streamed_checksum_pieces_straddle_chunks(monkeypatch, rng):
+    monkeypatch.setattr(tensorio, "_CHECKSUM_CHUNK", 16)  # 2 floats
+    tensors = {"a": rng.standard_normal(11), "b": rng.standard_normal(4)}
+    want = tensors_checksum(tensors)
+    # 3-float pieces start inside a chunk from the second one on; empty pieces in between
+    feeds = [[("a", i, min(i + 3, 11))] for i in range(0, 11, 3)]
+    feeds += [[("a", 11, 11), ("b", 0, 0)], [("b", 0, 1)], [("b", 1, 4)]]
+    assert _stream(tensors, None, feeds) == want
+    # the empty (0-step) tensor: declared, never fed, or fed only empty pieces
+    empty = {"a": np.empty((0, 2, 3))}
+    assert _stream(empty, None, []) == _stream(empty, None, [[("a", 0, 0)]])
+    assert _stream(empty, None, []) == tensors_checksum(empty)
+
+
+def test_streamed_checksum_refuses_wrong_bytes():
+    stream = tensorio.ChecksumStream({"a": ("f8", (2, 3))})
+    with pytest.raises(ConfigError):
+        stream.update({"a": np.zeros(3, dtype=np.int64)})
+    stream.update({"a": np.zeros(4)})
+    with pytest.raises(GlyphFlowError, match="32 of 48 bytes"):
+        stream.hexdigest()
+    stream.update({"a": np.zeros(3)})
+    with pytest.raises(GlyphFlowError, match="56 of 48 bytes"):
+        stream.hexdigest()
+
+
 _ONE_CPU_CHECKSUM = """
 import os
 import numpy as np
