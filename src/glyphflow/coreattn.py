@@ -243,17 +243,21 @@ class InjectionPlan:
 
     `trace` is that trace itself, an `AttentionTrace` or a
     `pipeline.StreamedTrace`, held by reference; plan equality ignores it.
-    The plan's layer count and n_img are the trace's.
+    The plan's layer count and n_img are the trace's, and its cutoff is at
+    most the trace's step count. The scoring mode and averaging flag that
+    chose each set are in that set's `source`.
     """
 
     trace: "AttentionTrace | StreamedTrace" = field(repr=False, compare=False)
     cutoff_step: int
     ratio: float
-    mode: ScoreMode
-    averaging: bool
     sets: dict[tuple[int, int], CoreTokenSet]
 
     def __post_init__(self):
+        if self.cutoff_step > self.trace.steps:
+            raise TraceMismatch(
+                f"plan cutoff {self.cutoff_step} exceeds trace steps {self.trace.steps}"
+            )
         layers = range(self.trace.n_layers)
         want = {(s, l) for s in range(1, self.cutoff_step + 1) for l in layers}
         have = set(self.sets)
@@ -300,14 +304,7 @@ def build_injection(
         for layer, core in enumerate(chosen):
             sets[(step, layer)] = core
 
-    return InjectionPlan(
-        trace=trace,
-        cutoff_step=cutoff,
-        ratio=ratio,
-        mode=mode,
-        averaging=averaging,
-        sets=sets,
-    )
+    return InjectionPlan(trace=trace, cutoff_step=cutoff, ratio=ratio, sets=sets)
 
 
 def apply_injection(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
 
@@ -37,19 +37,7 @@ class RunManifest:
     error: dict[str, str] | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "step_logs": [
-                {"step": s.step, "t": s.t, "injected_layer_count": s.injected_layer_count}
-                for s in self.step_logs
-            ],
-            "outputs": dict(sorted(self.outputs.items())),
-            "metrics": dict(sorted(self.metrics.items())),
-            "checksums": dict(sorted(self.checksums.items())),
-            "error": self.error,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -138,6 +138,9 @@ class AttentionHook:
     arrays; when set, every layer writes its post-override I2I blocks
     straight into them, with no full-map capture. A logits slot of None is
     skipped.
+
+    A hook with no flag, override or sink set runs the same forward as no
+    hook, so a caller may build one hook per step whatever it turns on.
     """
 
     store_logits: bool = False

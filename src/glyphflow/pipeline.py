@@ -31,7 +31,7 @@ from .errors import (
     TraceMismatch,
 )
 from .glyphs import GlyphImage, glyph_mask_patches, load_glyph_bitmap, rasterize_text
-from .manifest import VERSION, RunManifest
+from .manifest import RunManifest
 from .metrics import (
     RowMasses,
     char_f1,
@@ -75,7 +75,7 @@ def build_prompt(word: str, style: str) -> PromptRecord:
 
 
 def load_dataset(path) -> list[PromptRecord]:
-    """JSON array of {word, style} objects; other keys are ignored."""
+    """JSON array of {word, style} objects with string values; other keys are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -85,9 +85,11 @@ def load_dataset(path) -> list[PromptRecord]:
         raise ConfigError("dataset must be a JSON array")
     records = []
     for i, item in enumerate(doc):
-        if not isinstance(item, dict) or "word" not in item or "style" not in item:
-            raise ConfigError(f"dataset entry {i} needs word and style")
-        records.append(build_prompt(str(item["word"]), str(item["style"])))
+        if not isinstance(item, dict) or not all(
+            isinstance(item.get(key), str) for key in ("word", "style")
+        ):
+            raise ConfigError(f"dataset entry {i} needs a string word and style")
+        records.append(build_prompt(item["word"], item["style"]))
     return records
 
 
@@ -314,7 +316,6 @@ def write_error_manifest(out_dir: str, config: RunConfig, exc: Exception) -> str
     try:
         os.makedirs(out_dir, exist_ok=True)
         manifest = RunManifest(
-            version=VERSION,
             config_hash=config_hash(config),
             error={"type": type(exc).__name__, "message": str(exc)},
         )

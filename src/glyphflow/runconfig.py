@@ -50,6 +50,10 @@ class IOConfig:
     def __post_init__(self):
         if self.scale < 1:
             raise ConfigError("io.scale must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" and (value != value.strip() or "\n" in value):
+                raise ConfigError(f"io.{f.name} must be a trimmed single line, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,17 +124,13 @@ def _decode(key: str, tag: str, raw: str):
     raise ConfigError(f"unknown schema tag {tag}")
 
 
-def _encode(key: str, tag: str, value) -> str:
-    if tag == "int":
+def _encode(tag: str, value) -> str:
+    if tag in ("int", "str"):
         return str(value)
     if tag == "float":
         return repr(float(value))
     if tag == "bool":
         return "true" if value else "false"
-    if tag == "str":
-        if value != value.strip() or "\n" in value:
-            raise ConfigError(f"string value for {key} must be trimmed single-line")
-        return value
     if tag in ("mode", "layout"):
         return value.value
     if tag == "floats":
@@ -145,7 +145,7 @@ def serialize(config: RunConfig) -> str:
     for key in sorted(_SCHEMA):
         section, name, tag = _SCHEMA[key]
         value = getattr(getattr(config, section), name)
-        lines.append(f"{key} = {_encode(key, tag, value)}".rstrip())
+        lines.append(f"{key} = {_encode(tag, value)}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -190,8 +190,10 @@ def parse_file(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-# keys that only an injected run reads: plan selection and its cutoff
-_INJECTION_KEYS = ("injection.ratio", "injection.mode", "injection.averaging", "sampler.cutoff")
+# keys that only an injected run reads: plan selection, its cutoff, and the
+# reconstruction capture's prompt and trace file
+_INJECTION_KEYS = ("injection.ratio", "injection.mode", "injection.averaging", "sampler.cutoff",
+                   "io.recon_prompt", "io.save_trace")
 
 
 def config_hash(config: RunConfig, inputs: dict[str, str] | None = None) -> str:

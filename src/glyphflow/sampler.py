@@ -192,9 +192,6 @@ class AttentionTrace:
         """Per-head I2I logits for 1-based step."""
         return self._logits()[step - 1, layer]
 
-    def step_probs(self, step: int, layer: int) -> np.ndarray:
-        return self.probs[step - 1, layer]
-
     def ranked_scores(self, step: int, mode: ScoreMode, averaging: bool) -> list[ScoreVector]:
         """The vectors core-token selection ranks at 1-based `step` (`step_scores`)."""
         return step_scores(self.probs[step - 1], step, mode, averaging)[1]
@@ -304,15 +301,6 @@ def reconstruct_capture(
     return AttentionTrace(t_values=tuple(t_values), logits=logits, probs=probs)
 
 
-def _injection_hook(
-    rows: dict[tuple[int, int], np.ndarray], plan: InjectionPlan, step: int
-) -> AttentionHook:
-    def override(step_: int, layer: int, head: int, block: np.ndarray) -> np.ndarray:
-        return apply_injection(block, rows[(step_, layer)][head], plan.sets[(step_, layer)])
-
-    return AttentionHook(override=override, step=step)
-
-
 def generate_with_injection(
     weights: ModelWeights,
     prompt: str,
@@ -332,22 +320,22 @@ def generate_with_injection(
     from `trace` itself (`plan.trace is trace`); a trace with the same bytes
     is still refused, so no trace is hashed here. A probs-only trace, or one
     whose layers, heads or n_img differ from the model's, is refused before
-    any forward runs. Returns pixels clamped to [0,1] and a manifest
-    skeleton that holds only the step logs: the weights and trace checksums
-    are the caller's to add.
+    any forward runs.
+
+    Each step builds one `AttentionHook` that both branches share: its
+    override is the injection through the cutoff and None after it, and it
+    stores full maps for the probe when one is given. Returns pixels clamped
+    to [0,1] and a manifest skeleton that holds only the step logs: the
+    weights and trace checksums are the caller's to add.
     """
     cfg = cfg or SamplerConfig()
     mcfg = weights.cfg
     if (trace is None) != (plan is None):
         raise TraceMismatch("trace and plan must be supplied together")
-    rows = {}
+    inject = None
     if plan is not None:
         if plan.trace is not trace:
             raise TraceMismatch("plan was built from a different trace")
-        if plan.cutoff_step > trace.steps:
-            raise TraceMismatch(
-                f"plan cutoff {plan.cutoff_step} exceeds trace steps {trace.steps}"
-            )
         if plan.cutoff_step > cfg.steps:
             raise TraceMismatch(
                 f"plan cutoff {plan.cutoff_step} exceeds sampler steps {cfg.steps}"
@@ -360,6 +348,9 @@ def generate_with_injection(
             )
         rows = {key: trace.core_rows(*key, core) for key, core in plan.sets.items()}
 
+        def inject(step: int, layer: int, head: int, block: np.ndarray) -> np.ndarray:
+            return apply_injection(block, rows[(step, layer)][head], plan.sets[(step, layer)])
+
     knots = cfg.knots()
     x = draw_noise(cfg.noise_seed, (mcfg.n_img, mcfg.patch_dim))
     text_cond = embed_prompt(prompt, weights)
@@ -370,17 +361,12 @@ def generate_with_injection(
     for i in range(1, cfg.steps + 1):
         t_i = float(knots[i - 1])
         t_next = float(knots[i])
-        hook = None
-        if i <= hooked_steps:
-            hook = _injection_hook(rows, plan, i)
-        if probe is not None:
-            capture = AttentionHook(
-                store_logits=True,
-                store_probs=True,
-                step=i,
-                override=hook.override if hook is not None else None,
-            )
-            hook = capture
+        hook = AttentionHook(
+            store_logits=probe is not None,
+            store_probs=probe is not None,
+            override=inject if i <= hooked_steps else None,
+            step=i,
+        )
 
         # forward copies its tokens, so both branches can share one embedding
         image = embed_patches(weights, x)

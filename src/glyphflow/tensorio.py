@@ -49,6 +49,8 @@ _END = b"\nend\n"
 _DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8")}
 _MAX_NBYTES = np.iinfo(np.int64).max
 _HEADER_CHUNK = 1 << 16
+# the longest header, in bytes before the end marker, that is written or read
+_MAX_HEADER = 16 << 20
 # part of the checksum's definition: changing it changes every checksum
 _CHECKSUM_CHUNK = 8 << 20
 
@@ -104,24 +106,38 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | N
         lines.append(f"tensor {name} {token} {shape} {offset}")
         arrays.append(canon)
         offset += canon.nbytes
-    lines.append("end")
+    header = "\n".join(lines).encode("ascii")
+    if len(header) > _MAX_HEADER:
+        raise ConfigError(f"header of {len(header)} bytes exceeds {_MAX_HEADER}")
 
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(header + _END)
         for canon in arrays:
             fh.write(_raw_bytes(canon))
 
 
 def _read_header(fh) -> tuple[str, int]:
-    """The ASCII header before the end marker, and the payload's file offset."""
-    head = bytearray()
-    while (cut := head.find(_END)) < 0:
-        chunk = fh.read(_HEADER_CHUNK)
-        if not chunk:
-            raise MalformedHeader("missing end marker")
-        head += chunk
+    """The ASCII header before the end marker, and the payload's file offset.
+
+    Each block is searched once, together with the last len(_END) - 1 bytes
+    of the one before, and no more than `_MAX_HEADER` header bytes and the
+    marker are read; the header itself is read again once the marker is found.
+    """
+    tail, read = b"", 0
+    while True:
+        block = fh.read(min(_HEADER_CHUNK, _MAX_HEADER + len(_END) - read))
+        if not block:
+            raise MalformedHeader(f"missing end marker within {_MAX_HEADER} header bytes")
+        window = tail + block
+        hit = window.find(_END)
+        if hit >= 0:
+            break
+        read += len(block)
+        tail = window[-(len(_END) - 1) :]
+    cut = read - len(tail) + hit
+    fh.seek(0)
     try:
-        return head[:cut].decode("ascii"), cut + len(_END)
+        return fh.read(cut).decode("ascii"), cut + len(_END)
     except UnicodeDecodeError as exc:
         raise MalformedHeader("header is not ASCII") from exc
 

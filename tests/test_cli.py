@@ -5,6 +5,7 @@ import argparse
 import numpy as np
 import pytest
 
+import glyphflow.sampler
 from glyphflow import (
     AttentionTrace,
     RunConfig,
@@ -197,6 +198,37 @@ def test_dataset_record_selection(tmp_path, conf):
               "--out-dir", d])
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "flags, records",
+    [
+        (["--style", "bold "], None),
+        (["--predicted", "A\nB"], None),
+        ([], '[{"word": "A", "style": "x "}]'),
+    ],
+)
+def test_untrimmed_io_string_exits_2_before_any_forward(
+    monkeypatch, tmp_path, conf, capsys, flags, records
+):
+    forwards = []
+    real_forward = glyphflow.sampler.forward
+
+    def counted(*args, **kwargs):
+        forwards.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(glyphflow.sampler, "forward", counted)
+    if records is not None:
+        data = tmp_path / "set.json"
+        data.write_text(records)
+        flags = ["--dataset", str(data)]
+    d = tmp_path / "o"
+    assert main(["generate", "--config", conf, "--out-dir", str(d), *flags]) == 2
+    assert "trimmed single line" in capsys.readouterr().err
+    assert forwards == [] and not d.exists()
+    assert main(["generate", "--config", conf, "--out-dir", str(d)]) == 0
+    assert forwards
 
 
 def test_sweep_exit_codes(tmp_path, conf, capsys):

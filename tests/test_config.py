@@ -154,8 +154,12 @@ def test_config_hash_covers_every_key():
 
 
 def test_baseline_config_hash_covers_the_keys_it_reads():
-    # a run with injection off reads neither the plan settings nor the cutoff
-    unread = {"injection.ratio", "injection.mode", "injection.averaging", "sampler.cutoff"}
+    # a run with injection off reads neither the plan settings, the cutoff,
+    # nor the reconstruction capture's prompt and trace file
+    unread = {
+        "injection.ratio", "injection.mode", "injection.averaging", "sampler.cutoff",
+        "io.recon_prompt", "io.save_trace",
+    }
     base = apply_overrides(RunConfig(), {"injection.enabled": False})
     base_hash = config_hash(base, {"glyph": "aa"})
     seen = set()

@@ -11,6 +11,7 @@ from glyphflow import (
     EmptyTrace,
     FewerThanTwoLayers,
     IndexOutOfRange,
+    InjectionPlan,
     ModeMismatch,
     ScoreMode,
     ScoreVector,
@@ -301,6 +302,8 @@ def test_build_injection_cutoff_and_ratio_zero():
     assert all(core.indices == () for core in empty.sets.values())
     with pytest.raises(TraceMismatch):
         build_injection(trace, ratio=0.5, cutoff_step=3)
+    with pytest.raises(TraceMismatch, match="exceeds trace steps"):
+        InjectionPlan(trace=trace, cutoff_step=3, ratio=0.5, sets={})
     with pytest.raises(ConfigError):
         build_injection(trace, ratio=1.5)
     none = build_injection(trace, ratio=0.5, cutoff_step=0)

@@ -75,6 +75,10 @@ def test_load_dataset(tmp_path):
     path.write_text(json.dumps([{"word": "x"}]))
     with pytest.raises(ConfigError):
         load_dataset(path)
+    for record in ({"word": None, "style": "bold"}, {"word": "x", "style": 3}):
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ConfigError, match="string word and style"):
+            load_dataset(path)
     with pytest.raises(ConfigError):
         load_dataset(tmp_path / "absent.json")
 
@@ -323,7 +327,7 @@ def test_trace_row_masses_match_the_public_metrics(tiny_trace, tiny_cfg):
     coverages = []
     shifts = []
     for (step, layer), core in sorted(plan.sets.items()):
-        rows = tiny_trace.step_probs(step, layer).mean(axis=0)[core.rows()]
+        rows = tiny_trace.probs[step - 1, layer].mean(axis=0)[core.rows()]
         total = rows.sum(axis=1)
         coverages.append(float(np.mean(rows[:, on].sum(axis=1) / total)))
         shifts.append(float(np.mean(rows[:, ~on].sum(axis=1) / total)))

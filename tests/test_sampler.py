@@ -191,7 +191,6 @@ def test_probs_only_capture_equals_full_probs(tiny_weights, tiny_glyph, tiny_sam
     lean = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, keep_logits=False)
     assert lean.logits is None
     assert lean.probs.tobytes() == tiny_trace.probs.tobytes()
-    assert lean.step_probs(2, 1).tobytes() == tiny_trace.step_probs(2, 1).tobytes()
 
 
 def test_probs_only_trace_refuses_logit_consumers(
@@ -266,7 +265,7 @@ def test_trace_holds_the_probed_i2i_blocks(tiny_weights, tiny_glyph, tiny_sample
     for step, caps in seen.items():
         for layer, att in caps.items():
             assert trace.step_logits(step, layer).tobytes() == att.i2i("logits").tobytes()
-            assert trace.step_probs(step, layer).tobytes() == att.i2i("probs").tobytes()
+            assert trace.probs[step - 1, layer].tobytes() == att.i2i("probs").tobytes()
 
 
 def test_generate_baseline_deterministic(tiny_weights, tiny_sampler):
@@ -300,6 +299,51 @@ def test_generate_with_plan_logs_and_counts(tiny_weights, tiny_trace, tiny_sampl
     assert counts == [2, 2, 0, 0]
     # hooked (step, layer) combinations: cutoff_step * n_layers
     assert len(pairs) == plan.cutoff_step * tiny_weights.cfg.n_layers
+
+
+@pytest.mark.parametrize(
+    "injected, with_probe, kinds",
+    [
+        (True, False, ["override"] * 4 + ["plain"] * 4),
+        (True, True, ["override"] * 4 + ["capture"] * 4),
+        (False, True, ["capture"] * 8),
+        (False, False, ["plain"] * 8),
+    ],
+)
+def test_generate_hook_kind_per_forward(
+    monkeypatch, tiny_weights, tiny_trace, tiny_sampler, injected, with_probe, kinds
+):
+    # each forward classified as the benchmark tracer does: override when the
+    # hook rewrites logits, capture when it only stores maps, plain otherwise
+    seen, override_calls = [], []
+    real_forward = glyphflow.sampler.forward
+
+    def classify(weights, tokens, t, hook):
+        if hook is not None and hook.override is not None:
+            seen.append("override")
+            inner = hook.override
+
+            def counted(*args):
+                override_calls.append(args[:3])
+                return inner(*args)
+
+            hook = dataclasses.replace(hook, override=counted)
+        elif hook is not None and (hook.store_logits or hook.store_probs):
+            seen.append("capture")
+        else:
+            seen.append("plain")
+        return real_forward(weights, tokens, t, hook)
+
+    monkeypatch.setattr(glyphflow.sampler, "forward", classify)
+    plan = build_injection(tiny_trace, ratio=0.25) if injected else None
+    trace = tiny_trace if injected else None
+    probe = (lambda *args: None) if with_probe else None
+    generate_with_injection(tiny_weights, "x", trace, plan, tiny_sampler, probe=probe)
+    assert (tiny_sampler.steps, tiny_sampler.cutoff_step) == (4, 2)
+    assert seen == kinds
+    cfg = tiny_weights.cfg
+    # cutoff steps x two branches x every (layer, head)
+    assert len(override_calls) == (2 * 2 * cfg.n_layers * cfg.n_heads if injected else 0)
 
 
 def test_generate_trace_plan_pairing(tiny_weights, tiny_glyph, tiny_trace, tiny_sampler):

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,45 @@ def test_malformed_files(tmp_path):
         path.write_bytes(raw)
         with pytest.raises(MalformedHeader):
             read_tensors(path)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 64])
+def test_end_marker_found_across_block_boundaries(monkeypatch, tmp_path, block):
+    path = tmp_path / "dump.bin"
+    write_tensors(path, {"a": np.arange(3.0)}, meta={"k": "x" * 40})
+    monkeypatch.setattr(tensorio, "_HEADER_CHUNK", block)
+    tensors, meta = read_tensors(path)
+    assert tensors["a"].tolist() == [0.0, 1.0, 2.0] and meta == {"k": "x" * 40}
+
+
+def test_header_without_end_marker_is_refused_in_bounded_memory(monkeypatch, tmp_path):
+    bound = 4 * tensorio._HEADER_CHUNK
+    monkeypatch.setattr(tensorio, "_MAX_HEADER", bound)
+    path = tmp_path / "zeros.bin"
+    path.write_bytes(bytes(2 * bound))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedHeader, match="missing end marker"):
+            read_tensors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound + tensorio._HEADER_CHUNK
+
+
+def test_header_bound_is_the_same_for_write_and_read(monkeypatch, tmp_path):
+    path = tmp_path / "dump.bin"
+    tensors, meta = {"a": np.zeros(2)}, {"k": "v" * 100}
+    write_tensors(path, tensors, meta=meta)
+    header_len = path.read_bytes().index(b"\nend\n")
+    monkeypatch.setattr(tensorio, "_MAX_HEADER", header_len)
+    write_tensors(path, tensors, meta=meta)
+    assert read_tensors(path)[1] == meta
+    monkeypatch.setattr(tensorio, "_MAX_HEADER", header_len - 1)
+    with pytest.raises(MalformedHeader, match="missing end marker"):
+        read_tensors(path)
+    with pytest.raises(ConfigError, match="exceeds"):
+        write_tensors(path, tensors, meta=meta)
 
 
 def test_checksum_insensitive_to_insertion_order(rng):
