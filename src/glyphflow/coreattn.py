@@ -2,9 +2,10 @@
 across layers, select top-k sets, and build row-replacement plans.
 
 Scores always come from head-averaged statistics of I2I probability maps; the
-same selected set drives every head during injection. `step_scores` is the one
-scoring and averaging path and `select_step` the one selection path:
-`build_injection` and `pipeline.StreamedTrace` select through both, and
+same selected set drives every head during injection. `StepScorer` is the one
+scoring and averaging path and `select_layer` the one selection path. A full
+trace goes through `step_scores` and `select_step`, which wrap them;
+`pipeline.StreamedTrace` calls them as the capture produces each layer; and
 `pipeline.run_analyze` reports the scores. The coverage and shift of the
 selected rows are measured by `metrics.row_masses` and `metrics.row_fraction`.
 """
@@ -176,29 +177,58 @@ def cumulative_update(state: CumulativeScore, s: ScoreVector) -> CumulativeScore
     return CumulativeScore(mean=mean, layers_absorbed=count, mode=state.mode)
 
 
+class StepScorer:
+    """One captured step's scores, folded layer by layer as the layers arrive.
+
+    `add` scores the next layer's (n_heads, n_img, n_img) I2I probabilities
+    with `token_scores` (row_mass in layer_variance mode) and returns the
+    vector that ranks that layer: the running mean of layers 1..L through
+    `cumulative_update` (averaging on) or the raw vector (averaging off). In
+    layer_variance mode it returns None, because the step's one variance
+    vector exists only once every layer is in; `ranked` then gives it.
+    """
+
+    def __init__(self, step: int, mode: ScoreMode, averaging: bool):
+        self.step, self.mode, self.averaging = step, mode, averaging
+        self.raw: list[ScoreVector] = []
+        self._means: list[ScoreVector] = []
+        self._state: CumulativeScore | None = None
+
+    def add(self, probs: np.ndarray) -> ScoreVector | None:
+        base = ScoreMode.ROW_MASS if self.mode == ScoreMode.LAYER_VARIANCE else self.mode
+        s = token_scores(probs, base, len(self.raw), self.step)
+        self.raw.append(s)
+        if self.mode == ScoreMode.LAYER_VARIANCE:
+            return None
+        if not self.averaging:
+            return s
+        self._state = cumulative_update(self._state or CumulativeScore.empty(s.n_img, self.mode), s)
+        self._means.append(self._state.to_score_vector(s.layer, self.step))
+        return self._means[-1]
+
+    def ranked(self) -> list[ScoreVector]:
+        """The vectors selection ranks, over the layers added so far."""
+        if self.mode == ScoreMode.LAYER_VARIANCE:
+            return [variance_scores(self.raw)]
+        return self._means if self.averaging else self.raw
+
+
 def step_scores(
     probs: np.ndarray, step: int, mode: ScoreMode, averaging: bool
 ) -> tuple[list[ScoreVector], list[ScoreVector]]:
     """Per-layer raw scores of one captured step, and the vectors selection ranks.
 
     `probs` is the step's (n_layers, n_heads, n_img, n_img) I2I probability
-    block. Raw scores are row_mass in layer_variance mode. The ranked vectors
-    are the running means of layers 1..L (averaging on), the raw vectors
-    (averaging off), or the single per-step variance vector (layer_variance
-    mode, where averaging has no effect).
+    block, fed to a `StepScorer` one layer at a time. Raw scores are
+    row_mass in layer_variance mode. The ranked vectors are the running
+    means of layers 1..L (averaging on), the raw vectors (averaging off), or
+    the single per-step variance vector (layer_variance mode, where
+    averaging has no effect).
     """
-    base = ScoreMode.ROW_MASS if mode == ScoreMode.LAYER_VARIANCE else mode
-    raw = [token_scores(maps, base, layer, step) for layer, maps in enumerate(probs)]
-    if mode == ScoreMode.LAYER_VARIANCE:
-        return raw, [variance_scores(raw)]
-    if not averaging:
-        return raw, raw
-    state = CumulativeScore.empty(probs.shape[-1], mode)
-    ranked = []
-    for s in raw:
-        state = cumulative_update(state, s)
-        ranked.append(state.to_score_vector(s.layer, step))
-    return raw, ranked
+    scorer = StepScorer(step, mode, averaging)
+    for maps in probs:
+        scorer.add(maps)
+    return scorer.raw, scorer.ranked()
 
 
 def select_core_tokens(s: ScoreVector, ratio: float, averaged: bool = False) -> CoreTokenSet:
@@ -224,6 +254,16 @@ def _empty_set(n_img: int, step: int, layer: int, mode: ScoreMode, averaged: boo
     )
 
 
+def select_layer(
+    ranked: ScoreVector, ratio: float, layer: int, mode: ScoreMode, averaging: bool
+) -> CoreTokenSet:
+    """Layer `layer`'s core set from the vector that ranks it: the layer's own
+    vector, or in layer_variance mode the step's one variance vector."""
+    if mode == ScoreMode.LAYER_VARIANCE:
+        return select_core_tokens(replace(ranked, layer=layer), ratio)
+    return select_core_tokens(ranked, ratio, averaged=averaging)
+
+
 def select_step(
     ranked: Sequence[ScoreVector], ratio: float, n_layers: int, mode: ScoreMode, averaging: bool
 ) -> list[CoreTokenSet]:
@@ -233,8 +273,8 @@ def select_step(
     layer's selection.
     """
     if mode == ScoreMode.LAYER_VARIANCE:
-        return [select_core_tokens(replace(ranked[0], layer=l), ratio) for l in range(n_layers)]
-    return [select_core_tokens(ranked[l], ratio, averaged=averaging) for l in range(n_layers)]
+        ranked = list(ranked) * n_layers
+    return [select_layer(ranked[l], ratio, l, mode, averaging) for l in range(n_layers)]
 
 
 @dataclass

@@ -9,8 +9,8 @@ config fully determines the network bit-for-bit.
 Attention maps are exposed per head as T x T logits (scaled qk^T) and row
 softmax probabilities, partitioned at index t_txt into T2T / T2I / I2T / I2I
 sub-blocks. A hook may rewrite I2I logits after scaling and before softmax,
-may capture either map, and may have the I2I blocks written into arrays it
-supplies.
+may capture either map, and may have each layer's I2I blocks handed to a sink
+as soon as that layer's softmax is done.
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ class JointAttention:
 
 
 OverrideFn = Callable[[int, int, int, np.ndarray], np.ndarray]
+# (layer, i2i_logits, i2i_probs): views of forward's buffers, valid only during the call
+SinkFn = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -134,10 +136,12 @@ class AttentionHook:
     keeps it must copy. `store_logits` and `store_probs` capture full-map
     copies at every layer.
 
-    `i2i_out` is a (logits, probs) pair of (n_layers, n_heads, n_img, n_img)
-    arrays; when set, every layer writes its post-override I2I blocks
-    straight into them, with no full-map capture. A logits slot of None is
-    skipped.
+    `sink` is called once per layer, right after the layer's softmax, as
+    sink(layer, i2i_logits, i2i_probs): both are (n_heads, n_img, n_img)
+    views of forward's buffers, the logits after the override. They are
+    valid only during the call, since the next layer overwrites them, so a
+    sink that keeps any of their bytes copies them; it must not write them.
+    A sink is not a full-map capture.
 
     A hook with no flag, override or sink set runs the same forward as no
     hook, so a caller may build one hook per step whatever it turns on.
@@ -147,7 +151,7 @@ class AttentionHook:
     store_probs: bool = False
     override: OverrideFn | None = None
     step: int = 0
-    i2i_out: tuple[np.ndarray | None, np.ndarray] | None = None
+    sink: SinkFn | None = None
 
 
 # ---------------------------------------------------------------- weights
@@ -394,11 +398,12 @@ def forward(
     Every layer computes its logits and probs in one pair of buffers that
     `weights` owns, so a forward allocates no attention maps. The override
     gets each head's I2I block as a view of the logits buffer, and its return
-    value is assigned back into that view. With `hook.i2i_out` set, each
-    layer's I2I blocks are written straight into it; full-map captures are
-    copies. Because of the shared buffers, forward is not re-entrant on one
-    `ModelWeights`: an override must not call forward on the same weights,
-    and two threads must not run it on them at once.
+    value is assigned back into that view. `hook.sink` gets each layer's I2I
+    blocks as views of the same buffers, right after the layer's softmax;
+    full-map captures are copies.
+    Because of the shared buffers, forward is not re-entrant on one
+    `ModelWeights`: an override or sink must not call forward on the same
+    weights, and two threads must not run it on them at once.
     """
     cfg = weights.cfg
     if not 0.0 <= t <= 1.0:
@@ -412,7 +417,7 @@ def forward(
     t_emb = timestep_embedding(t, cfg.d_model)
     captured: dict[int, JointAttention] = {}
     logits, probs = _attention_buffers(weights)
-    i2i_out = hook.i2i_out if hook is not None else None
+    sink = hook.sink if hook is not None else None
 
     x = tokens.joint()
     for layer, lw in enumerate(weights.layers):
@@ -432,10 +437,8 @@ def forward(
         _require_finite(logits, "attention logits", layer)
 
         _softmax_rows(logits, out=probs)
-        if i2i_out is not None:
-            if i2i_out[0] is not None:
-                i2i_out[0][layer] = logits[:, t_txt:, t_txt:]
-            i2i_out[1][layer] = probs[:, t_txt:, t_txt:]
+        if sink is not None:
+            sink(layer, logits[:, t_txt:, t_txt:], probs[:, t_txt:, t_txt:])
         ctx = (probs @ v).transpose(1, 0, 2).reshape(seq, cfg.d_model)
         x = x + ctx @ lw.wo
 

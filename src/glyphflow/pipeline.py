@@ -17,8 +17,9 @@ from .coreattn import (
     InjectionPlan,
     ScoreMode,
     ScoreVector,
+    StepScorer,
     build_injection,
-    select_step,
+    select_layer,
     step_scores,
 )
 from .errors import (
@@ -118,44 +119,52 @@ def _glyph_checksum(glyph: GlyphImage) -> str:
     return tensors_checksum({"pixels": glyph.pixels, "mask": glyph.mask})
 
 
-def _step_row_masses(probs: np.ndarray, mask_frac: np.ndarray) -> RowMasses:
-    """Head-mean row masses of one step's (n_layers, n_heads, n_img, n_img)
-    probs, one reduction per layer; each field has shape (n_layers, n_img)."""
-    per_layer = [row_masses(maps.mean(axis=0), mask_frac) for maps in probs]
-    return RowMasses(*(np.stack(field) for field in zip(*per_layer)))
-
-
 def _empty_row_masses(steps: int, n_layers: int, n_img: int) -> RowMasses:
     return RowMasses(*(np.empty((steps, n_layers, n_img)) for _ in RowMasses._fields))
 
 
+def _fill_row_masses(table: RowMasses, step: int, layer: int, maps: np.ndarray, mask_frac):
+    """Write the head-mean row masses of one layer's (n_heads, n_img, n_img)
+    probs into the table's (1-based step, layer) slot."""
+    for dst, src in zip(table, row_masses(maps.mean(axis=0), mask_frac)):
+        dst[step - 1, layer] = src
+
+
 def _trace_row_masses(trace: AttentionTrace, mask_frac: np.ndarray) -> RowMasses:
-    """`_step_row_masses` of every captured step, as one table.
+    """`_fill_row_masses` of every captured (step, layer), as one table.
 
     Each field has shape (steps, n_layers, n_img); every plan over the trace
     reads its core rows' coverage and shift from this one table.
     """
     table = _empty_row_masses(trace.steps, trace.n_layers, trace.n_img)
-    for step, probs in enumerate(trace.probs):
-        for dst, src in zip(table, _step_row_masses(probs, mask_frac)):
-            dst[step] = src
+    for step, probs in enumerate(trace.probs, start=1):
+        for layer, maps in enumerate(probs):
+            _fill_row_masses(table, step, layer, maps, mask_frac)
     return table
 
 
 class StreamedTrace:
     """What an injected generate reads of its reconstruction capture, kept
-    step by step instead of as an `AttentionTrace`.
+    layer by layer instead of as an `AttentionTrace`.
 
-    Passed to `reconstruct_capture` as `on_step`, it reduces each step's I2I
-    buffers before the next step overwrites them, with the operations a full
+    Passed to `reconstruct_capture` as `on_layer`, it reduces each layer's
+    I2I views while forward still holds them. It copies them into one reused
+    (n_heads, n_img, n_img) logits/probs pair, laid out as a full trace's
+    (step, layer) block, and applies to that pair the operations a full
     trace would see:
-    - the ranked vectors of `step_scores` and the core sets of `select_step`;
-    - the (n_heads, k, n_img) logit rows of those sets, per layer;
-    - the `_step_row_masses` behind coverage and shift;
-    - the logits and probs bytes, fed to the trace checksum's `ChecksumStream`.
-    At ratio 0 nothing is selected, so only the checksum is fed. Like a full
-    trace it answers `ranked_scores` (for `build_injection`), `core_rows`
-    (for `generate_with_injection`) and `checksum`, with the same results.
+    - the layer's bytes, fed to the trace checksum's `ChecksumStream`, which
+      hashes them while forward goes on; the next layer waits for it before
+      it overwrites the pair;
+    - a `StepScorer` per step for the ranked vectors of `step_scores`, and
+      `select_layer` for the core sets of `select_step`;
+    - the (n_heads, k, n_img) logit rows of the layer's core set;
+    - `_fill_row_masses`, behind coverage and shift.
+    A layer's core set is picked as soon as its ranked vector exists. In
+    layer_variance mode that is only after the step's last layer, so each
+    layer's logits are copied until the end of the step. At ratio 0 nothing
+    is selected, so only the checksum is fed. Like a full trace it answers
+    `ranked_scores` (for `build_injection`), `core_rows` (for
+    `generate_with_injection`) and `checksum`, with the same results.
     """
 
     def __init__(self, config: RunConfig, mask_frac: np.ndarray):
@@ -168,21 +177,38 @@ class StreamedTrace:
         self._t_values: list[float] = []
         self._ranked: list[list[ScoreVector]] = []
         self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
-        shape = (self.steps, self.n_layers, self.n_heads, self.n_img, self.n_img)
+        block = (self.n_heads, self.n_img, self.n_img)
+        self._logits, self._probs = np.empty(block), np.empty(block)
+        self._scorer: StepScorer | None = None
+        self._pending: list[np.ndarray] = []  # layer_variance: the step's logits so far
+        shape = (self.steps, self.n_layers, *block)
         self._hash = ChecksumStream({"logits": ("f8", shape), "probs": ("f8", shape)})
 
-    def __call__(self, step: int, t: float, logits: np.ndarray, probs: np.ndarray):
-        self._t_values.append(t)
-        self._hash.update({"logits": logits, "probs": probs})
+    def __call__(self, step: int, t: float, layer: int, logits: np.ndarray, probs: np.ndarray):
+        self._hash.wait()
+        np.copyto(self._logits, logits)
+        np.copyto(self._probs, probs)
+        if layer == 0:
+            self._t_values.append(t)
+            self._scorer = StepScorer(step, self.mode, self.averaging)
+        self._hash.update({"logits": self._logits, "probs": self._probs})
         if self.ratio == 0.0:
             return
-        _, ranked = step_scores(probs, step, self.mode, self.averaging)
-        self._ranked.append(ranked)
-        chosen = select_step(ranked, self.ratio, self.n_layers, self.mode, self.averaging)
-        for layer, core in enumerate(chosen):
-            self._rows[(step, layer)] = (core.indices, logits[layer][:, core.rows(), :])
-        for dst, src in zip(self.masses, _step_row_masses(probs, self._mask_frac)):
-            dst[step - 1] = src
+        ranked = self._scorer.add(self._probs)
+        _fill_row_masses(self.masses, step, layer, self._probs, self._mask_frac)
+        if ranked is not None:
+            self._keep_rows(step, layer, ranked, self._logits)
+        else:
+            self._pending.append(self._logits.copy())
+        if layer == self.n_layers - 1:
+            self._ranked.append(self._scorer.ranked())
+            for held, held_logits in enumerate(self._pending):
+                self._keep_rows(step, held, self._ranked[-1][0], held_logits)
+            self._pending = []
+
+    def _keep_rows(self, step: int, layer: int, ranked: ScoreVector, logits: np.ndarray):
+        core = select_layer(ranked, self.ratio, layer, self.mode, self.averaging)
+        self._rows[(step, layer)] = (core.indices, logits[:, core.rows(), :])
 
     def ranked_scores(self, step: int, mode: ScoreMode, averaging: bool) -> list[ScoreVector]:
         if (mode, averaging) != (self.mode, self.averaging) or step > len(self._ranked):
@@ -261,7 +287,7 @@ def run_generate(
             trace = reconstruct_capture(*capture, probe=probe)
         else:
             trace = StreamedTrace(config, mask_frac)
-            reconstruct_capture(*capture, probe=probe, on_step=trace)
+            reconstruct_capture(*capture, probe=probe, on_layer=trace)
         plan = build_injection(
             trace,
             config.injection.ratio,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -217,16 +218,23 @@ class AttentionTrace:
 
     @classmethod
     def load(cls, path) -> "AttentionTrace":
-        """Read a saved trace; its meta dims must agree with its tensors."""
+        """Read a saved trace; its meta dims must agree with its tensors, both
+        tensors must be f8, and every t value must lie in [0, 1]."""
         tensors, meta = read_tensors(path)
         try:
             t_values = tuple(
                 float(t) for t in meta["t_values"].split(",") if t
             )
             dims = tuple(int(meta[key]) for key in ("steps", "n_layers", "n_heads", "n_img"))
-            trace = cls(t_values=t_values, logits=tensors["logits"], probs=tensors["probs"])
+            logits, probs = tensors["logits"], tensors["probs"]
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"trace file missing or bad field: {exc}") from exc
+        for name, arr in (("logits", logits), ("probs", probs)):
+            if arr.dtype != np.dtype("<f8"):
+                raise ConfigError(f"trace {name} must be f8, not {arr.dtype}")
+        if not all(0.0 <= t <= 1.0 for t in t_values):  # NaN fails both comparisons
+            raise ConfigError(f"trace t values must lie in [0, 1]: {meta['t_values']}")
+        trace = cls(t_values=t_values, logits=logits, probs=probs)
         if dims != trace.probs.shape[:4]:
             raise ShapeMismatch(
                 f"trace meta dims {dims} disagree with its tensors' shape {trace.probs.shape}"
@@ -237,6 +245,23 @@ class AttentionTrace:
 # ---------------------------------------------------------------- runs
 
 
+# A layer reducer receives (step, t, layer, i2i_logits, i2i_probs) during each
+# capture forward; the (n_heads, n_img, n_img) blocks are forward's own
+# buffers, valid only during the call (see `AttentionHook.sink`).
+LayerFn = Callable[[int, float, int, np.ndarray, np.ndarray], None]
+
+
+def _copy_into(logits: np.ndarray | None, probs: np.ndarray):
+    """A sink that copies every layer's I2I blocks into one step of a trace."""
+
+    def sink(layer: int, layer_logits: np.ndarray, layer_probs: np.ndarray):
+        if logits is not None:
+            logits[layer] = layer_logits
+        probs[layer] = layer_probs
+
+    return sink
+
+
 def reconstruct_capture(
     weights: ModelWeights,
     glyph: GlyphImage,
@@ -244,25 +269,25 @@ def reconstruct_capture(
     cfg: SamplerConfig | None = None,
     probe: ProbeFn | None = None,
     keep_logits: bool = True,
-    on_step: Callable[[int, float, np.ndarray | None, np.ndarray], None] | None = None,
+    on_layer: LayerFn | None = None,
 ) -> AttentionTrace | None:
     """Capture I2I attention while re-noising the glyph at each captured step.
 
     For step i <= cutoff_step: x_{t_i} = noise_to(patchify(glyph), t_i, eps)
     with the same eps every step, one unguided forward at t_i, all layers
-    captured. No trajectory is integrated. Each forward writes its I2I blocks
-    straight into the trace; a probe also gets full-map copies from the same
-    hook.
+    captured. No trajectory is integrated. Each forward's hook sink copies
+    every layer's I2I blocks into the trace as soon as that layer's softmax
+    is done; a probe also gets full-map copies from the same hook.
 
     With keep_logits=False only the probabilities are allocated and filled,
     which halves the trace; the result can drive selection and metrics but
     not injection (see `AttentionTrace`).
 
-    With `on_step` set no trace is built and None is returned: every step
-    writes into one (n_layers, n_heads, n_img, n_img) logits/probs pair,
-    handed to on_step(step, t, logits, probs) after the forward (and the
-    probe) and overwritten by the next step; logits is None when
-    keep_logits=False.
+    With `on_layer` set no trace is allocated and None is returned: the sink
+    hands every layer to on_layer(step, t, layer, logits, probs) instead,
+    logits included whatever keep_logits says. The blocks are views of
+    forward's buffers that the next layer overwrites, so the caller reduces
+    each layer during its call and never holds a step of the trace.
     """
     cfg = cfg or SamplerConfig()
     mcfg = weights.cfg
@@ -272,10 +297,11 @@ def reconstruct_capture(
     knots = cfg.knots()
 
     n_steps = cfg.cutoff_step
-    n_slots = n_steps if on_step is None else 1
-    shape = (n_slots, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, mcfg.n_img)
-    logits = np.empty(shape, dtype=np.float64) if keep_logits else None
-    probs = np.empty(shape, dtype=np.float64)
+    logits = probs = None
+    if on_layer is None:
+        shape = (n_steps, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, mcfg.n_img)
+        logits = np.empty(shape, dtype=np.float64) if keep_logits else None
+        probs = np.empty(shape, dtype=np.float64)
     t_values = []
 
     for i in range(1, n_steps + 1):
@@ -283,20 +309,21 @@ def reconstruct_capture(
         t_values.append(t_i)
         x_t = noise_to(x0, t_i, eps)
         tokens = TokenSequence(text=text, image=embed_patches(weights, x_t))
-        slot = (i - 1) % n_slots
+        if on_layer is None:
+            sink = _copy_into(None if logits is None else logits[i - 1], probs[i - 1])
+        else:
+            sink = partial(on_layer, i, t_i)
         hook = AttentionHook(
             store_logits=probe is not None,
             store_probs=probe is not None,
             step=i,
-            i2i_out=(None if logits is None else logits[slot], probs[slot]),
+            sink=sink,
         )
         _, captured = forward(weights, tokens, t_i, hook)
         if probe is not None:
             probe(i, t_i, "recon", captured)
-        if on_step is not None:
-            on_step(i, t_i, *hook.i2i_out)
 
-    if on_step is not None:
+    if on_layer is not None:
         return None
     return AttentionTrace(t_values=tuple(t_values), logits=logits, probs=probs)
 

@@ -36,13 +36,19 @@ computed on one thread per core the process may use.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import math
 import os
+import threading
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ConfigError, MalformedHeader, ShapeMismatch
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _MAGIC = "tensordump 1"
 _END = b"\nend\n"
@@ -190,14 +196,23 @@ def _parse_header(header: str, payload_size: int):
             raise MalformedHeader(f"unknown header line {line!r}")
     if len(spans) != count:
         raise MalformedHeader(f"header declares {count} tensors, found {len(spans)}")
+    # the non-empty tensors must tile the payload: no overlap, gap or trailing byte
     ranges = sorted(
         (offset, offset + n * dtype.itemsize, name)
         for name, (dtype, _, offset, n) in spans.items()
         if n
     )
-    for (_, end, prev), (start, _, name) in zip(ranges, ranges[1:]):
+    end, prev = 0, None
+    for start, stop, name in ranges:
         if start < end:
             raise MalformedHeader(f"tensors {prev!r} and {name!r} overlap in the payload")
+        if start > end:
+            raise MalformedHeader(
+                f"{start - end} payload bytes before tensor {name!r} belong to no tensor"
+            )
+        end, prev = stop, name
+    if end != payload_size:
+        raise MalformedHeader(f"{payload_size - end} trailing payload bytes belong to no tensor")
     return spans, meta
 
 
@@ -205,10 +220,11 @@ def read_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a tensor dump; returns (tensors, meta) in header order.
 
     The header is checked against the file size before any payload byte is
-    read. The payload is then read once into one uint8 array, which numpy
-    allocates without zero-filling it, and every tensor is a writable view
-    of it; no two views share a byte, because overlapping payload ranges
-    are rejected.
+    read: the non-empty tensors must tile the payload exactly, so no byte
+    that no tensor declares is read or allocated. The payload is then read
+    once into one uint8 array, which numpy allocates without zero-filling
+    it, and every tensor is a writable view of it; no two views share a
+    byte.
     """
     with open(path, "rb") as fh:
         header, payload_start = _read_header(fh)
@@ -236,35 +252,78 @@ def _hash(task: tuple) -> bytes | None:
     return None if tensor is None else hasher.digest()
 
 
-def _run_hashes(tasks: list[tuple]) -> list[bytes | None]:
-    """Run hash tasks on up to one thread per core; results in task order.
+# the hashing threads of this process: (pid, pool, its thread count), made by
+# the first hash that has work for them and made again in a forked child
+_POOL: tuple[int, "ThreadPoolExecutor | None", int] | None = None
+_POOL_LOCK = threading.Lock()
 
-    hashlib releases the GIL while it hashes a large buffer, so the threads
-    run in parallel. No two tasks share a hasher. With one core or one task
-    everything runs on the calling thread.
+
+def _hash_pool() -> tuple["ThreadPoolExecutor | None", int]:
+    """The process's hashing pool and its thread count: one thread per core
+    the process may use, less the calling thread's; (None, 0) with one core.
+
+    A pool's threads do not survive a fork, so a pool made under another pid
+    is dropped and a new one sized for this process.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:  # no affinity mask on this platform
-        cores = os.cpu_count() or 1
-    workers = min(cores, len(tasks))
-    if workers <= 1:
-        return list(map(_hash, tasks))
-    # imported here so that an import of glyphflow does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            if hasattr(os, "sched_getaffinity"):
+                cores = len(os.sched_getaffinity(0))
+            else:  # no affinity mask on this platform
+                cores = os.cpu_count() or 1
+            # imported here so that an import of glyphflow does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_hash, tasks))
+            pool = ThreadPoolExecutor(cores - 1, "glyphflow-hash") if cores > 1 else None
+            _POOL = (os.getpid(), pool, cores - 1)
+        return _POOL[1:]
+
+
+def _start_hashes(tasks: list[tuple]) -> Callable[[], list[bytes | None]]:
+    """Start hash tasks on the hashing pool and return the function that
+    finishes them: it hashes what is left on the calling thread, waits for
+    the pool, and returns the results in task order.
+
+    Every thread takes the next task from one shared queue until none is
+    left. hashlib releases the GIL while it hashes a large buffer, so the
+    threads run in parallel with each other and with the caller's own work
+    until it finishes them. No two tasks share a hasher. With one core
+    every task runs on the thread that finishes them.
+    """
+    results: list[bytes | None] = [None] * len(tasks)
+    queue = collections.deque(enumerate(tasks))  # popleft is atomic
+
+    def drain():
+        while True:
+            try:
+                index, task = queue.popleft()
+            except IndexError:
+                return
+            results[index] = _hash(task)
+
+    pool, threads = _hash_pool() if tasks else (None, 0)
+    helpers = [pool.submit(drain) for _ in range(min(threads, len(tasks)))] if pool else []
+
+    def finish() -> list[bytes | None]:
+        drain()
+        for helper in helpers:
+            helper.result()
+        return results
+
+    return finish
 
 
 class ChecksumStream:
     """`tensors_checksum` of tensors whose bytes arrive piece by piece.
 
     Each tensor is declared up front by name, dtype token and shape, and
-    `update` appends the next C-order piece of any of them. Between calls
-    only the sha256 state of a chunk that a piece left unfinished is kept,
-    never the bytes, so the caller may overwrite a piece once `update`
-    returns.
+    `update` appends the next C-order piece of any of them. It starts
+    hashing the pieces on the hashing pool and returns; `wait` finishes the
+    hashing, helping on the calling thread, and the next `update` and
+    `hexdigest` call it first. A piece is read until `wait` returns, so the
+    caller may overwrite it only after that. Between updates only the sha256
+    state of a chunk that a piece left unfinished is kept, never the bytes.
     """
 
     def __init__(self, tensors: dict[str, tuple[str, tuple[int, ...]]]):
@@ -273,9 +332,12 @@ class ChecksumStream:
         self._fed = dict.fromkeys(tensors, 0)
         self._digests: dict[str, list[bytes]] = {name: [] for name in tensors}
         self._open: dict[str, object] = {}  # sha256 of each unfinished chunk
+        self._hashing: tuple[list[tuple], Callable[[], list[bytes | None]]] | None = None
 
     def update(self, pieces: dict[str, np.ndarray]):
-        """Hash the next bytes of each named tensor, on up to one thread per core."""
+        """Start hashing the next bytes of each named tensor, on up to one
+        thread per core, once the last update's hashing is done."""
+        self.wait()
         tasks = []
         for name, piece in pieces.items():
             token, canon = _canonical(np.asarray(piece))
@@ -291,13 +353,22 @@ class ChecksumStream:
                 tasks.append((hasher, raw[start:stop], None if name in self._open else name))
                 start = stop
             self._fed[name] = fed + raw.size
-        for (_, _, name), digest in zip(tasks, _run_hashes(tasks)):
+        self._hashing = (tasks, _start_hashes(tasks))
+
+    def wait(self):
+        """Finish hashing the last update's pieces; after this they are never read."""
+        if self._hashing is None:
+            return
+        tasks, finish = self._hashing
+        self._hashing = None
+        for (_, _, name), digest in zip(tasks, finish()):
             if name is not None:
                 self._digests[name].append(digest)
 
     def hexdigest(self, meta: dict[str, str] | None = None) -> str:
         """The checksum of the declared tensors and `meta`; a tensor that did
         not get exactly its declared bytes is refused."""
+        self.wait()
         meta = meta or {}
         h = hashlib.sha256()
         for key in sorted(meta):

@@ -7,6 +7,7 @@ from glyphflow import (
     init_model,
     rasterize_text,
     reconstruct_capture,
+    write_tensors,
 )
 
 # A deliberately small model so reconstruction fixtures stay cheap: 16 image
@@ -43,3 +44,21 @@ def tiny_trace(tiny_weights, tiny_glyph):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+# a saved trace broken in one way that AttentionTrace.load must refuse
+MALFORMED_TRACES = {
+    "i8 logits": lambda tensors, meta: tensors.update(logits=tensors["logits"].astype(np.int64)),
+    "i8 probs": lambda tensors, meta: tensors.update(probs=tensors["probs"].astype(np.int64)),
+    "t nan": lambda tensors, meta: meta.update(t_values="nan," + meta["t_values"].split(",")[1]),
+    "t inf": lambda tensors, meta: meta.update(t_values="1.0,inf"),
+    "t above 1": lambda tensors, meta: meta.update(t_values="1.5,0.75"),
+    "t below 0": lambda tensors, meta: meta.update(t_values="1.0,-0.25"),
+}
+
+
+def write_malformed_trace(path, trace, case):
+    """Save `trace` with one of MALFORMED_TRACES applied to its tensors or meta."""
+    tensors, meta = {"logits": trace.logits, "probs": trace.probs}, trace._meta()
+    MALFORMED_TRACES[case](tensors, meta)
+    write_tensors(path, tensors, meta=meta)

@@ -17,6 +17,7 @@ from glyphflow import (
 )
 from glyphflow.cli import _build_config, main, make_parser
 from glyphflow.runconfig import _SCHEMA
+from tests.conftest import MALFORMED_TRACES, write_malformed_trace
 
 TINY_CONF = """\
 model.d_model = 16
@@ -163,6 +164,18 @@ def test_reconstruct_then_analyze(tmp_path, conf):
     sel, _ = read_tensors(f"{d}/scores_selection.bin")
     assert len(raw) == trace.steps * trace.n_layers
     assert len(sel) == trace.steps * trace.n_layers
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+def test_analyze_of_a_malformed_trace_exits_2(tmp_path, conf, capsys, case):
+    trace_path = str(tmp_path / "trace.bin")
+    assert main(["reconstruct", "--config", conf, "--out", trace_path]) == 0
+    write_malformed_trace(trace_path, AttentionTrace.load(trace_path), case)
+    d = tmp_path / "an"
+    capsys.readouterr()
+    assert main(["analyze", "--config", conf, "--trace", trace_path, "--out-dir", str(d)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (d / "shift.csv").exists()
 
 
 def test_save_trace_flag(tmp_path, conf):

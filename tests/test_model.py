@@ -317,23 +317,34 @@ def test_captures_survive_later_forwards(tiny_weights, tiny_glyph):
 
 
 @pytest.mark.parametrize("override", [None, lambda step, layer, head, block: block * 0.5])
-def test_i2i_out_matches_capture(tiny_weights, tiny_glyph, override):
-    cfg = tiny_weights.cfg
+def test_sink_matches_capture(tiny_weights, tiny_glyph, override):
     tokens = make_tokens(tiny_weights, "A", tiny_glyph.pixels)
-    shape = (cfg.n_layers, cfg.n_heads, cfg.n_img, cfg.n_img)
-    sink = (np.full(shape, np.nan), np.full(shape, np.nan))
-    hook = AttentionHook(store_logits=True, store_probs=True, override=override, i2i_out=sink)
-    _, caps = forward(tiny_weights, tokens, 0.5, hook)
-    for layer, att in caps.items():
-        assert sink[0][layer].tobytes() == att.i2i("logits").tobytes()
-        assert sink[1][layer].tobytes() == att.i2i("probs").tobytes()
+
+    def run(hook_kwargs):
+        copies, views = [], []
+
+        def sink(layer, logits, probs):
+            copies.append((layer, logits.copy(), probs.copy()))
+            views.append((logits, probs))
+
+        _, caps = forward(tiny_weights, tokens, 0.5, AttentionHook(sink=sink, **hook_kwargs))
+        return caps, copies, views
+
+    caps, copies, views = run(dict(store_logits=True, store_probs=True, override=override))
+    assert [layer for layer, _, _ in copies] == sorted(caps)
+    for layer, logits, probs in copies:
+        assert logits.tobytes() == caps[layer].i2i("logits").tobytes()
+        assert probs.tobytes() == caps[layer].i2i("probs").tobytes()
+    # the views are forward's buffers: the last layer overwrote the first one's,
+    # and the copies taken during the call kept their bytes
+    assert views[0][0].tobytes() == copies[-1][1].tobytes() != copies[0][1].tobytes()
 
     # without the store flags nothing is captured, and the sink gets the same bytes
-    plain = (np.empty(shape), np.empty(shape))
-    _, caps_none = forward(tiny_weights, tokens, 0.5, AttentionHook(override=override, i2i_out=plain))
+    caps_none, plain, _ = run(dict(override=override))
     assert caps_none == {}
-    assert plain[0].tobytes() == sink[0].tobytes()
-    assert plain[1].tobytes() == sink[1].tobytes()
+    assert [(l, a.tobytes(), b.tobytes()) for l, a, b in plain] == [
+        (l, a.tobytes(), b.tobytes()) for l, a, b in copies
+    ]
 
 
 def test_in_place_override_matches_returned_copy(tiny_weights, tiny_glyph):

@@ -24,6 +24,7 @@ from glyphflow import (
     reconstruct_capture,
     write_tensors,
 )
+from tests.conftest import MALFORMED_TRACES, write_malformed_trace
 
 
 def test_sampler_config_validation():
@@ -183,6 +184,16 @@ def test_trace_load_rejects_meta_dims_that_disagree(tmp_path, tiny_trace, key):
     assert AttentionTrace.load(path).checksum() == tiny_trace.checksum()
     meta[key] = str(int(meta[key]) + 1)
     write_tensors(path, tensors, meta=meta)
+    with pytest.raises(GlyphFlowError):
+        AttentionTrace.load(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+def test_trace_load_rejects_malformed_tensors_and_t_values(tmp_path, tiny_trace, case):
+    path = tmp_path / "trace.bin"
+    write_tensors(path, {"logits": tiny_trace.logits, "probs": tiny_trace.probs}, tiny_trace._meta())
+    assert AttentionTrace.load(path).checksum() == tiny_trace.checksum()
+    write_malformed_trace(path, tiny_trace, case)
     with pytest.raises(GlyphFlowError):
         AttentionTrace.load(path)
 

@@ -3,6 +3,7 @@ instead of the full trace: the same plan, image, metrics and trace checksum,
 in memory that does not grow with the trace's full logits and probs."""
 
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -138,3 +139,42 @@ def test_streamed_generate_memory_stays_below_the_full_trace():
     finally:
         tracemalloc.stop()
     assert peak < trace_bytes
+
+
+@pytest.mark.parametrize("mode", list(ScoreMode))
+def test_streamed_generate_scores_each_captured_layer_once(monkeypatch, mode):
+    """cutoff x n_layers `token_scores` calls: the count the benchmark's
+    smoke check pins at 72 for the default generate."""
+    inner = coreattn.token_scores
+    calls = []
+
+    def counted(maps, mode, layer, step):
+        calls.append((layer, step))
+        return inner(maps, mode, layer, step)
+
+    monkeypatch.setattr(coreattn, "token_scores", counted)
+    run_generate(_config(False, mode=mode), write_outputs=False)
+    steps, layers = TINY_SAMPLER.cutoff_step, TINY.n_layers
+    assert calls == [(layer, step) for step in range(1, steps + 1) for layer in range(layers)]
+
+
+def test_streamed_generate_holds_no_step_of_the_trace():
+    """The streamed run's tracemalloc peak exceeds the baseline run's by less
+    than one captured step's I2I logits and probs plus the core rows it
+    keeps: the capture reduces each layer as forward produces it."""
+    model = replace(TINY, n_layers=3, grid=16)
+    cfg = replace(_config(False, replace(TINY_SAMPLER, steps=2)), model=model)
+    n, heads, layers, steps = model.n_img, model.n_heads, model.n_layers, cfg.sampler.cutoff_step
+    step_pair = 2 * layers * heads * n * n * 8
+    kept_rows = steps * layers * heads * math.ceil(cfg.injection.ratio * n) * n * 8
+
+    def peak(baseline: bool) -> int:
+        run_generate(cfg, baseline=baseline, write_outputs=False)  # first-call allocations
+        tracemalloc.start()
+        try:
+            run_generate(cfg, baseline=baseline, write_outputs=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(False) - peak(True) < step_pair + kept_rows

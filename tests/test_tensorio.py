@@ -1,5 +1,7 @@
 import hashlib
 import os
+import select
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -185,6 +187,29 @@ def test_adjacent_and_zero_size_ranges_are_accepted(tmp_path):
     back, _ = read_tensors(path)
     assert back["e"].shape == (0, 3)
     assert back["b"].tolist() == [0x0101010101010101]
+
+
+@pytest.mark.parametrize("layout", ["trailing", "gap"])
+def test_undeclared_payload_bytes_are_refused_before_allocation(tmp_path, layout):
+    """A dump whose tensors leave payload bytes to no tensor is refused from
+    its header: the 256 MiB region after them, sparse on disk, is neither
+    read nor allocated."""
+    path = tmp_path / "dump.bin"
+    if layout == "trailing":
+        header = b"tensordump 1 1\ntensor a f8 3 0\nend\n"
+    else:  # b starts 256 MiB after a ends
+        header = b"tensordump 1 2\ntensor a f8 3 0\ntensor b f8 1 %d\nend\n" % (24 + (256 << 20))
+    with open(path, "wb") as fh:
+        fh.write(header + b"\x00" * 24)
+        fh.truncate(len(header) + 24 + (256 << 20) + (8 if layout == "gap" else 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedHeader, match="belong to no tensor"):
+            read_tensors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_zero_size_round_trip_and_checksum(tmp_path):
@@ -378,6 +403,36 @@ def test_checksum_independent_of_worker_count(monkeypatch):
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert child.stdout.split() == ["1", here]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_hashes_with_its_own_pool(monkeypatch):
+    """The parent's hashing threads do not exist in a forked child; the child
+    makes its own pool and gets the parent's digest."""
+    monkeypatch.setattr(tensorio, "_CHECKSUM_CHUNK", 64)
+    values = np.arange(10_000, dtype=np.float64)
+    here = tensors_checksum({"a": values, "b": values[::-1]})
+    parent_pool = tensorio._hash_pool()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report its digest and whether its pool is new, then exit
+        try:
+            os.close(read_end)
+            digest = tensors_checksum({"a": values, "b": values[::-1]})
+            fresh = parent_pool[0] is None or tensorio._hash_pool()[0] is not parent_pool[0]
+            os.write(write_end, f"{digest} {fresh}".encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        ready, _, _ = select.select([fh], [], [], 60)
+        if not ready:  # a child stuck on the parent's dead threads
+            os.kill(pid, signal.SIGKILL)
+        reply = fh.read().decode() if ready else "timed out"
+    _, status = os.waitpid(pid, 0)
+    assert status == 0
+    assert reply == f"{here} True"
+    assert tensorio._hash_pool() == parent_pool
 
 
 _NUM = st.one_of(st.integers(-2, 40), st.sampled_from([0, 1 << 32, 1 << 62, 1 << 70]))
