@@ -3,11 +3,13 @@ across layers, select top-k sets, and build row-replacement plans.
 
 Scores always come from head-averaged statistics of I2I probability maps; the
 same selected set drives every head during injection. `StepScorer` is the one
-scoring and averaging path and `select_layer` the one selection path. A full
-trace goes through `step_scores` and `select_step`, which wrap them;
-`pipeline.StreamedTrace` calls them as the capture produces each layer; and
-`pipeline.run_analyze` reports the scores. The coverage and shift of the
-selected rows are measured by `metrics.row_masses` and `metrics.row_fraction`.
+scoring and averaging path and `select_layer` the one selection path.
+`build_injection` selects with `select_layer` from a trace's ranked vectors:
+a full trace scores each step with `step_scores`, which wraps `StepScorer`;
+`pipeline.StreamedTrace` calls `StepScorer` and `select_layer` as the capture
+produces each layer; `pipeline.run_analyze` reports the scores. The coverage
+and shift of the selected rows are measured by `metrics.row_masses` and
+`metrics.row_fraction`.
 """
 
 from __future__ import annotations
@@ -264,19 +266,6 @@ def select_layer(
     return select_core_tokens(ranked, ratio, averaged=averaging)
 
 
-def select_step(
-    ranked: Sequence[ScoreVector], ratio: float, n_layers: int, mode: ScoreMode, averaging: bool
-) -> list[CoreTokenSet]:
-    """One step's core set per layer, from the vectors `step_scores` ranks.
-
-    In layer_variance mode the step's one variance vector drives every
-    layer's selection.
-    """
-    if mode == ScoreMode.LAYER_VARIANCE:
-        ranked = list(ranked) * n_layers
-    return [select_layer(ranked[l], ratio, l, mode, averaging) for l in range(n_layers)]
-
-
 @dataclass
 class InjectionPlan:
     """One CoreTokenSet per (step <= cutoff, layer), tied to the trace it was built from.
@@ -319,9 +308,10 @@ def build_injection(
 
     `trace.ranked_scores(step, mode, averaging)` gives those vectors: a full
     trace scores the step with `step_scores`, a streamed one returns what it
-    scored while it captured. With averaging on, layer L's selection uses
-    the running mean of layers 1..L, reset at each step. In layer_variance
-    mode the step's one variance vector drives every layer's selection.
+    scored while it captured. `select_layer` picks each layer's set: with
+    averaging on, layer L's selection uses the running mean of layers 1..L,
+    reset at each step; in layer_variance mode the step's one variance
+    vector drives every layer's selection.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside [0,1]")
@@ -333,15 +323,15 @@ def build_injection(
     if cutoff > trace.steps:
         raise TraceMismatch(f"trace covers {trace.steps} steps, cutoff {cutoff} requested")
 
-    n_layers = trace.n_layers
     sets: dict[tuple[int, int], CoreTokenSet] = {}
     for step in range(1, cutoff + 1):
-        if ratio == 0.0:
-            chosen = [_empty_set(trace.n_img, step, l, mode, averaging) for l in range(n_layers)]
-        else:
-            ranked = trace.ranked_scores(step, mode, averaging)
-            chosen = select_step(ranked, ratio, n_layers, mode, averaging)
-        for layer, core in enumerate(chosen):
+        ranked = trace.ranked_scores(step, mode, averaging) if ratio > 0.0 else None
+        for layer in range(trace.n_layers):
+            if ranked is None:
+                core = _empty_set(trace.n_img, step, layer, mode, averaging)
+            else:
+                vector = ranked[0 if mode == ScoreMode.LAYER_VARIANCE else layer]
+                core = select_layer(vector, ratio, layer, mode, averaging)
             sets[(step, layer)] = core
 
     return InjectionPlan(trace=trace, cutoff_step=cutoff, ratio=ratio, sets=sets)

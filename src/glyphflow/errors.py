@@ -64,3 +64,13 @@ class DuplicateCell(GlyphFlowError):
 
 class EmptyWord(GlyphFlowError):
     """Prompt template requires a nonempty target word."""
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at `path`. A file that cannot be opened,
+    read or decoded raises ConfigError, naming the `what` it should hold."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc

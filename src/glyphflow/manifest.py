@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 VERSION = "0.1.0"
 
@@ -72,8 +72,7 @@ class RunManifest:
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(read_text(path, "manifest"))
 
 
 def _string(value, name: str) -> str:

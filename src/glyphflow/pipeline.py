@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteValue,
     ShapeMismatch,
     TraceMismatch,
+    read_text,
 )
 from .glyphs import GlyphImage, glyph_mask_patches, load_glyph_bitmap, rasterize_text
 from .manifest import RunManifest
@@ -77,10 +78,10 @@ def build_prompt(word: str, style: str) -> PromptRecord:
 
 def load_dataset(path) -> list[PromptRecord]:
     """JSON array of {word, style} objects with string values; other keys are ignored."""
+    text = read_text(path, "dataset")
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     if not isinstance(doc, list):
         raise ConfigError("dataset must be a JSON array")
@@ -147,8 +148,9 @@ class StreamedTrace:
     """What an injected generate reads of its reconstruction capture, kept
     layer by layer instead of as an `AttentionTrace`.
 
-    Passed to `reconstruct_capture` as `on_layer`, it reduces each layer's
-    I2I views while forward still holds them. It copies them into one reused
+    Every injected `run_generate` passes it to `reconstruct_capture` as
+    `on_layer` and plans from it; it reduces each layer's I2I views while
+    forward still holds them. It copies them into one reused
     (n_heads, n_img, n_img) logits/probs pair, laid out as a full trace's
     (step, layer) block, and applies to that pair the operations a full
     trace would see:
@@ -156,7 +158,7 @@ class StreamedTrace:
       hashes them while forward goes on; the next layer waits for it before
       it overwrites the pair;
     - a `StepScorer` per step for the ranked vectors of `step_scores`, and
-      `select_layer` for the core sets of `select_step`;
+      `select_layer` for the core sets `build_injection` picks from them;
     - the (n_heads, k, n_img) logit rows of the layer's core set;
     - `_fill_row_masses`, behind coverage and shift.
     A layer's core set is picked as soon as its ranked vector exists. In
@@ -164,17 +166,18 @@ class StreamedTrace:
     layer's logits are copied until the end of the step. At ratio 0 nothing
     is selected, so only the checksum is fed. Like a full trace it answers
     `ranked_scores` (for `build_injection`), `core_rows` (for
-    `generate_with_injection`) and `checksum`, with the same results.
+    `generate_with_injection`) and `checksum`, with the same results; its
+    t values are `SamplerConfig.captured_t_values`, as a full trace's are.
     """
 
     def __init__(self, config: RunConfig, mask_frac: np.ndarray):
         mcfg, inj = config.model, config.injection
-        self.steps = config.sampler.cutoff_step
+        self.t_values = config.sampler.captured_t_values()
+        self.steps = len(self.t_values)
         self.n_layers, self.n_heads, self.n_img = mcfg.n_layers, mcfg.n_heads, mcfg.n_img
         self.ratio, self.mode, self.averaging = inj.ratio, inj.mode, inj.averaging
         self.masses = _empty_row_masses(self.steps, self.n_layers, self.n_img)
         self._mask_frac = mask_frac
-        self._t_values: list[float] = []
         self._ranked: list[list[ScoreVector]] = []
         self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
         block = (self.n_heads, self.n_img, self.n_img)
@@ -184,12 +187,11 @@ class StreamedTrace:
         shape = (self.steps, self.n_layers, *block)
         self._hash = ChecksumStream({"logits": ("f8", shape), "probs": ("f8", shape)})
 
-    def __call__(self, step: int, t: float, layer: int, logits: np.ndarray, probs: np.ndarray):
+    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
         self._hash.wait()
         np.copyto(self._logits, logits)
         np.copyto(self._probs, probs)
         if layer == 0:
-            self._t_values.append(t)
             self._scorer = StepScorer(step, self.mode, self.averaging)
         self._hash.update({"logits": self._logits, "probs": self._probs})
         if self.ratio == 0.0:
@@ -226,7 +228,7 @@ class StreamedTrace:
     def checksum(self) -> str:
         """The checksum the full trace of the same capture would have."""
         dims = (self.steps, self.n_layers, self.n_heads, self.n_img)
-        return self._hash.hexdigest(trace_meta(tuple(self._t_values), dims))
+        return self._hash.hexdigest(trace_meta(self.t_values, dims))
 
 
 def _core_shift_rows(
@@ -268,9 +270,10 @@ def run_generate(
 
     baseline=True runs the config with injection.enabled = False, so the
     manifest's config hash is that of the run that happened. An injected
-    run keeps a full `AttentionTrace` only when io.save_trace asks for it;
-    otherwise it keeps a `StreamedTrace`, with the same plan, image,
-    metrics and trace checksum.
+    run has one capture path: a `StreamedTrace` reduces the reconstruction
+    layer by layer, and the plan, the injected rows, the coverage metrics
+    and the trace checksum all come from it. io.save_trace only adds an
+    `AttentionTrace` fed by the same capture and written to trace.bin.
     """
     if baseline:
         config = replace(config, injection=replace(config.injection, enabled=False))
@@ -280,14 +283,19 @@ def run_generate(
     weights = init_model(config.model)
 
     mask_frac = glyph_mask_patches(glyph, config.model.patch)
-    trace = plan = None
+    trace = plan = saved = None
     if config.injection.enabled:
-        capture = (weights, glyph, config.io.recon_prompt, config.sampler)
+        on_layer = trace = StreamedTrace(config, mask_frac)
         if config.io.save_trace:
-            trace = reconstruct_capture(*capture, probe=probe)
-        else:
-            trace = StreamedTrace(config, mask_frac)
-            reconstruct_capture(*capture, probe=probe, on_layer=trace)
+            saved = AttentionTrace.empty(config.sampler, config.model)
+
+            def on_layer(*layer):
+                trace(*layer)
+                saved(*layer)
+
+        reconstruct_capture(
+            weights, glyph, config.io.recon_prompt, config.sampler, probe=probe, on_layer=on_layer
+        )
         plan = build_injection(
             trace,
             config.injection.ratio,
@@ -307,11 +315,7 @@ def run_generate(
     manifest.metrics["char_recall"] = f1.recall
     manifest.metrics["char_f1"] = f1.f1
     if plan is not None and plan.ratio > 0.0 and plan.cutoff_step > 0:
-        if isinstance(trace, StreamedTrace):
-            masses = trace.masses
-        else:
-            masses = _trace_row_masses(trace, mask_frac)
-        manifest.metrics.update(_coverage_metrics(masses, plan))
+        manifest.metrics.update(_coverage_metrics(trace.masses, plan))
 
     manifest.checksums["weights"] = weights.checksum()
     if trace is not None:
@@ -327,9 +331,9 @@ def run_generate(
         write_pgm(image_path, image)
         manifest.outputs["image"] = image_path
         manifest.checksums["image"] = file_checksum(image_path)
-        if config.io.save_trace and trace is not None:
+        if saved is not None:
             trace_path = os.path.join(out_dir, "trace.bin")
-            trace.save(trace_path)
+            saved.save(trace_path)
             manifest.outputs["trace"] = trace_path
         manifest_path = os.path.join(out_dir, "manifest.json")
         manifest.outputs["manifest"] = manifest_path
@@ -390,7 +394,8 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
     trace_cfg = replace(config.sampler, cutoff_step=max_cutoff)
     full_runs = config.sweep.full_runs
     trace = reconstruct_capture(
-        weights, glyph, config.io.recon_prompt, trace_cfg, keep_logits=full_runs
+        weights, glyph, config.io.recon_prompt, trace_cfg,
+        on_layer=AttentionTrace.empty(trace_cfg, config.model, logits=full_runs),
     )
     masses = _trace_row_masses(trace, mask_frac)
 

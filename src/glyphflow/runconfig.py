@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 
 from .coreattn import ScoreMode
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .glyphs import Layout
 from .model import ModelConfig
 from .sampler import SamplerConfig
@@ -183,11 +183,7 @@ def parse(text: str) -> RunConfig:
 
 
 def parse_file(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse(read_text(path, "config"))
 
 
 # keys that only an injected run reads: plan selection, its cutoff, and the

@@ -36,6 +36,7 @@ from .manifest import RunManifest, StepLog
 from .model import (
     AttentionHook,
     JointAttention,
+    ModelConfig,
     ModelWeights,
     TokenSequence,
     embed_patches,
@@ -76,6 +77,10 @@ class SamplerConfig:
     def knots(self) -> np.ndarray:
         """Evenly spaced t values t_1 > ... > t_{steps} > t_end, t_1 = 1 and t_end = 0."""
         return np.linspace(1.0, 0.0, self.steps + 1)
+
+    def captured_t_values(self) -> tuple[float, ...]:
+        """The t values of the reconstruction's captured steps 1..cutoff_step."""
+        return tuple(float(t) for t in self.knots()[: self.cutoff_step])
 
 
 def _noise_rng(seed: int) -> np.random.Generator:
@@ -142,15 +147,18 @@ class AttentionTrace:
     one t value per step; `steps`, `n_layers`, `n_heads` and `n_img` are
     read-only properties of that shape, so no copy of them is stored.
     `logits` has the same shape, or is None in a probs-only trace
-    (`reconstruct_capture` with `keep_logits=False`). Core-token selection
-    and the coverage/shift metrics read only `probs`; the logit consumers
+    (`AttentionTrace.empty(..., logits=False)`). Core-token selection and
+    the coverage/shift metrics read only `probs`; the logit consumers
     (`step_logits`, `core_rows`, `checksum` and `save`) refuse such a trace
     with `TraceMismatch`. A plan pairs with the trace object it was built
     from, never by checksum, so nothing caches the checksum.
 
-    Only `reconstruct`, `analyze`, `sweep` and `generate --save-trace` hold a
-    full trace; an injected generate keeps a `pipeline.StreamedTrace`, which
-    answers `ranked_scores`, `core_rows` and `checksum` alike.
+    A trace is a layer reducer: `empty` allocates one and
+    `reconstruct_capture` fills it through `__call__`. `reconstruct`,
+    `analyze` and `sweep` plan from a full trace. An injected generate
+    plans from a `pipeline.StreamedTrace`, which answers `ranked_scores`,
+    `core_rows` and `checksum` alike; with `io.save_trace` the same capture
+    also fills a full trace, which is only written to `trace.bin`.
     """
 
     t_values: tuple[float, ...]
@@ -167,6 +175,26 @@ class AttentionTrace:
             raise ShapeMismatch(f"trace logits shape {self.logits.shape} != probs shape {shape}")
         if len(self.t_values) != self.steps:
             raise ShapeMismatch("one t value per captured step required")
+
+    @classmethod
+    def empty(cls, cfg: SamplerConfig, model: ModelConfig, logits: bool = True) -> "AttentionTrace":
+        """An unfilled trace of `cfg`'s captured steps at `model`'s dims.
+
+        logits=False allocates and keeps only the probabilities, which halves
+        the trace; it can drive selection and metrics but not injection.
+        """
+        shape = (cfg.cutoff_step, model.n_layers, model.n_heads, model.n_img, model.n_img)
+        return cls(
+            t_values=cfg.captured_t_values(),
+            logits=np.empty(shape) if logits else None,
+            probs=np.empty(shape),
+        )
+
+    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
+        """Copy one captured layer's I2I blocks into its (1-based step, layer) slot."""
+        if self.logits is not None:
+            self.logits[step - 1, layer] = logits
+        self.probs[step - 1, layer] = probs
 
     @property
     def steps(self) -> int:
@@ -245,21 +273,10 @@ class AttentionTrace:
 # ---------------------------------------------------------------- runs
 
 
-# A layer reducer receives (step, t, layer, i2i_logits, i2i_probs) during each
+# A layer reducer receives (step, layer, i2i_logits, i2i_probs) during each
 # capture forward; the (n_heads, n_img, n_img) blocks are forward's own
 # buffers, valid only during the call (see `AttentionHook.sink`).
-LayerFn = Callable[[int, float, int, np.ndarray, np.ndarray], None]
-
-
-def _copy_into(logits: np.ndarray | None, probs: np.ndarray):
-    """A sink that copies every layer's I2I blocks into one step of a trace."""
-
-    def sink(layer: int, layer_logits: np.ndarray, layer_probs: np.ndarray):
-        if logits is not None:
-            logits[layer] = layer_logits
-        probs[layer] = layer_probs
-
-    return sink
+LayerFn = Callable[[int, int, np.ndarray, np.ndarray], None]
 
 
 def reconstruct_capture(
@@ -268,64 +285,43 @@ def reconstruct_capture(
     recon_prompt: str = "",
     cfg: SamplerConfig | None = None,
     probe: ProbeFn | None = None,
-    keep_logits: bool = True,
     on_layer: LayerFn | None = None,
-) -> AttentionTrace | None:
+) -> "AttentionTrace | LayerFn":
     """Capture I2I attention while re-noising the glyph at each captured step.
 
     For step i <= cutoff_step: x_{t_i} = noise_to(patchify(glyph), t_i, eps)
     with the same eps every step, one unguided forward at t_i, all layers
-    captured. No trajectory is integrated. Each forward's hook sink copies
-    every layer's I2I blocks into the trace as soon as that layer's softmax
-    is done; a probe also gets full-map copies from the same hook.
+    captured. No trajectory is integrated. Each forward's hook sink hands
+    every layer to on_layer(step, layer, logits, probs) as soon as that
+    layer's softmax is done, and the reducer is returned; a probe also gets
+    full-map copies from the same hook.
 
-    With keep_logits=False only the probabilities are allocated and filled,
-    which halves the trace; the result can drive selection and metrics but
-    not injection (see `AttentionTrace`).
-
-    With `on_layer` set no trace is allocated and None is returned: the sink
-    hands every layer to on_layer(step, t, layer, logits, probs) instead,
-    logits included whatever keep_logits says. The blocks are views of
-    forward's buffers that the next layer overwrites, so the caller reduces
-    each layer during its call and never holds a step of the trace.
+    Without `on_layer` the reducer is `AttentionTrace.empty(cfg, weights.cfg)`,
+    which copies each layer into its slot, so the full trace is returned.
+    The blocks are views of forward's buffers that the next layer
+    overwrites, so any other reducer reduces or copies each layer during
+    its call (see `pipeline.StreamedTrace`).
     """
     cfg = cfg or SamplerConfig()
-    mcfg = weights.cfg
-    x0 = patchify(glyph, mcfg)
+    if on_layer is None:
+        on_layer = AttentionTrace.empty(cfg, weights.cfg)
+    x0 = patchify(glyph, weights.cfg)
     eps = draw_noise(cfg.noise_seed, x0.shape)
     text = embed_prompt(recon_prompt, weights)
-    knots = cfg.knots()
 
-    n_steps = cfg.cutoff_step
-    logits = probs = None
-    if on_layer is None:
-        shape = (n_steps, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, mcfg.n_img)
-        logits = np.empty(shape, dtype=np.float64) if keep_logits else None
-        probs = np.empty(shape, dtype=np.float64)
-    t_values = []
-
-    for i in range(1, n_steps + 1):
-        t_i = float(knots[i - 1])
-        t_values.append(t_i)
+    for i, t_i in enumerate(cfg.captured_t_values(), start=1):
         x_t = noise_to(x0, t_i, eps)
         tokens = TokenSequence(text=text, image=embed_patches(weights, x_t))
-        if on_layer is None:
-            sink = _copy_into(None if logits is None else logits[i - 1], probs[i - 1])
-        else:
-            sink = partial(on_layer, i, t_i)
         hook = AttentionHook(
             store_logits=probe is not None,
             store_probs=probe is not None,
             step=i,
-            sink=sink,
+            sink=partial(on_layer, i),
         )
         _, captured = forward(weights, tokens, t_i, hook)
         if probe is not None:
             probe(i, t_i, "recon", captured)
-
-    if on_layer is not None:
-        return None
-    return AttentionTrace(t_values=tuple(t_values), logits=logits, probs=probs)
+    return on_layer
 
 
 def generate_with_injection(
@@ -340,9 +336,10 @@ def generate_with_injection(
 
     For steps <= plan.cutoff_step every layer's I2I logit rows listed in the
     plan are replaced by the trace's rows, identically in the conditional and
-    unconditional branches. `trace` is an `AttentionTrace` or a
-    `pipeline.StreamedTrace`; either gives the plan's (n_heads, k, n_img)
-    rows through `core_rows`, read once before the first forward. Pass
+    unconditional branches. `trace` is a `pipeline.StreamedTrace` (an
+    injected `run_generate`) or an `AttentionTrace` (a sweep's full runs);
+    either gives the plan's (n_heads, k, n_img) rows through `core_rows`,
+    read once before the first forward. Pass
     trace=None, plan=None for a baseline run. The plan must have been built
     from `trace` itself (`plan.trace is trace`); a trace with the same bytes
     is still refused, so no trace is hashed here. A probs-only trace, or one

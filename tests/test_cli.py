@@ -179,11 +179,16 @@ def test_analyze_of_a_malformed_trace_exits_2(tmp_path, conf, capsys, case):
 
 
 def test_save_trace_flag(tmp_path, conf):
+    """generate --save-trace writes the trace `reconstruct` writes for the
+    same config, and its manifest holds that trace's checksum."""
     d = str(tmp_path / "o")
     assert main(["generate", "--config", conf, "--save-trace", "--out-dir", d]) == 0
     man = RunManifest.load(f"{d}/manifest.json")
     trace = AttentionTrace.load(f"{d}/trace.bin")
     assert trace.checksum() == man.checksums["trace"]
+    reconstructed = tmp_path / "a.bin"
+    assert main(["reconstruct", "--config", conf, "--out", str(reconstructed)]) == 0
+    assert (tmp_path / "o" / "trace.bin").read_bytes() == reconstructed.read_bytes()
 
 
 def test_dataset_record_selection(tmp_path, conf):
@@ -370,6 +375,24 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = main(["generate", "--config", str(bad), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, data",
+    [
+        ("--config", b"io.word = \xff\n"),
+        ("--dataset", b'[{"word": "\xff", "style": "x"}]'),
+        ("--dataset", b"[" * 100_000),
+    ],
+    ids=["config not utf-8", "dataset not utf-8", "dataset nested 100000 deep"],
+)
+def test_unreadable_text_inputs_exit_2(tmp_path, conf, capsys, flag, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    out = tmp_path / "o"
+    assert main(["generate", "--config", conf, flag, str(path), "--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_word_writes_error_manifest(tmp_path, conf):

@@ -253,11 +253,24 @@ def _config_text(draw):
     return "\n".join(lines)
 
 
+@pytest.fixture(scope="module")
+def raw_file(tmp_path_factory):
+    """One file that the raw-bytes examples of a property rewrite in turn."""
+    return tmp_path_factory.mktemp("raw") / "input"
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(max_size=80), _config_text()))
-def test_parse_gives_config_or_error(text):
+@given(st.one_of(st.text(max_size=80), _config_text(), st.binary(max_size=80)))
+@example(b"io.word = \xff\n")
+@example("io.word = caf\u00e9\n".encode("utf-16"))
+def test_parse_gives_config_or_error(raw_file, text):
+    """Text is parsed as is; raw bytes are read from a config file."""
     try:
-        config = parse(text)
+        if isinstance(text, bytes):
+            raw_file.write_bytes(text)
+            config = parse_file(raw_file)
+        else:
+            config = parse(text)
     except GlyphFlowError:
         return
     assert isinstance(config, RunConfig)
@@ -352,7 +365,13 @@ _VALID_MANIFEST = RunManifest(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(max_size=40), _manifest_text(), st.integers(1, 5000).map(lambda n: "[" * n)))
+@given(st.one_of(
+    st.text(max_size=40), _manifest_text(), st.integers(1, 5000).map(lambda n: "[" * n),
+    st.binary(max_size=40), _manifest_text().map(lambda text: text.encode("utf-8")[:-1]),
+))
+@example(_VALID_MANIFEST.encode("utf-8"))
+@example(_VALID_MANIFEST.replace("0.1.0", "\u00e9").encode("latin-1"))
+@example(_VALID_MANIFEST.encode("utf-16"))
 @example(_VALID_MANIFEST.replace('"step": 1', '"step": Infinity'))
 @example(_VALID_MANIFEST.replace('"char_f1": 1.0', '"char_f1": ' + _BIG_INT))
 @example(_VALID_MANIFEST.replace('{\n    "char_f1": 1.0\n  }', "7"))
@@ -361,9 +380,14 @@ _VALID_MANIFEST = RunManifest(
     json.loads(_VALID_MANIFEST),
     version=5, config_hash=[1], outputs={"image": 3}, checksums={"trace": None}, error=7,
 )))
-def test_manifest_from_json_gives_manifest_or_error(text):
+def test_manifest_from_json_gives_manifest_or_error(raw_file, text):
+    """Text is parsed as is; raw bytes are read from a manifest file."""
     try:
-        manifest = RunManifest.from_json(text)
+        if isinstance(text, bytes):
+            raw_file.write_bytes(text)
+            manifest = RunManifest.load(raw_file)
+        else:
+            manifest = RunManifest.from_json(text)
     except GlyphFlowError:
         return
     assert isinstance(manifest, RunManifest)

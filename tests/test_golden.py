@@ -196,7 +196,8 @@ def default_probs_trace():
     cfg = RunConfig()
     glyph = prepare_glyph(cfg)
     trace = reconstruct_capture(
-        init_model(cfg.model), glyph, cfg.io.recon_prompt, cfg.sampler, keep_logits=False
+        init_model(cfg.model), glyph, cfg.io.recon_prompt, cfg.sampler,
+        on_layer=AttentionTrace.empty(cfg.sampler, cfg.model, logits=False),
     )
     return trace, glyph_mask_patches(glyph, cfg.model.patch)
 

@@ -199,7 +199,10 @@ def test_trace_load_rejects_malformed_tensors_and_t_values(tmp_path, tiny_trace,
 
 
 def test_probs_only_capture_equals_full_probs(tiny_weights, tiny_glyph, tiny_sampler, tiny_trace):
-    lean = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, keep_logits=False)
+    lean = reconstruct_capture(
+        tiny_weights, tiny_glyph, "", tiny_sampler,
+        on_layer=AttentionTrace.empty(tiny_sampler, tiny_weights.cfg, logits=False),
+    )
     assert lean.logits is None
     assert lean.probs.tobytes() == tiny_trace.probs.tobytes()
 
@@ -207,7 +210,10 @@ def test_probs_only_capture_equals_full_probs(tiny_weights, tiny_glyph, tiny_sam
 def test_probs_only_trace_refuses_logit_consumers(
     tmp_path, monkeypatch, tiny_weights, tiny_glyph, tiny_sampler
 ):
-    lean = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, keep_logits=False)
+    lean = reconstruct_capture(
+        tiny_weights, tiny_glyph, "", tiny_sampler,
+        on_layer=AttentionTrace.empty(tiny_sampler, tiny_weights.cfg, logits=False),
+    )
     with pytest.raises(TraceMismatch):
         lean.step_logits(1, 0)
     with pytest.raises(TraceMismatch):
@@ -233,13 +239,14 @@ def test_probs_only_capture_allocates_no_logits():
     reconstruct_capture(weights, glyph, "", sampler)  # forward's buffers are made once
 
     traces, peaks = {}, {}
-    for keep_logits in (True, False):
+    for logits in (True, False):
         tracemalloc.start()
         try:
-            traces[keep_logits] = reconstruct_capture(
-                weights, glyph, "", sampler, keep_logits=keep_logits
+            traces[logits] = reconstruct_capture(
+                weights, glyph, "", sampler,
+                on_layer=AttentionTrace.empty(sampler, cfg, logits=logits),
             )
-            peaks[keep_logits] = tracemalloc.get_traced_memory()[1]
+            peaks[logits] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     logits_nbytes = traces[True].logits.nbytes

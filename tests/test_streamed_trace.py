@@ -1,11 +1,13 @@
-"""An injected `run_generate` without io.save_trace keeps a `StreamedTrace`
-instead of the full trace: the same plan, image, metrics and trace checksum,
-in memory that does not grow with the trace's full logits and probs."""
+"""Every injected `run_generate` plans from a `StreamedTrace`, which keeps
+only what the run reads of its reconstruction capture: the same plan, image,
+metrics and trace checksum as the full-trace reference pipeline, with or
+without io.save_trace, in memory that does not grow with the trace's full
+logits and probs."""
 
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,30 +19,42 @@ from glyphflow import (
     RunConfig,
     ScoreMode,
     ScoreVector,
+    build_injection,
+    build_prompt,
     coreattn,
+    generate_with_injection,
+    glyph_mask_patches,
+    init_model,
     pipeline,
+    prepare_glyph,
+    reconstruct_capture,
     run_generate,
 )
 from tests.conftest import TINY, TINY_SAMPLER
 
+_TEXT_METRICS = {"exact_match", "char_precision", "char_recall", "char_f1"}
 
-def _config(save_trace: bool, sampler=TINY_SAMPLER, **injection) -> RunConfig:
+
+def _config(sampler=TINY_SAMPLER, **injection) -> RunConfig:
     return RunConfig(
         model=TINY,
         sampler=sampler,
         injection=InjectionConfig(**{"ratio": 0.25, **injection}),
-        io=IOConfig(word="A", scale=1, save_trace=save_trace),
+        io=IOConfig(word="A", scale=1),
     )
 
 
-def _run(cfg: RunConfig, out_dir, probed: bool):
-    """PGM bytes, manifest, (trace type, plan) and probe calls of one run."""
-    calls = []
-
+def _probe(calls: list):
     def probe(step, t, branch, captured):
         maps = {layer: (a.logits.tobytes(), a.probs.tobytes()) for layer, a in captured.items()}
         calls.append((step, t, branch, maps))
 
+    return probe
+
+
+def _run(cfg: RunConfig, out_dir, probed: bool):
+    """Image, manifest, (trace type, plan) and probe calls of one run."""
+    calls = []
     plans = []
     inner = pipeline.build_injection
 
@@ -50,37 +64,61 @@ def _run(cfg: RunConfig, out_dir, probed: bool):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "build_injection", tap)
-        run_generate(cfg, out_dir=str(out_dir), probe=probe if probed else None)
+        _, image = run_generate(cfg, out_dir=str(out_dir), probe=_probe(calls) if probed else None)
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert len(plans) == 1
-    return (out_dir / "output.pgm").read_bytes(), manifest, plans[0], calls
+    return image, manifest, plans[0], calls
+
+
+def _reference(cfg: RunConfig, probed: bool):
+    """The full-trace pipeline, spelled out: capture an `AttentionTrace`,
+    plan from it, generate from it, measure its row masses and hash it."""
+    calls = []
+    probe = _probe(calls) if probed else None
+    glyph = prepare_glyph(cfg)
+    weights = init_model(cfg.model)
+    trace = reconstruct_capture(weights, glyph, cfg.io.recon_prompt, cfg.sampler, probe=probe)
+    inj = cfg.injection
+    plan = build_injection(
+        trace, inj.ratio, cutoff_step=cfg.sampler.cutoff_step, mode=inj.mode,
+        averaging=inj.averaging,
+    )
+    prompt = build_prompt(cfg.io.word, cfg.io.style).prompt
+    image, manifest = generate_with_injection(weights, prompt, trace, plan, cfg.sampler, probe)
+    metrics = {}
+    if plan.ratio > 0.0 and plan.cutoff_step > 0:
+        masses = pipeline._trace_row_masses(trace, glyph_mask_patches(glyph, cfg.model.patch))
+        metrics = pipeline._coverage_metrics(masses, plan)
+    return image, plan, calls, [asdict(log) for log in manifest.step_logs], metrics, trace
 
 
 def _assert_streamed_equals_full(tmp_path, sampler=TINY_SAMPLER, probed=False, **injection):
-    """Both paths write to one directory in turn, so their manifests' output
-    paths agree. The full path's config differs only in io.save_trace, which
-    moves its config hash and adds the trace file to its outputs."""
-    out = tmp_path / "run"
-    full_pgm, full, (full_kind, full_plan), full_calls = _run(
-        _config(True, sampler, **injection), out, probed
-    )
-    assert full_kind is AttentionTrace
-    saved = AttentionTrace.load(out / "trace.bin")
-    assert full["checksums"]["trace"] == saved.checksum()
-    streamed_pgm, streamed, (streamed_kind, streamed_plan), streamed_calls = _run(
-        _config(False, sampler, **injection), out, probed
-    )
-    assert streamed_kind is pipeline.StreamedTrace
-    assert streamed_pgm == full_pgm
-    assert streamed_plan == full_plan
-    assert streamed_calls == full_calls
+    """`run_generate`, with io.save_trace off and on, against `_reference`.
+    With io.save_trace its trace.bin holds the reference trace's bytes."""
+    cfg = _config(sampler, **injection)
+    ref_image, ref_plan, ref_calls, ref_logs, ref_metrics, ref_trace = _reference(cfg, probed)
     if probed:
-        assert [c[2] for c in streamed_calls].count("recon") == sampler.cutoff_step
-    del full["outputs"]["trace"]
-    assert full.pop("config_hash") != streamed.pop("config_hash")
-    assert streamed == full
-    assert streamed["checksums"]["trace"] == saved.checksum()
-    return streamed
+        assert [c[2] for c in ref_calls].count("recon") == sampler.cutoff_step
+    for save_trace in (False, True):
+        out = tmp_path / f"save_trace_{save_trace}"
+        image, manifest, (kind, plan), calls = _run(
+            replace(cfg, io=replace(cfg.io, save_trace=save_trace)), out, probed
+        )
+        assert kind is pipeline.StreamedTrace
+        assert image.tobytes() == ref_image.tobytes()
+        assert plan == ref_plan
+        assert calls == ref_calls
+        assert manifest["step_logs"] == ref_logs
+        metrics = manifest["metrics"]
+        assert {key: metrics[key] for key in metrics.keys() - _TEXT_METRICS} == ref_metrics
+        assert manifest["checksums"]["trace"] == ref_trace.checksum()
+        assert ("trace" in manifest["outputs"]) == save_trace
+        if save_trace:
+            saved = AttentionTrace.load(out / "trace.bin")
+            assert saved.t_values == ref_trace.t_values
+            assert saved.logits.tobytes() == ref_trace.logits.tobytes()
+            assert saved.probs.tobytes() == ref_trace.probs.tobytes()
+    return manifest
 
 
 @pytest.mark.parametrize("averaging", [True, False])
@@ -128,7 +166,7 @@ def test_streamed_generate_memory_stays_below_the_full_trace():
     of the trace's logits and probs alone; with the full trace held, the
     peak is above them."""
     steps = 128
-    cfg = _config(False, replace(TINY_SAMPLER, steps=steps, cutoff_step=steps))
+    cfg = _config(replace(TINY_SAMPLER, steps=steps, cutoff_step=steps))
     n = TINY.n_img
     trace_bytes = 2 * steps * TINY.n_layers * TINY.n_heads * n * n * 8
     run_generate(cfg, write_outputs=False)  # first-call allocations do not count
@@ -153,7 +191,7 @@ def test_streamed_generate_scores_each_captured_layer_once(monkeypatch, mode):
         return inner(maps, mode, layer, step)
 
     monkeypatch.setattr(coreattn, "token_scores", counted)
-    run_generate(_config(False, mode=mode), write_outputs=False)
+    run_generate(_config(mode=mode), write_outputs=False)
     steps, layers = TINY_SAMPLER.cutoff_step, TINY.n_layers
     assert calls == [(layer, step) for step in range(1, steps + 1) for layer in range(layers)]
 
@@ -163,7 +201,7 @@ def test_streamed_generate_holds_no_step_of_the_trace():
     than one captured step's I2I logits and probs plus the core rows it
     keeps: the capture reduces each layer as forward produces it."""
     model = replace(TINY, n_layers=3, grid=16)
-    cfg = replace(_config(False, replace(TINY_SAMPLER, steps=2)), model=model)
+    cfg = replace(_config(replace(TINY_SAMPLER, steps=2)), model=model)
     n, heads, layers, steps = model.n_img, model.n_heads, model.n_layers, cfg.sampler.cutoff_step
     step_pair = 2 * layers * heads * n * n * 8
     kept_rows = steps * layers * heads * math.ceil(cfg.injection.ratio * n) * n * 8
