@@ -18,7 +18,7 @@ import sys
 
 from .coreattn import ScoreMode, save_scores
 from .errors import GlyphFlowError, NonFiniteActivation, ZeroRowMass
-from .glyphs import Layout, glyph_mask_patches, rasterize_text
+from .glyphs import Layout, fallback_warnings, glyph_mask_patches, rasterize_text
 from .manifest import VERSION
 from .model import init_model
 from .netpbm import write_pgm
@@ -91,7 +91,20 @@ def _build_config(args) -> RunConfig:
             )
         values["io.word"] = records[args.record].word
         values["io.style"] = records[args.record].style
+    if args.func is cmd_sweep:
+        # the sweep captures at its grid's largest cutoff and never reads sampler.cutoff,
+        # so a cutoff that the steps leave out of range becomes the grid's, clipped to
+        # the steps so that run_sweep reports a grid deeper than them
+        steps = values.get("sampler.steps", cfg.sampler.steps)
+        if cfg.sampler.cutoff_step > steps:
+            values["sampler.cutoff"] = min(max(cfg.sweep.steps, default=0), steps)
     return apply_overrides(cfg, values)
+
+
+def _warn(warnings: tuple[str, ...]):
+    """Print the rasterizer's warnings (fallback glyphs) to stderr."""
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
 
 def cmd_rasterize(args) -> int:
@@ -103,8 +116,7 @@ def cmd_rasterize(args) -> int:
         scale=args.scale_value,
         patch=args.patch,
     )
-    for warning in glyph.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(glyph.warnings)
     write_pgm(args.out, glyph.pixels)
     if args.mask_out:
         write_pgm(args.mask_out, glyph.mask.astype(float))
@@ -115,6 +127,7 @@ def cmd_rasterize(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _build_config(args)
     glyph = prepare_glyph(cfg)
+    _warn(glyph.warnings)
     weights = init_model(cfg.model)
     trace = reconstruct_capture(weights, glyph, cfg.io.recon_prompt, cfg.sampler)
     trace.save(args.out)
@@ -126,6 +139,8 @@ def cmd_generate(args) -> int:
     cfg = _build_config(args)
     if args.no_injection:
         cfg = apply_overrides(cfg, {"injection.enabled": False})
+    if not cfg.io.glyph_path:
+        _warn(fallback_warnings(cfg.io.word))
     try:
         manifest, _ = run_generate(cfg)
     except (GlyphFlowError, OSError) as exc:
@@ -145,6 +160,7 @@ def cmd_analyze(args) -> int:
     out_dir = cfg.io.out_dir
     trace = AttentionTrace.load(args.trace)
     glyph = prepare_glyph(cfg)
+    _warn(glyph.warnings)
     mask_frac = glyph_mask_patches(glyph, cfg.model.patch)
     result = run_analyze(
         trace,
@@ -167,6 +183,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_config(args)
+    if not cfg.io.glyph_path:
+        _warn(fallback_warnings(cfg.io.word))
     result = run_sweep(cfg)
     n_cells = len(cfg.sweep.ratios) * len(cfg.sweep.steps)
     for path in (result.csv_paths[m] for m in sorted(result.csv_paths)):

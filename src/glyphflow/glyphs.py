@@ -66,6 +66,16 @@ def _scaled(bitmap: np.ndarray, scale: int) -> np.ndarray:
     return np.repeat(np.repeat(bitmap, scale, axis=0), scale, axis=1)
 
 
+def fallback_warnings(text: str) -> tuple[str, ...]:
+    """What `rasterize_text` warns of: one line per codepoint the built-in font lacks."""
+    font = builtin_font()
+    return tuple(
+        f"codepoint U+{ord(ch):04X} not in font, fallback glyph used"
+        for ch in text
+        if not font.glyph(ch)[1]
+    )
+
+
 def rasterize_text(
     text: str,
     layout: Layout = Layout.HORIZONTAL,
@@ -90,14 +100,7 @@ def rasterize_text(
     if patch < 1 or width % patch or height % patch:
         raise ConfigError(f"canvas {width}x{height} must be a positive multiple of patch {patch}")
     font = builtin_font()
-
-    warnings: list[str] = []
-    bitmaps: list[np.ndarray] = []
-    for ch in text:
-        bitmap, known = font.glyph(ch)
-        if not known:
-            warnings.append(f"codepoint U+{ord(ch):04X} not in font, fallback glyph used")
-        bitmaps.append(bitmap)
+    bitmaps = [font.glyph(ch)[0] for ch in text]
 
     # the run is sized from the bitmap shapes times scale: an oversized run is
     # refused before any bitmap is scaled up
@@ -135,7 +138,7 @@ def rasterize_text(
     if not canvas.any():
         raise ConfigError(f"text {text!r} renders no ink")
 
-    return GlyphImage(pixels=canvas.astype(np.float64), warnings=tuple(warnings))
+    return GlyphImage(pixels=canvas.astype(np.float64), warnings=fallback_warnings(text))
 
 
 def load_glyph_bitmap(path, patch: int = 8) -> GlyphImage:

@@ -120,7 +120,7 @@ class JointAttention:
 
 
 OverrideFn = Callable[[int, int, int, np.ndarray], np.ndarray]
-# (layer, i2i_logits, i2i_probs): views of forward's buffers, valid only during the call
+# (layer, i2i_logits, i2i_probs): views of forward's maps, valid only during the call
 SinkFn = Callable[[int, np.ndarray, np.ndarray], None]
 
 
@@ -131,14 +131,14 @@ class AttentionHook:
     The override receives (step, layer, head, i2i_logits) with the logits
     already scaled by 1/sqrt(d_head), and returns the block to use; it cannot
     touch T2T/T2I/I2T. The block it receives is a view of forward's logits
-    buffer, so writing it writes the logits, and an override may edit it in
+    map, so writing it writes the logits, and an override may edit it in
     place and return it; the next layer overwrites it, so an override that
     keeps it must copy. `store_logits` and `store_probs` capture full-map
     copies at every layer.
 
     `sink` is called once per layer, right after the layer's softmax, as
     sink(layer, i2i_logits, i2i_probs): both are (n_heads, n_img, n_img)
-    views of forward's buffers, the logits after the override. They are
+    views of forward's maps, the logits after the override. They are
     valid only during the call, since the next layer overwrites them, so a
     sink that keeps any of their bytes copies them; it must not write them.
     A sink is not a full-map capture.
@@ -170,18 +170,15 @@ class LayerWeights:
 
 @dataclass
 class ModelWeights:
+    """The network's weights, built by `init_model`; forward only reads them."""
+
     cfg: ModelConfig
     text_table: np.ndarray
     pad_vec: np.ndarray
     patch_w: np.ndarray
     layers: tuple[LayerWeights, ...]
     head_w: np.ndarray
-    pos_enc: np.ndarray = field(repr=False, default=None)
-    # forward's attention buffers: (logits, probs), made by the first forward
-    # and reused by every later one
-    _attn: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    pos_enc: np.ndarray = field(repr=False)
 
     def named(self) -> dict[str, np.ndarray]:
         out = {
@@ -366,15 +363,6 @@ def _softmax_rows(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return e
 
 
-def _attention_buffers(weights: ModelWeights) -> tuple[np.ndarray, np.ndarray]:
-    """The weights' (heads, T, T) logits and probs buffers."""
-    if weights._attn is None:
-        cfg = weights.cfg
-        maps = (cfg.n_heads, cfg.seq_len, cfg.seq_len)
-        weights._attn = (np.empty(maps), np.empty(maps))
-    return weights._attn
-
-
 def _require_finite(arr: np.ndarray, what: str, layer: int):
     if not np.isfinite(arr).all():
         raise NonFiniteActivation(f"non-finite {what} at layer {layer}")
@@ -395,15 +383,13 @@ def forward(
     linear velocity head. Reductions run in fixed ascending-index order, so
     the pass is bit-deterministic for fixed inputs.
 
-    Every layer computes its logits and probs in one pair of buffers that
-    `weights` owns, so a forward allocates no attention maps. The override
-    gets each head's I2I block as a view of the logits buffer, and its return
-    value is assigned back into that view. `hook.sink` gets each layer's I2I
-    blocks as views of the same buffers, right after the layer's softmax;
-    full-map captures are copies.
-    Because of the shared buffers, forward is not re-entrant on one
-    `ModelWeights`: an override or sink must not call forward on the same
-    weights, and two threads must not run it on them at once.
+    Each call allocates one (heads, T, T) logits/probs pair and computes
+    every layer's maps in it, so the result depends only on the arguments:
+    a hook may run forward itself, and threads may share `weights`. The
+    override gets each head's I2I block as a view of the logits map, and its
+    return value is assigned back into that view. `hook.sink` gets each
+    layer's I2I blocks as views of the same pair, right after the layer's
+    softmax; full-map captures are copies.
     """
     cfg = weights.cfg
     if not 0.0 <= t <= 1.0:
@@ -416,7 +402,9 @@ def forward(
     scale = 1.0 / math.sqrt(d_head)
     t_emb = timestep_embedding(t, cfg.d_model)
     captured: dict[int, JointAttention] = {}
-    logits, probs = _attention_buffers(weights)
+    # one block for the pair: with two 2.4 MB maps instead, glibc trims its heap
+    # more often and a default sweep op takes ~40k more minor page faults
+    logits, probs = np.empty((2, n_heads, seq, seq))
     sink = hook.sink if hook is not None else None
 
     x = tokens.joint()

@@ -275,7 +275,7 @@ class AttentionTrace:
 
 # A layer reducer receives (step, layer, i2i_logits, i2i_probs) during each
 # capture forward; the (n_heads, n_img, n_img) blocks are forward's own
-# buffers, valid only during the call (see `AttentionHook.sink`).
+# maps, valid only during the call (see `AttentionHook.sink`).
 LayerFn = Callable[[int, int, np.ndarray, np.ndarray], None]
 
 
@@ -298,7 +298,7 @@ def reconstruct_capture(
 
     Without `on_layer` the reducer is `AttentionTrace.empty(cfg, weights.cfg)`,
     which copies each layer into its slot, so the full trace is returned.
-    The blocks are views of forward's buffers that the next layer
+    The blocks are views of forward's maps that the next layer
     overwrites, so any other reducer reduces or copies each layer during
     its call (see `pipeline.StreamedTrace`).
     """

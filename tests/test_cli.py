@@ -278,6 +278,51 @@ def test_sweep_exit_codes(tmp_path, conf, capsys):
         assert path.read_text() == f"ratio,step,{metric}\n0.0,1,NA\n"
 
 
+def test_sweep_reads_no_sampler_cutoff(tmp_path, capsys):
+    # the tiny config's sampler.cutoff (2) is out of range for --steps 1, but
+    # the sweep captures at its grid's largest cutoff and never reads it
+    conf = tmp_path / "grid.conf"
+    conf.write_text(TINY_CONF + "sweep.ratios = 0.5\nsweep.steps = 1\n")
+    d = tmp_path / "flag"
+    assert main(["sweep", "--config", str(conf), "--steps", "1", "--out-dir", str(d)]) == 0
+    same = tmp_path / "file.conf"
+    same.write_text(conf.read_text() + "sampler.steps = 1\nsampler.cutoff = 1\n")
+    assert main(["sweep", "--config", str(same), "--out-dir", str(tmp_path / "file")]) == 0
+    for name in ("sweep_attention_shift.csv", "sweep_mask_coverage.csv"):
+        assert (d / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+    # a grid cutoff above the steps is still the sweep's own error
+    conf.write_text(TINY_CONF + "sweep.ratios = 0.5\nsweep.steps = 1,2\n")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(conf), "--steps", "1", "--out-dir", str(d)]) == 2
+    assert "sweep cutoff 2 exceeds sampler steps 1" in capsys.readouterr().err
+
+
+def test_every_glyph_command_reports_fallback_glyphs(tmp_path, conf, capsys):
+    warning = "warning: codepoint U+00E9 not in font, fallback glyph used\n"
+    grid = tmp_path / "grid.conf"
+    grid.write_text(TINY_CONF + "sweep.ratios = 0.5\nsweep.steps = 1\n")
+    trace = str(tmp_path / "t.bin")
+    runs = {
+        "reconstruct": ["reconstruct", "--config", conf, "--out", trace],
+        "generate": ["generate", "--config", conf, "--out-dir", str(tmp_path / "g")],
+        "analyze": ["analyze", "--config", conf, "--trace", trace, "--out-dir", str(tmp_path)],
+        "sweep": ["sweep", "--config", str(grid), "--out-dir", str(tmp_path / "s")],
+    }
+    for name, argv in runs.items():
+        capsys.readouterr()
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "", name
+        assert main(argv + ["--word", "é"]) == 0
+        got_out, got_err = capsys.readouterr()
+        assert got_err == warning, name
+        # stdout says only what was written, whatever the word
+        assert "warning" not in got_out and len(got_out.splitlines()) == len(out.splitlines())
+    manifest = (tmp_path / "g" / "manifest.json").read_text()
+    assert "warning" not in manifest and "U+00E9" not in manifest
+
+
 def test_sweep_full_runs_writes_cell_images(tmp_path):
     conf = tmp_path / "c.conf"
     conf.write_text(TINY_CONF + "sweep.ratios = 0.5\nsweep.steps = 1\n")

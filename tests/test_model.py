@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -270,15 +273,15 @@ def test_captures_are_consistent_and_distinct(tiny_weights, tiny_glyph, override
             assert not np.shares_memory(a, b)
 
 
-def _full_capture(weights, tokens, t):
-    hook = AttentionHook(store_logits=True, store_probs=True)
+def _full_capture(weights, tokens, t, sink=None):
+    hook = AttentionHook(store_logits=True, store_probs=True, sink=sink)
     vel, caps = forward(weights, tokens, t, hook)
     return [vel.tobytes()] + [
         arr.tobytes() for layer in sorted(caps) for arr in (caps[layer].logits, caps[layer].probs)
     ]
 
 
-def test_reused_buffers_keep_forward_bit_identical(tiny_cfg, tiny_glyph):
+def test_forward_depends_only_on_its_arguments(tiny_cfg, tiny_glyph):
     first = init_model(tiny_cfg)
     tokens_a = make_tokens(first, "A", tiny_glyph.pixels)
     tokens_b = make_tokens(first, "B b", np.flipud(tiny_glyph.pixels))
@@ -301,6 +304,47 @@ def test_reused_buffers_keep_forward_bit_identical(tiny_cfg, tiny_glyph):
     with pytest.raises(NonFiniteActivation):
         forward(first, tokens_b, 0.75, blow_up)
     assert _full_capture(first, tokens_a, 0.5) == want_a
+
+    # a sink that runs a nested forward on the same weights sees what a plain
+    # sink sees, and neither forward changes the other's bytes
+    plain_sunk, sunk, nested = [], [], []
+
+    def plain_sink(layer, logits, probs):
+        plain_sunk.append(logits.tobytes() + probs.tobytes())
+
+    def nesting_sink(layer, logits, probs):
+        nested.append(_full_capture(first, tokens_b, 0.75))
+        sunk.append(logits.tobytes() + probs.tobytes())
+
+    assert _full_capture(first, tokens_a, 0.5, plain_sink) == want_a
+    assert _full_capture(first, tokens_a, 0.5, nesting_sink) == want_a
+    assert nested == [want_b] * tiny_cfg.n_layers
+    assert sunk == plain_sunk
+
+    # four threads running forwards on one set of weights at once, with a short
+    # switch interval, each get their serial bytes
+    jobs = [(tokens_a, 0.5, want_a), (tokens_b, 0.75, want_b)] * 2
+    start = threading.Barrier(len(jobs))
+    got = [None] * len(jobs)
+
+    def run(i, tokens, t):
+        start.wait(timeout=60)
+        got[i] = [_full_capture(first, tokens, t) for _ in range(10)]
+
+    threads = [
+        threading.Thread(target=run, args=(i, tokens, t)) for i, (tokens, t, _) in enumerate(jobs)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[want] * 10 for _, _, want in jobs]
 
 
 def test_captures_survive_later_forwards(tiny_weights, tiny_glyph):
