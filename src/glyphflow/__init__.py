@@ -36,10 +36,11 @@ from .errors import (
     TraceMismatch,
     ZeroRowMass,
 )
-from .font8 import BitmapFont, builtin_font
+from .font8 import glyph
 from .glyphs import (
     GlyphImage,
     Layout,
+    fallback_warnings,
     glyph_mask_patch_counts,
     glyph_mask_patches,
     load_glyph_bitmap,

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .coreattn import ScoreMode, save_scores
-from .errors import GlyphFlowError, NonFiniteActivation, ZeroRowMass
+from .errors import GlyphFlowError, NonFiniteActivation, ZeroRowMass, read_text
 from .glyphs import Layout, fallback_warnings, glyph_mask_patches, rasterize_text
 from .manifest import VERSION
 from .model import init_model
@@ -31,7 +31,7 @@ from .pipeline import (
     run_sweep,
     write_error_manifest,
 )
-from .runconfig import _SCHEMA, RunConfig, _decode, apply_overrides, describe_keys, parse_file
+from .runconfig import _SCHEMA, RunConfig, _decode, apply_overrides, describe_keys, parse_values
 from .sampler import AttentionTrace, reconstruct_capture
 from .tensorio import read_tensors
 
@@ -76,13 +76,18 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]):
 
 
 def _build_config(args) -> RunConfig:
-    """The --config file (or the defaults), then the flags, then the --dataset record."""
-    cfg = parse_file(args.config) if args.config else RunConfig()
-    values = {
-        key: _decode(key, _SCHEMA[key][2], raw)
+    """The defaults, then the --config file, then the flags, then the --dataset record.
+
+    All of them are merged into one key -> value map first, so each config
+    section is validated once, against its final values.
+    """
+    defaults = RunConfig()
+    values = parse_values(read_text(args.config, "config")) if args.config else {}
+    values.update(
+        (key, _decode(key, _SCHEMA[key][2], raw))
         for key, raw in vars(args).items()
         if key in _SCHEMA and raw is not None
-    }
+    )
     if getattr(args, "dataset", None):
         records = load_dataset(args.dataset)
         if not 0 <= args.record < len(records):
@@ -95,15 +100,16 @@ def _build_config(args) -> RunConfig:
         # the sweep captures at its grid's largest cutoff and never reads sampler.cutoff,
         # so a cutoff that the steps leave out of range becomes the grid's, clipped to
         # the steps so that run_sweep reports a grid deeper than them
-        steps = values.get("sampler.steps", cfg.sampler.steps)
-        if cfg.sampler.cutoff_step > steps:
-            values["sampler.cutoff"] = min(max(cfg.sweep.steps, default=0), steps)
-    return apply_overrides(cfg, values)
+        steps = values.get("sampler.steps", defaults.sampler.steps)
+        if values.get("sampler.cutoff", defaults.sampler.cutoff_step) > steps:
+            grid = values.get("sweep.steps", defaults.sweep.steps)
+            values["sampler.cutoff"] = min(max(grid, default=0), steps)
+    return apply_overrides(defaults, values)
 
 
-def _warn(warnings: tuple[str, ...]):
-    """Print the rasterizer's warnings (fallback glyphs) to stderr."""
-    for warning in warnings:
+def _warn(text: str):
+    """Print to stderr one warning per codepoint of `text` that renders as the fallback box."""
+    for warning in fallback_warnings(text):
         print(f"warning: {warning}", file=sys.stderr)
 
 
@@ -116,7 +122,7 @@ def cmd_rasterize(args) -> int:
         scale=args.scale_value,
         patch=args.patch,
     )
-    _warn(glyph.warnings)
+    _warn(args.text)
     write_pgm(args.out, glyph.pixels)
     if args.mask_out:
         write_pgm(args.mask_out, glyph.mask.astype(float))
@@ -127,7 +133,8 @@ def cmd_rasterize(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _build_config(args)
     glyph = prepare_glyph(cfg)
-    _warn(glyph.warnings)
+    if not cfg.io.glyph_path:
+        _warn(cfg.io.word)
     weights = init_model(cfg.model)
     trace = reconstruct_capture(weights, glyph, cfg.io.recon_prompt, cfg.sampler)
     trace.save(args.out)
@@ -140,7 +147,7 @@ def cmd_generate(args) -> int:
     if args.no_injection:
         cfg = apply_overrides(cfg, {"injection.enabled": False})
     if not cfg.io.glyph_path:
-        _warn(fallback_warnings(cfg.io.word))
+        _warn(cfg.io.word)
     try:
         manifest, _ = run_generate(cfg)
     except (GlyphFlowError, OSError) as exc:
@@ -160,7 +167,8 @@ def cmd_analyze(args) -> int:
     out_dir = cfg.io.out_dir
     trace = AttentionTrace.load(args.trace)
     glyph = prepare_glyph(cfg)
-    _warn(glyph.warnings)
+    if not cfg.io.glyph_path:
+        _warn(cfg.io.word)
     mask_frac = glyph_mask_patches(glyph, cfg.model.patch)
     result = run_analyze(
         trace,
@@ -184,7 +192,7 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _build_config(args)
     if not cfg.io.glyph_path:
-        _warn(fallback_warnings(cfg.io.word))
+        _warn(cfg.io.word)
     result = run_sweep(cfg)
     n_cells = len(cfg.sweep.ratios) * len(cfg.sweep.steps)
     for path in (result.csv_paths[m] for m in sorted(result.csv_paths)):

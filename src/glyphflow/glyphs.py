@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValue, ShapeMismatch, TextOverflow
-from .font8 import builtin_font
+from .font8 import glyph
 from .netpbm import read_netpbm
 
 INK_THRESHOLD = 0.5
@@ -26,14 +26,13 @@ class Layout(str, enum.Enum):
 
 @dataclass
 class GlyphImage:
-    """Grayscale (height, width) canvas in [0,1], plus the rasterizer's warnings.
+    """Grayscale (height, width) canvas in [0,1].
 
     `width` and `height` are read from `pixels.shape`, and the binary ink
     `mask` is computed from the pixels on each access: pixels >= INK_THRESHOLD.
     """
 
     pixels: np.ndarray = field(repr=False)
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
@@ -60,20 +59,17 @@ class GlyphImage:
         return self.pixels >= INK_THRESHOLD
 
 
-def _scaled(bitmap: np.ndarray, scale: int) -> np.ndarray:
-    if scale == 1:
-        return bitmap
-    return np.repeat(np.repeat(bitmap, scale, axis=0), scale, axis=1)
-
-
 def fallback_warnings(text: str) -> tuple[str, ...]:
-    """What `rasterize_text` warns of: one line per codepoint the built-in font lacks."""
-    font = builtin_font()
+    """One line per codepoint of `text` that the built-in font lacks."""
     return tuple(
         f"codepoint U+{ord(ch):04X} not in font, fallback glyph used"
         for ch in text
-        if not font.glyph(ch)[1]
+        if not glyph(ch)[1]
     )
+
+
+# (right, down) cells that each successive glyph moves by
+_ADVANCE = {Layout.HORIZONTAL: (1, 0), Layout.VERTICAL: (0, 1), Layout.DIAGONAL: (1, 1)}
 
 
 def rasterize_text(
@@ -86,11 +82,11 @@ def rasterize_text(
 ) -> GlyphImage:
     """Render `text` in the built-in 8x8 font, centered on a width x height canvas.
 
-    Successive glyphs advance by their own scaled width: rightward for
-    Horizontal, downward by the scaled cell height for Vertical, and equally
-    right and down for Diagonal. Unknown codepoints render as the fallback box
-    and are recorded in the result's warning list, never raised. A run larger
-    than the canvas raises TextOverflow before any glyph is scaled up; text
+    Every glyph fills one fixed cell of 8*scale pixels. Successive cells
+    advance rightward for Horizontal, downward for Vertical, and equally
+    right and down for Diagonal. Unknown codepoints render as the fallback
+    box without an error; `fallback_warnings(text)` names them. A run larger
+    than the canvas raises TextOverflow before anything is scaled up; text
     that renders no ink, such as only spaces, raises ConfigError.
     """
     if not text:
@@ -99,46 +95,27 @@ def rasterize_text(
         raise ConfigError("scale must be >= 1")
     if patch < 1 or width % patch or height % patch:
         raise ConfigError(f"canvas {width}x{height} must be a positive multiple of patch {patch}")
-    font = builtin_font()
-    bitmaps = [font.glyph(ch)[0] for ch in text]
-
-    # the run is sized from the bitmap shapes times scale: an oversized run is
-    # refused before any bitmap is scaled up
-    cell_h = font.glyph_height * scale
-    advances = [b.shape[1] * scale for b in bitmaps]
-    heights = [b.shape[0] * scale for b in bitmaps]
-
-    # glyph origin offsets inside the run's bounding box
-    if layout is Layout.HORIZONTAL:
-        xs = np.concatenate([[0], np.cumsum(advances[:-1])]).astype(int)
-        ys = np.zeros(len(bitmaps), dtype=int)
-    elif layout is Layout.VERTICAL:
-        xs = np.zeros(len(bitmaps), dtype=int)
-        ys = np.arange(len(bitmaps)) * cell_h
-    elif layout is Layout.DIAGONAL:
-        xs = np.concatenate([[0], np.cumsum(advances[:-1])]).astype(int)
-        ys = xs.copy()
-    else:
+    if layout not in _ADVANCE:
         raise ConfigError(f"unknown layout {layout!r}")
-
-    run_w = int(max(x + w for x, w in zip(xs, advances)))
-    run_h = int(max(y + h for y, h in zip(ys, heights)))
+    dx, dy = _ADVANCE[layout]
+    cols = 1 + dx * (len(text) - 1)
+    rows = 1 + dy * (len(text) - 1)
+    run_w, run_h = 8 * scale * cols, 8 * scale * rows
     if run_w > width or run_h > height:
         raise TextOverflow(
             f"rendered run {run_w}x{run_h} exceeds canvas {width}x{height}"
         )
 
+    run = np.zeros((8 * rows, 8 * cols), dtype=bool)
+    for i, ch in enumerate(text):
+        run[8 * dy * i : 8 * dy * i + 8, 8 * dx * i : 8 * dx * i + 8] = glyph(ch)[0]
+    if not run.any():
+        raise ConfigError(f"text {text!r} renders no ink")
     ox = (width - run_w) // 2
     oy = (height - run_h) // 2
-    canvas = np.zeros((height, width), dtype=bool)
-    for bitmap, x, y in zip(bitmaps, xs, ys):
-        g = _scaled(bitmap, scale)
-        gh, gw = g.shape
-        canvas[oy + y : oy + y + gh, ox + x : ox + x + gw] |= g
-    if not canvas.any():
-        raise ConfigError(f"text {text!r} renders no ink")
-
-    return GlyphImage(pixels=canvas.astype(np.float64), warnings=fallback_warnings(text))
+    canvas = np.zeros((height, width), dtype=np.float64)
+    canvas[oy : oy + run_h, ox : ox + run_w] = run.repeat(scale, axis=0).repeat(scale, axis=1)
+    return GlyphImage(pixels=canvas)
 
 
 def load_glyph_bitmap(path, patch: int = 8) -> GlyphImage:

@@ -166,7 +166,8 @@ def apply_overrides(config: RunConfig, values: dict[str, object]) -> RunConfig:
     return config
 
 
-def parse(text: str) -> RunConfig:
+def parse_values(text: str) -> dict[str, object]:
+    """The typed value of each key that the `key = value` lines of `text` set."""
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -179,7 +180,11 @@ def parse(text: str) -> RunConfig:
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _decode(key, _SCHEMA[key][2], raw.strip())
-    return apply_overrides(RunConfig(), values)
+    return values
+
+
+def parse(text: str) -> RunConfig:
+    return apply_overrides(RunConfig(), parse_values(text))
 
 
 def parse_file(path) -> RunConfig:

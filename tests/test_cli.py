@@ -1,6 +1,7 @@
 """End-to-end command line checks, all in process via cli.main."""
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def test_generate_no_injection_equals_ratio_zero(tmp_path, conf):
     b = str(tmp_path / "zero")
     assert main(["generate", "--config", conf, "--no-injection", "--out-dir", a]) == 0
     assert main(["generate", "--config", conf, "--ratio", "0.0", "--out-dir", b]) == 0
-    assert open(f"{a}/output.pgm", "rb").read() == open(f"{b}/output.pgm", "rb").read()
+    assert Path(a, "output.pgm").read_bytes() == Path(b, "output.pgm").read_bytes()
 
 
 def test_generate_no_injection_hashes_the_config_that_ran(tmp_path, conf):
@@ -157,7 +158,7 @@ def test_reconstruct_then_analyze(tmp_path, conf):
 
     d = str(tmp_path / "an")
     assert main(["analyze", "--config", conf, "--trace", trace_path, "--out-dir", d]) == 0
-    lines = open(f"{d}/shift.csv").read().strip().split("\n")
+    lines = Path(d, "shift.csv").read_text().strip().split("\n")
     assert lines[0] == "step,layer,attention_shift,mask_coverage"
     assert len(lines) == 1 + trace.steps * trace.n_layers
     raw, _ = read_tensors(f"{d}/scores_raw.bin")
@@ -255,7 +256,7 @@ def test_sweep_exit_codes(tmp_path, conf, capsys):
     good.write_text(base)
     d = str(tmp_path / "ok")
     assert main(["sweep", "--config", str(good), "--out-dir", d]) == 0
-    text = open(f"{d}/sweep_mask_coverage.csv").read()
+    text = Path(d, "sweep_mask_coverage.csv").read_text()
     assert text.startswith("ratio,step,mask_coverage\n")
     assert len(text.strip().split("\n")) == 5
 
@@ -264,7 +265,7 @@ def test_sweep_exit_codes(tmp_path, conf, capsys):
     capsys.readouterr()
     assert main(["sweep", "--config", str(part), "--out-dir", str(tmp_path / "p")]) == 4
     assert "cell (0.0, 1) failed" in capsys.readouterr().err
-    assert "0.0,1,NA" in open(tmp_path / "p" / "sweep_mask_coverage.csv").read()
+    assert "0.0,1,NA" in (tmp_path / "p" / "sweep_mask_coverage.csv").read_text()
 
     dead = tmp_path / "dead.conf"
     dead.write_text(TINY_CONF + "sweep.ratios = 0.0\nsweep.steps = 1\n")
@@ -288,8 +289,18 @@ def test_sweep_reads_no_sampler_cutoff(tmp_path, capsys):
     same = tmp_path / "file.conf"
     same.write_text(conf.read_text() + "sampler.steps = 1\nsampler.cutoff = 1\n")
     assert main(["sweep", "--config", str(same), "--out-dir", str(tmp_path / "file")]) == 0
+    # the same steps from a file line: the file, the flags and the cutoff rule
+    # make one key -> value map before any section is validated
+    steps_line = tmp_path / "steps.conf"
+    steps_line.write_text(conf.read_text() + "sampler.steps = 1\n")
+    assert main(["sweep", "--config", str(steps_line), "--out-dir", str(tmp_path / "line")]) == 0
     for name in ("sweep_attention_shift.csv", "sweep_mask_coverage.csv"):
         assert (d / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+        assert (d / name).read_bytes() == (tmp_path / "line" / name).read_bytes()
+    # a run that reads sampler.cutoff still refuses that file
+    capsys.readouterr()
+    assert main(["generate", "--config", str(steps_line), "--out-dir", str(tmp_path / "g")]) == 2
+    assert "cutoff_step 2 outside [0, steps=1]" in capsys.readouterr().err
 
     # a grid cutoff above the steps is still the sweep's own error
     conf.write_text(TINY_CONF + "sweep.ratios = 0.5\nsweep.steps = 1,2\n")
@@ -304,6 +315,7 @@ def test_every_glyph_command_reports_fallback_glyphs(tmp_path, conf, capsys):
     grid.write_text(TINY_CONF + "sweep.ratios = 0.5\nsweep.steps = 1\n")
     trace = str(tmp_path / "t.bin")
     runs = {
+        "rasterize": ["rasterize", "--text", "A", "--canvas", "16", "--out", str(tmp_path / "r.pgm")],
         "reconstruct": ["reconstruct", "--config", conf, "--out", trace],
         "generate": ["generate", "--config", conf, "--out-dir", str(tmp_path / "g")],
         "analyze": ["analyze", "--config", conf, "--trace", trace, "--out-dir", str(tmp_path)],
@@ -314,7 +326,7 @@ def test_every_glyph_command_reports_fallback_glyphs(tmp_path, conf, capsys):
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert err == "", name
-        assert main(argv + ["--word", "é"]) == 0
+        assert main(argv + ["--text" if name == "rasterize" else "--word", "é"]) == 0
         got_out, got_err = capsys.readouterr()
         assert got_err == warning, name
         # stdout says only what was written, whatever the word

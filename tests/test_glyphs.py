@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,19 @@ from glyphflow import (
     NonFiniteValue,
     ShapeMismatch,
     TextOverflow,
-    builtin_font,
+    fallback_warnings,
+    glyph,
     glyph_mask_patch_counts,
     glyph_mask_patches,
     load_glyph_bitmap,
     rasterize_text,
 )
+from glyphflow.font8 import BITMAPS
 
 
 def test_single_glyph_centered():
-    font = builtin_font()
     g = rasterize_text("A", width=16, height=16, scale=1, patch=4)
-    bitmap, known = font.glyph("A")
+    bitmap, known = glyph("A")
     assert known
     # 8x8 glyph on a 16x16 canvas sits at offset (4, 4)
     assert np.array_equal(g.mask[4:12, 4:12], bitmap)
@@ -33,7 +36,7 @@ def test_pixels_binary_and_match_mask():
     g = rasterize_text("Ab", width=32, height=32, scale=1, patch=8)
     assert set(np.unique(g.pixels)) <= {0.0, 1.0}
     assert np.array_equal(g.mask, g.pixels >= 0.5)
-    assert g.warnings == ()
+    assert fallback_warnings("Ab") == ()
 
 
 def test_scale_multiplies_ink():
@@ -43,29 +46,26 @@ def test_scale_multiplies_ink():
 
 
 def test_horizontal_advance():
-    font = builtin_font()
     g = rasterize_text("AB", width=32, height=16, scale=1, patch=4)
-    a, _ = font.glyph("A")
-    b, _ = font.glyph("B")
+    a, _ = glyph("A")
+    b, _ = glyph("B")
     # run is 16x8, so origin is (8, 4); B starts one cell to the right
     assert np.array_equal(g.mask[4:12, 8:16], a)
     assert np.array_equal(g.mask[4:12, 16:24], b)
 
 
 def test_vertical_advance():
-    font = builtin_font()
     g = rasterize_text("AB", layout=Layout.VERTICAL, width=16, height=32, scale=1, patch=4)
-    a, _ = font.glyph("A")
-    b, _ = font.glyph("B")
+    a, _ = glyph("A")
+    b, _ = glyph("B")
     assert np.array_equal(g.mask[8:16, 4:12], a)
     assert np.array_equal(g.mask[16:24, 4:12], b)
 
 
 def test_diagonal_advance():
-    font = builtin_font()
     g = rasterize_text("AB", layout=Layout.DIAGONAL, width=32, height=32, scale=1, patch=4)
-    a, _ = font.glyph("A")
-    b, _ = font.glyph("B")
+    a, _ = glyph("A")
+    b, _ = glyph("B")
     # run is 16x16 so origin is (8, 8); B sits 8 right and 8 down from A
     assert np.array_equal(g.mask[8:16, 8:16], a)
     assert np.array_equal(g.mask[16:24, 16:24], b)
@@ -95,9 +95,11 @@ def test_canvas_patch_divisibility():
 
 def test_unknown_codepoint_falls_back_with_warning():
     g = rasterize_text("A☃", width=32, height=16, scale=1, patch=4)
-    assert len(g.warnings) == 1
-    assert "U+2603" in g.warnings[0]
-    fallback = builtin_font().fallback
+    warnings = fallback_warnings("A☃")
+    assert len(warnings) == 1
+    assert "U+2603" in warnings[0]
+    fallback, known = glyph("☃")
+    assert not known
     assert np.array_equal(g.mask[4:12, 16:24], fallback)
 
 
@@ -109,17 +111,28 @@ def test_rasterize_deterministic():
 
 
 def test_font_covers_printable_ascii():
-    font = builtin_font()
     for cp in range(32, 127):
-        bitmap, known = font.glyph(chr(cp))
+        bitmap, known = glyph(chr(cp))
         assert known, chr(cp)
         assert bitmap.shape == (8, 8)
         assert bitmap.dtype == np.bool_
+        assert not bitmap.flags.writeable
     # space renders no ink but still advances
-    space, _ = font.glyph(" ")
+    space, _ = glyph(" ")
     assert space.sum() == 0
-    _, known = font.glyph("é")
-    assert not known
+    for ch in ("\x1f", "\x7f", "é"):
+        bitmap, known = glyph(ch)
+        assert not known
+        assert np.array_equal(bitmap, BITMAPS[95])
+
+
+def test_font_table_bits_are_pinned():
+    # codepoints 32..126 then the fallback box: any changed pixel moves the digest
+    bits = np.stack([glyph(chr(cp))[0] for cp in range(32, 127)] + [glyph("é")[0]])
+    assert np.array_equal(bits, BITMAPS)
+    assert hashlib.sha256(np.packbits(BITMAPS).tobytes()).hexdigest() == (
+        "54c9434c1ac0894020c47ce969647dc7ef7792add8644aac7f8e17922a70dc88"
+    )
 
 
 def test_glyph_image_validation(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def test_run_sweep_grid(tmp_path):
         total = result.tables["mask_coverage"][(r, s)] + result.tables["attention_shift"][(r, s)]
         assert abs(total - 1.0) < 1e-9
     for metric, path in result.csv_paths.items():
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith(f"ratio,step,{metric}\n")
         assert len(text.strip().split("\n")) == 1 + len(want_cells)
     # deterministic
@@ -262,7 +263,7 @@ def test_run_sweep_partial_failure(tmp_path):
     assert result.failures == [(0.0, 1, "ShapeMismatch: at least one row required")]
     assert result.tables["mask_coverage"][(0.0, 1)] is None
     assert result.tables["mask_coverage"][(0.5, 1)] is not None
-    text = open(result.csv_paths["mask_coverage"]).read()
+    text = Path(result.csv_paths["mask_coverage"]).read_text()
     assert "0.0,1,NA" in text
 
 
@@ -275,7 +276,7 @@ def test_run_sweep_cutoff_zero_cell_fails(tmp_path):
     for metric in ("mask_coverage", "attention_shift"):
         assert result.tables[metric][(0.5, 0)] is None
         assert result.tables[metric][(0.5, 1)] is not None
-        text = open(result.csv_paths[metric]).read()
+        text = Path(result.csv_paths[metric]).read_text()
         assert "0.5,0,NA" in text
         assert "nan" not in text
 
