@@ -14,7 +14,6 @@ from .coreattn import (
     cumulative_update,
     save_scores,
     select_core_tokens,
-    step_scores,
     token_scores,
     variance_scores,
 )
@@ -41,7 +40,6 @@ from .glyphs import (
     GlyphImage,
     Layout,
     fallback_warnings,
-    glyph_mask_patch_counts,
     glyph_mask_patches,
     load_glyph_bitmap,
     rasterize_text,
@@ -88,7 +86,6 @@ from .runconfig import (
     SweepConfig,
     config_hash,
     parse,
-    parse_file,
     serialize,
 )
 from .sampler import (

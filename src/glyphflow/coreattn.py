@@ -3,12 +3,12 @@ across layers, select top-k sets, and build row-replacement plans.
 
 Scores always come from head-averaged statistics of I2I probability maps; the
 same selected set drives every head during injection. `StepScorer` is the one
-scoring and averaging path and `select_layer` the one selection path.
-`build_injection` selects with `select_layer` from a trace's ranked vectors:
-a full trace scores each step with `step_scores`, which wraps `StepScorer`;
-`pipeline.StreamedTrace` calls `StepScorer` and `select_layer` as the capture
-produces each layer; `pipeline.run_analyze` reports the scores. The coverage
-and shift of the selected rows are measured by `metrics.row_masses` and
+scoring, averaging and selection path: one scorer per captured step is fed
+each layer in turn and picks every layer's core set. `build_injection` asks a
+trace for each step's scorer: a full trace feeds its stored step into a new
+one, `pipeline.StreamedTrace` keeps the ones it fed as the capture produced
+each layer, and `pipeline.run_analyze` reports their scores. The coverage and
+shift of the selected rows are measured by `metrics.row_masses` and
 `metrics.row_fraction`.
 """
 
@@ -180,57 +180,52 @@ def cumulative_update(state: CumulativeScore, s: ScoreVector) -> CumulativeScore
 
 
 class StepScorer:
-    """One captured step's scores, folded layer by layer as the layers arrive.
+    """One captured step's scores and core sets, folded layer by layer as the
+    layers arrive.
 
     `add` scores the next layer's (n_heads, n_img, n_img) I2I probabilities
-    with `token_scores` (row_mass in layer_variance mode) and returns the
+    with `token_scores` (row_mass in layer_variance mode) and keeps the
     vector that ranks that layer: the running mean of layers 1..L through
-    `cumulative_update` (averaging on) or the raw vector (averaging off). In
-    layer_variance mode it returns None, because the step's one variance
-    vector exists only once every layer is in; `ranked` then gives it.
+    `cumulative_update` (averaging on) or the raw vector (averaging off). It
+    returns whether that layer's core set is known now. In layer_variance
+    mode it is not: every layer ranks by the step's one variance vector,
+    which exists only once the step's last layer is in. `core_set` picks a
+    layer's set and `ranked` lists the vectors selection ranks.
     """
 
     def __init__(self, step: int, mode: ScoreMode, averaging: bool):
         self.step, self.mode, self.averaging = step, mode, averaging
         self.raw: list[ScoreVector] = []
-        self._means: list[ScoreVector] = []
+        self._ranked: list[ScoreVector] = []
         self._state: CumulativeScore | None = None
 
-    def add(self, probs: np.ndarray) -> ScoreVector | None:
-        base = ScoreMode.ROW_MASS if self.mode == ScoreMode.LAYER_VARIANCE else self.mode
+    def add(self, probs: np.ndarray) -> bool:
+        variance = self.mode == ScoreMode.LAYER_VARIANCE
+        base = ScoreMode.ROW_MASS if variance else self.mode
         s = token_scores(probs, base, len(self.raw), self.step)
         self.raw.append(s)
-        if self.mode == ScoreMode.LAYER_VARIANCE:
-            return None
-        if not self.averaging:
-            return s
-        self._state = cumulative_update(self._state or CumulativeScore.empty(s.n_img, self.mode), s)
-        self._means.append(self._state.to_score_vector(s.layer, self.step))
-        return self._means[-1]
+        if variance:
+            return False
+        if self.averaging:
+            state = self._state or CumulativeScore.empty(s.n_img, self.mode)
+            self._state = cumulative_update(state, s)
+            s = self._state.to_score_vector(s.layer, self.step)
+        self._ranked.append(s)
+        return True
 
     def ranked(self) -> list[ScoreVector]:
-        """The vectors selection ranks, over the layers added so far."""
+        """The vectors selection ranks, over the layers added so far: one per
+        layer, or the step's one variance vector in layer_variance mode."""
         if self.mode == ScoreMode.LAYER_VARIANCE:
             return [variance_scores(self.raw)]
-        return self._means if self.averaging else self.raw
+        return self._ranked
 
-
-def step_scores(
-    probs: np.ndarray, step: int, mode: ScoreMode, averaging: bool
-) -> tuple[list[ScoreVector], list[ScoreVector]]:
-    """Per-layer raw scores of one captured step, and the vectors selection ranks.
-
-    `probs` is the step's (n_layers, n_heads, n_img, n_img) I2I probability
-    block, fed to a `StepScorer` one layer at a time. Raw scores are
-    row_mass in layer_variance mode. The ranked vectors are the running
-    means of layers 1..L (averaging on), the raw vectors (averaging off), or
-    the single per-step variance vector (layer_variance mode, where
-    averaging has no effect).
-    """
-    scorer = StepScorer(step, mode, averaging)
-    for maps in probs:
-        scorer.add(maps)
-    return scorer.raw, scorer.ranked()
+    def core_set(self, layer: int, ratio: float) -> CoreTokenSet:
+        """Layer `layer`'s core set: the top ceil(ratio * n_img) tokens of the
+        vector that ranks it."""
+        if self.mode == ScoreMode.LAYER_VARIANCE:
+            return select_core_tokens(replace(variance_scores(self.raw), layer=layer), ratio)
+        return select_core_tokens(self._ranked[layer], ratio, averaged=self.averaging)
 
 
 def select_core_tokens(s: ScoreVector, ratio: float, averaged: bool = False) -> CoreTokenSet:
@@ -254,16 +249,6 @@ def _empty_set(n_img: int, step: int, layer: int, mode: ScoreMode, averaged: boo
         n_img=n_img,
         source=SelectionSource(step=step, layer=layer, mode=mode, averaged=averaged),
     )
-
-
-def select_layer(
-    ranked: ScoreVector, ratio: float, layer: int, mode: ScoreMode, averaging: bool
-) -> CoreTokenSet:
-    """Layer `layer`'s core set from the vector that ranks it: the layer's own
-    vector, or in layer_variance mode the step's one variance vector."""
-    if mode == ScoreMode.LAYER_VARIANCE:
-        return select_core_tokens(replace(ranked, layer=layer), ratio)
-    return select_core_tokens(ranked, ratio, averaged=averaging)
 
 
 @dataclass
@@ -304,14 +289,14 @@ def build_injection(
     mode: ScoreMode = ScoreMode.ROW_MASS,
     averaging: bool = True,
 ) -> InjectionPlan:
-    """Select one core set per (step, layer) from each step's ranked vectors.
+    """Select one core set per (step, layer) through each step's `StepScorer`.
 
-    `trace.ranked_scores(step, mode, averaging)` gives those vectors: a full
-    trace scores the step with `step_scores`, a streamed one returns what it
-    scored while it captured. `select_layer` picks each layer's set: with
-    averaging on, layer L's selection uses the running mean of layers 1..L,
-    reset at each step; in layer_variance mode the step's one variance
-    vector drives every layer's selection.
+    `trace.step_scorer(step, mode, averaging)` gives it: a full trace feeds
+    the step's layers into a new scorer, a streamed one returns the scorer
+    it fed while it captured. With averaging on, layer L's selection uses
+    the running mean of layers 1..L, reset at each step; in layer_variance
+    mode the step's one variance vector drives every layer's selection. At
+    ratio 0 every set is empty and nothing is scored.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside [0,1]")
@@ -325,14 +310,12 @@ def build_injection(
 
     sets: dict[tuple[int, int], CoreTokenSet] = {}
     for step in range(1, cutoff + 1):
-        ranked = trace.ranked_scores(step, mode, averaging) if ratio > 0.0 else None
+        scorer = trace.step_scorer(step, mode, averaging) if ratio > 0.0 else None
         for layer in range(trace.n_layers):
-            if ranked is None:
-                core = _empty_set(trace.n_img, step, layer, mode, averaging)
+            if scorer is None:
+                sets[(step, layer)] = _empty_set(trace.n_img, step, layer, mode, averaging)
             else:
-                vector = ranked[0 if mode == ScoreMode.LAYER_VARIANCE else layer]
-                core = select_layer(vector, ratio, layer, mode, averaging)
-            sets[(step, layer)] = core
+                sets[(step, layer)] = scorer.core_set(layer, ratio)
 
     return InjectionPlan(trace=trace, cutoff_step=cutoff, ratio=ratio, sets=sets)
 

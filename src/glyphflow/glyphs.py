@@ -135,8 +135,8 @@ def load_glyph_bitmap(path, patch: int = 8) -> GlyphImage:
     return GlyphImage(pixels=arr)
 
 
-def glyph_mask_patch_counts(g: GlyphImage, patch: int) -> np.ndarray:
-    """Integer count of set mask cells per patch, row-major over the patch grid."""
+def glyph_mask_patches(g: GlyphImage, patch: int) -> np.ndarray:
+    """Fraction of mask cells set per patch, in [0,1], row-major over the patch grid."""
     if patch < 1:
         raise ConfigError("patch must be >= 1")
     if g.height % patch or g.width % patch:
@@ -144,10 +144,5 @@ def glyph_mask_patch_counts(g: GlyphImage, patch: int) -> np.ndarray:
     gh = g.height // patch
     gw = g.width // patch
     blocks = g.mask.astype(np.int64).reshape(gh, patch, gw, patch)
-    return blocks.sum(axis=(1, 3)).reshape(gh * gw)
-
-
-def glyph_mask_patches(g: GlyphImage, patch: int) -> np.ndarray:
-    """Fraction of mask cells set per patch, in [0,1], row-major."""
-    counts = glyph_mask_patch_counts(g, patch)
+    counts = blocks.sum(axis=(1, 3)).reshape(gh * gw)
     return counts.astype(np.float64) / float(patch * patch)

@@ -120,8 +120,9 @@ class JointAttention:
 
 
 OverrideFn = Callable[[int, int, int, np.ndarray], np.ndarray]
-# (layer, i2i_logits, i2i_probs): views of forward's maps, valid only during the call
-SinkFn = Callable[[int, np.ndarray, np.ndarray], None]
+# (step, layer, i2i_logits, i2i_probs): the blocks are views of forward's maps,
+# valid only during the call
+SinkFn = Callable[[int, int, np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -137,10 +138,11 @@ class AttentionHook:
     copies at every layer.
 
     `sink` is called once per layer, right after the layer's softmax, as
-    sink(layer, i2i_logits, i2i_probs): both are (n_heads, n_img, n_img)
-    views of forward's maps, the logits after the override. They are
-    valid only during the call, since the next layer overwrites them, so a
-    sink that keeps any of their bytes copies them; it must not write them.
+    sink(step, layer, i2i_logits, i2i_probs), with the hook's `step` as the
+    override gets it. Both blocks are (n_heads, n_img, n_img) views of
+    forward's maps, the logits after the override. They are valid only
+    during the call, since the next layer overwrites them, so a sink that
+    keeps any of their bytes copies them; it must not write them.
     A sink is not a full-map capture.
 
     A hook with no flag, override or sink set runs the same forward as no
@@ -387,9 +389,9 @@ def forward(
     every layer's maps in it, so the result depends only on the arguments:
     a hook may run forward itself, and threads may share `weights`. The
     override gets each head's I2I block as a view of the logits map, and its
-    return value is assigned back into that view. `hook.sink` gets each
-    layer's I2I blocks as views of the same pair, right after the layer's
-    softmax; full-map captures are copies.
+    return value is assigned back into that view. `hook.sink` gets
+    `hook.step`, the layer and its I2I blocks as views of the same pair,
+    right after the layer's softmax; full-map captures are copies.
     """
     cfg = weights.cfg
     if not 0.0 <= t <= 1.0:
@@ -426,7 +428,7 @@ def forward(
 
         _softmax_rows(logits, out=probs)
         if sink is not None:
-            sink(layer, logits[:, t_txt:, t_txt:], probs[:, t_txt:, t_txt:])
+            sink(hook.step, layer, logits[:, t_txt:, t_txt:], probs[:, t_txt:, t_txt:])
         ctx = (probs @ v).transpose(1, 0, 2).reshape(seq, cfg.d_model)
         x = x + ctx @ lw.wo
 

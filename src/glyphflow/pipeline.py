@@ -16,11 +16,8 @@ from .coreattn import (
     CoreTokenSet,
     InjectionPlan,
     ScoreMode,
-    ScoreVector,
     StepScorer,
     build_injection,
-    select_layer,
-    step_scores,
 )
 from .errors import (
     ConfigError,
@@ -157,15 +154,15 @@ class StreamedTrace:
     - the layer's bytes, fed to the trace checksum's `ChecksumStream`, which
       hashes them while forward goes on; the next layer waits for it before
       it overwrites the pair;
-    - a `StepScorer` per step for the ranked vectors of `step_scores`, and
-      `select_layer` for the core sets `build_injection` picks from them;
+    - the step's `StepScorer`, kept for `build_injection`, which picks each
+      layer's core set through it;
     - the (n_heads, k, n_img) logit rows of the layer's core set;
     - `_fill_row_masses`, behind coverage and shift.
-    A layer's core set is picked as soon as its ranked vector exists. In
+    A layer's core set is picked as soon as the scorer knows it. In
     layer_variance mode that is only after the step's last layer, so each
     layer's logits are copied until the end of the step. At ratio 0 nothing
     is selected, so only the checksum is fed. Like a full trace it answers
-    `ranked_scores` (for `build_injection`), `core_rows` (for
+    `step_scorer` (for `build_injection`), `core_rows` (for
     `generate_with_injection`) and `checksum`, with the same results; its
     t values are `SamplerConfig.captured_t_values`, as a full trace's are.
     """
@@ -178,11 +175,10 @@ class StreamedTrace:
         self.ratio, self.mode, self.averaging = inj.ratio, inj.mode, inj.averaging
         self.masses = _empty_row_masses(self.steps, self.n_layers, self.n_img)
         self._mask_frac = mask_frac
-        self._ranked: list[list[ScoreVector]] = []
+        self._scorers: list[StepScorer] = []
         self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
         block = (self.n_heads, self.n_img, self.n_img)
         self._logits, self._probs = np.empty(block), np.empty(block)
-        self._scorer: StepScorer | None = None
         self._pending: list[np.ndarray] = []  # layer_variance: the step's logits so far
         shape = (self.steps, self.n_layers, *block)
         self._hash = ChecksumStream({"logits": ("f8", shape), "probs": ("f8", shape)})
@@ -191,31 +187,30 @@ class StreamedTrace:
         self._hash.wait()
         np.copyto(self._logits, logits)
         np.copyto(self._probs, probs)
-        if layer == 0:
-            self._scorer = StepScorer(step, self.mode, self.averaging)
         self._hash.update({"logits": self._logits, "probs": self._probs})
         if self.ratio == 0.0:
             return
-        ranked = self._scorer.add(self._probs)
+        if layer == 0:
+            self._scorers.append(StepScorer(step, self.mode, self.averaging))
+        scorer = self._scorers[-1]
         _fill_row_masses(self.masses, step, layer, self._probs, self._mask_frac)
-        if ranked is not None:
-            self._keep_rows(step, layer, ranked, self._logits)
+        if scorer.add(self._probs):
+            self._keep_rows(scorer, layer, self._logits)
         else:
             self._pending.append(self._logits.copy())
         if layer == self.n_layers - 1:
-            self._ranked.append(self._scorer.ranked())
             for held, held_logits in enumerate(self._pending):
-                self._keep_rows(step, held, self._ranked[-1][0], held_logits)
+                self._keep_rows(scorer, held, held_logits)
             self._pending = []
 
-    def _keep_rows(self, step: int, layer: int, ranked: ScoreVector, logits: np.ndarray):
-        core = select_layer(ranked, self.ratio, layer, self.mode, self.averaging)
-        self._rows[(step, layer)] = (core.indices, logits[:, core.rows(), :])
+    def _keep_rows(self, scorer: StepScorer, layer: int, logits: np.ndarray):
+        core = scorer.core_set(layer, self.ratio)
+        self._rows[(scorer.step, layer)] = (core.indices, logits[:, core.rows(), :])
 
-    def ranked_scores(self, step: int, mode: ScoreMode, averaging: bool) -> list[ScoreVector]:
-        if (mode, averaging) != (self.mode, self.averaging) or step > len(self._ranked):
+    def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
+        if (mode, averaging) != (self.mode, self.averaging) or step > len(self._scorers):
             raise TraceMismatch(f"streamed trace kept no {mode.value} scores for step {step}")
-        return self._ranked[step - 1]
+        return self._scorers[step - 1]
 
     def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
         if not core.indices:
@@ -452,9 +447,9 @@ def run_analyze(
 
     raw_scores holds the per-layer statistics; selection_scores holds what
     selection actually ranked (running means, raw scores, or the per-step
-    variance vector in layer_variance mode), both from `step_scores`. The CSV
-    has one row per (step, layer) with the attention shift and mask coverage
-    of that pair's core rows.
+    variance vector in layer_variance mode), both from each step's
+    `AttentionTrace.step_scorer`. The CSV has one row per (step, layer) with
+    the attention shift and mask coverage of that pair's core rows.
     """
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside (0,1]")
@@ -462,9 +457,9 @@ def run_analyze(
     raw_scores = []
     selection_scores = []
     for step in range(1, trace.steps + 1):
-        raw, ranked = step_scores(trace.probs[step - 1], step, mode, averaging)
-        raw_scores.extend(raw)
-        selection_scores.extend(ranked)
+        scorer = trace.step_scorer(step, mode, averaging)
+        raw_scores.extend(scorer.raw)
+        selection_scores.extend(scorer.ranked())
 
     rows = _core_shift_rows(_trace_row_masses(trace, mask_frac), plan)
     lines = ["step,layer,attention_shift,mask_coverage"]

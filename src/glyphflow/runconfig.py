@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 
 from .coreattn import ScoreMode
-from .errors import ConfigError, read_text
+from .errors import ConfigError
 from .glyphs import Layout
 from .model import ModelConfig
 from .sampler import SamplerConfig
@@ -61,6 +61,12 @@ class SweepConfig:
     ratios: tuple[float, ...] = (0.125, 0.25, 0.5, 0.75, 1.0)
     steps: tuple[int, ...] = (8, 10, 12, 15, 18)
     full_runs: bool = False
+
+    def __post_init__(self):
+        if not all(0.0 <= r <= 1.0 for r in self.ratios):  # NaN fails both comparisons
+            raise ConfigError(f"sweep ratios {self.ratios} must lie in [0, 1]")
+        if any(s < 0 for s in self.steps):
+            raise ConfigError(f"sweep steps {self.steps} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -185,10 +191,6 @@ def parse_values(text: str) -> dict[str, object]:
 
 def parse(text: str) -> RunConfig:
     return apply_overrides(RunConfig(), parse_values(text))
-
-
-def parse_file(path) -> RunConfig:
-    return parse(read_text(path, "config"))
 
 
 # keys that only an injected run reads: plan selection, its cutoff, and the

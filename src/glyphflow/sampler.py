@@ -17,19 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .coreattn import (
-    CoreTokenSet,
-    InjectionPlan,
-    ScoreMode,
-    ScoreVector,
-    apply_injection,
-    step_scores,
-)
+from .coreattn import CoreTokenSet, InjectionPlan, ScoreMode, StepScorer, apply_injection
 from .errors import ConfigError, ShapeMismatch, TraceMismatch
 from .glyphs import GlyphImage
 from .manifest import RunManifest, StepLog
@@ -38,6 +30,7 @@ from .model import (
     JointAttention,
     ModelConfig,
     ModelWeights,
+    SinkFn,
     TokenSequence,
     embed_patches,
     embed_prompt,
@@ -155,10 +148,11 @@ class AttentionTrace:
 
     A trace is a layer reducer: `empty` allocates one and
     `reconstruct_capture` fills it through `__call__`. `reconstruct`,
-    `analyze` and `sweep` plan from a full trace. An injected generate
-    plans from a `pipeline.StreamedTrace`, which answers `ranked_scores`,
-    `core_rows` and `checksum` alike; with `io.save_trace` the same capture
-    also fills a full trace, which is only written to `trace.bin`.
+    `analyze` and `sweep` plan from a full trace, whose `step_scorer` feeds
+    a stored step into a new `StepScorer`. An injected generate plans from a
+    `pipeline.StreamedTrace`, which answers `step_scorer`, `core_rows` and
+    `checksum` alike; with `io.save_trace` the same capture also fills a
+    full trace, which is only written to `trace.bin`.
     """
 
     t_values: tuple[float, ...]
@@ -221,9 +215,12 @@ class AttentionTrace:
         """Per-head I2I logits for 1-based step."""
         return self._logits()[step - 1, layer]
 
-    def ranked_scores(self, step: int, mode: ScoreMode, averaging: bool) -> list[ScoreVector]:
-        """The vectors core-token selection ranks at 1-based `step` (`step_scores`)."""
-        return step_scores(self.probs[step - 1], step, mode, averaging)[1]
+    def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
+        """A `StepScorer` fed every layer of 1-based `step`'s probabilities."""
+        scorer = StepScorer(step, mode, averaging)
+        for maps in self.probs[step - 1]:
+            scorer.add(maps)
+        return scorer
 
     def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
         """The (n_heads, k, n_img) logit rows of a core set: what injection writes."""
@@ -273,28 +270,22 @@ class AttentionTrace:
 # ---------------------------------------------------------------- runs
 
 
-# A layer reducer receives (step, layer, i2i_logits, i2i_probs) during each
-# capture forward; the (n_heads, n_img, n_img) blocks are forward's own
-# maps, valid only during the call (see `AttentionHook.sink`).
-LayerFn = Callable[[int, int, np.ndarray, np.ndarray], None]
-
-
 def reconstruct_capture(
     weights: ModelWeights,
     glyph: GlyphImage,
     recon_prompt: str = "",
     cfg: SamplerConfig | None = None,
     probe: ProbeFn | None = None,
-    on_layer: LayerFn | None = None,
-) -> "AttentionTrace | LayerFn":
+    on_layer: SinkFn | None = None,
+) -> "AttentionTrace | SinkFn":
     """Capture I2I attention while re-noising the glyph at each captured step.
 
     For step i <= cutoff_step: x_{t_i} = noise_to(patchify(glyph), t_i, eps)
     with the same eps every step, one unguided forward at t_i, all layers
-    captured. No trajectory is integrated. Each forward's hook sink hands
-    every layer to on_layer(step, layer, logits, probs) as soon as that
-    layer's softmax is done, and the reducer is returned; a probe also gets
-    full-map copies from the same hook.
+    captured. The reducer `on_layer` is each step's hook sink itself:
+    forward calls it as on_layer(step, layer, logits, probs) as soon as that
+    layer's softmax is done, and it is returned; a probe also gets full-map
+    copies from the same hook.
 
     Without `on_layer` the reducer is `AttentionTrace.empty(cfg, weights.cfg)`,
     which copies each layer into its slot, so the full trace is returned.
@@ -316,7 +307,7 @@ def reconstruct_capture(
             store_logits=probe is not None,
             store_probs=probe is not None,
             step=i,
-            sink=partial(on_layer, i),
+            sink=on_layer,
         )
         _, captured = forward(weights, tokens, t_i, hook)
         if probe is not None:

@@ -8,6 +8,7 @@ passing runs).
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -145,10 +146,10 @@ def test_acceptance_3_injection_bit_equality(tiny_weights, tiny_glyph, tmp_path)
         cfg, sampler=dataclasses.replace(sampler, cutoff_step=0)
     )
     run_generate(zero_cutoff, out_dir=str(tmp_path / "c0"))
-    base = open(tmp_path / "base" / "output.pgm", "rb").read()
-    if open(tmp_path / "r0" / "output.pgm", "rb").read() != base:
+    base = (tmp_path / "base" / "output.pgm").read_bytes()
+    if (tmp_path / "r0" / "output.pgm").read_bytes() != base:
         failures.append("ratio-0 image differs from baseline")
-    if open(tmp_path / "c0" / "output.pgm", "rb").read() != base:
+    if (tmp_path / "c0" / "output.pgm").read_bytes() != base:
         failures.append("cutoff-0 image differs from baseline")
     _report(3, "injection bit-equality", failures)
 
@@ -244,7 +245,7 @@ def test_acceptance_7_sweep_protocol(tmp_path):
             continue
         if set(table) != want_cells or len(table) != 25:
             failures.append(f"{metric} grid is not the 5x5 cell set")
-        text = open(result.csv_paths[metric]).read()
+        text = Path(result.csv_paths[metric]).read_text()
         lines = text.strip().split("\n")
         if lines[0] != f"ratio,step,{metric}" or len(lines) != 26:
             failures.append(f"{metric} CSV malformed")

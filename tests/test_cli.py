@@ -309,6 +309,28 @@ def test_sweep_reads_no_sampler_cutoff(tmp_path, capsys):
     assert "sweep cutoff 2 exceeds sampler steps 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "grid", ["sweep.ratios = 1.5", "sweep.ratios = 0.5,nan", "sweep.ratios = -0.25",
+             "sweep.steps = -1,2"],
+)
+def test_sweep_grid_out_of_range_exits_2_before_any_forward(monkeypatch, tmp_path, capsys, grid):
+    forwards = []
+    real_forward = glyphflow.sampler.forward
+
+    def counted(*args, **kwargs):
+        forwards.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(glyphflow.sampler, "forward", counted)
+    conf = tmp_path / "grid.conf"
+    conf.write_text(TINY_CONF + f"sweep.ratios = 0.5\nsweep.steps = 1\n{grid}\n")
+    d = tmp_path / "o"
+    assert main(["sweep", "--config", str(conf), "--out-dir", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert "error: sweep" in err and "failed" not in err
+    assert forwards == [] and not d.exists()
+
+
 def test_every_glyph_command_reports_fallback_glyphs(tmp_path, conf, capsys):
     warning = "warning: codepoint U+00E9 not in font, fallback glyph used\n"
     grid = tmp_path / "grid.conf"

@@ -17,9 +17,9 @@ from glyphflow import (
     StepLog,
     config_hash,
     parse,
-    parse_file,
     serialize,
 )
+from glyphflow.errors import read_text
 from glyphflow.runconfig import _SCHEMA, IOConfig, InjectionConfig, SweepConfig, apply_overrides
 
 
@@ -111,9 +111,9 @@ def test_parse_rejects_unknown_and_malformed():
 def test_parse_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("io.word = disk\n")
-    assert parse_file(p).io.word == "disk"
+    assert parse(read_text(p, "config")).io.word == "disk"
     with pytest.raises(ConfigError):
-        parse_file(tmp_path / "missing.cfg")
+        read_text(tmp_path / "missing.cfg", "config")
 
 
 def _one_key_mutations(base: RunConfig):
@@ -268,7 +268,7 @@ def test_parse_gives_config_or_error(raw_file, text):
     try:
         if isinstance(text, bytes):
             raw_file.write_bytes(text)
-            config = parse_file(raw_file)
+            config = parse(read_text(raw_file, "config"))
         else:
             config = parse(text)
     except GlyphFlowError:
@@ -277,7 +277,6 @@ def test_parse_gives_config_or_error(raw_file, text):
 
 
 _LINE = st.text(max_size=12).map(str.strip).filter(lambda s: "\n" not in s)
-_FLOAT = st.floats(allow_nan=False)
 
 
 @st.composite
@@ -318,8 +317,8 @@ def _configs(draw):
             predicted=draw(_LINE),
         ),
         sweep=SweepConfig(
-            ratios=tuple(draw(st.lists(_FLOAT, max_size=4))),
-            steps=tuple(draw(st.lists(st.integers(), max_size=4))),
+            ratios=tuple(draw(st.lists(st.floats(0.0, 1.0), max_size=4))),
+            steps=tuple(draw(st.lists(st.integers(min_value=0), max_size=4))),
             full_runs=draw(st.booleans()),
         ),
     )

@@ -24,10 +24,10 @@ from glyphflow import (
     cumulative_update,
     save_scores,
     select_core_tokens,
-    step_scores,
     token_scores,
     variance_scores,
 )
+from glyphflow.coreattn import StepScorer
 from glyphflow.metrics import row_fraction
 from glyphflow.pipeline import _trace_row_masses
 from glyphflow.tensorio import read_tensors
@@ -163,22 +163,37 @@ def test_cumulative_update_mismatches():
         cumulative_update(state, wrong_len)
 
 
-def test_step_scores_per_mode():
+def test_step_scorer_per_mode():
     layer_scores = [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]
     trace = make_trace(layer_scores, steps=2)
-    raw, ranked = step_scores(trace.probs[1], 2, ScoreMode.ROW_MASS, averaging=True)
+    scorer = StepScorer(2, ScoreMode.ROW_MASS, averaging=True)
+    # each layer's set is known as soon as that layer is added
+    for layer, maps in enumerate(trace.probs[1]):
+        assert scorer.add(maps) is True
+        source = SelectionSource(2, layer, ScoreMode.ROW_MASS, True)
+        assert scorer.core_set(layer, 0.5).source == source
+    raw, ranked = scorer.raw, scorer.ranked()
     assert [(s.step, s.layer) for s in raw] == [(2, 0), (2, 1), (2, 2)]
     assert all(s.mode == ScoreMode.ROW_MASS for s in raw)
     assert np.allclose([s.scores for s in raw], layer_scores)
     assert np.allclose([s.scores for s in ranked], [[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
     assert [s.layer for s in ranked] == [0, 1, 2]
-    raw_off, ranked_off = step_scores(trace.probs[1], 2, ScoreMode.ROW_MASS, averaging=False)
-    assert ranked_off is raw_off
-    raw_var, ranked_var = step_scores(trace.probs[1], 2, ScoreMode.LAYER_VARIANCE, averaging=True)
-    assert all(s.mode == ScoreMode.ROW_MASS for s in raw_var)
-    (var,) = ranked_var
+    assert [scorer.core_set(layer, 0.5).indices for layer in range(3)] == [(0,), (0,), (0,)]
+
+    off = trace.step_scorer(2, ScoreMode.ROW_MASS, averaging=False)
+    assert all(a is b for a, b in zip(off.ranked(), off.raw, strict=True))
+    assert [off.core_set(layer, 0.5).indices for layer in range(3)] == [(0,), (1,), (0,)]
+
+    var_scorer = StepScorer(2, ScoreMode.LAYER_VARIANCE, averaging=True)
+    # no layer's set is known before the step's last layer is in
+    assert [var_scorer.add(maps) for maps in trace.probs[1]] == [False] * 3
+    assert all(s.mode == ScoreMode.ROW_MASS for s in var_scorer.raw)
+    (var,) = var_scorer.ranked()
     assert (var.step, var.layer, var.mode) == (2, 2, ScoreMode.LAYER_VARIANCE)
     assert np.allclose(var.scores, np.var(layer_scores, axis=0))
+    for layer in range(3):
+        core = var_scorer.core_set(layer, 1.0)
+        assert core.source == SelectionSource(2, layer, ScoreMode.LAYER_VARIANCE, False)
 
 
 # ---------------------------------------------------------------- selection

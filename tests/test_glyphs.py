@@ -12,7 +12,6 @@ from glyphflow import (
     TextOverflow,
     fallback_warnings,
     glyph,
-    glyph_mask_patch_counts,
     glyph_mask_patches,
     load_glyph_bitmap,
     rasterize_text,
@@ -188,18 +187,18 @@ def test_patch_counts_hand_case():
     pix[5, 6] = 1.0   # patch 3
     pix[6, 7] = 1.0   # patch 3
     g = GlyphImage(pixels=pix)
-    assert np.array_equal(glyph_mask_patch_counts(g, 4), [1, 1, 0, 2])
+    assert np.array_equal(glyph_mask_patches(g, 4) * 16, [1, 1, 0, 2])
     assert np.allclose(glyph_mask_patches(g, 4), [1 / 16, 1 / 16, 0.0, 2 / 16])
 
 
 def test_patch_counts_row_major_and_total(rng):
     pix = (rng.random((16, 16)) > 0.5).astype(np.float64)
     g = GlyphImage(pixels=pix)
-    counts = glyph_mask_patch_counts(g, 8)
+    counts = glyph_mask_patches(g, 8) * 64
     assert counts.shape == (4,)
     assert counts.sum() == g.mask.sum()
     assert counts[1] == g.mask[0:8, 8:16].sum()  # index 1 is row 0, col 1
     full = GlyphImage(pixels=np.ones((8, 8)))
     assert np.array_equal(glyph_mask_patches(full, 4), [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ShapeMismatch):
-        glyph_mask_patch_counts(g, 5)
+        glyph_mask_patches(g, 5)

@@ -309,10 +309,10 @@ def test_forward_depends_only_on_its_arguments(tiny_cfg, tiny_glyph):
     # sink sees, and neither forward changes the other's bytes
     plain_sunk, sunk, nested = [], [], []
 
-    def plain_sink(layer, logits, probs):
+    def plain_sink(step, layer, logits, probs):
         plain_sunk.append(logits.tobytes() + probs.tobytes())
 
-    def nesting_sink(layer, logits, probs):
+    def nesting_sink(step, layer, logits, probs):
         nested.append(_full_capture(first, tokens_b, 0.75))
         sunk.append(logits.tobytes() + probs.tobytes())
 
@@ -367,11 +367,13 @@ def test_sink_matches_capture(tiny_weights, tiny_glyph, override):
     def run(hook_kwargs):
         copies, views = [], []
 
-        def sink(layer, logits, probs):
+        def sink(step, layer, logits, probs):
+            assert step == 3  # the hook's step, as the override gets it
             copies.append((layer, logits.copy(), probs.copy()))
             views.append((logits, probs))
 
-        _, caps = forward(tiny_weights, tokens, 0.5, AttentionHook(sink=sink, **hook_kwargs))
+        hook = AttentionHook(step=3, sink=sink, **hook_kwargs)
+        _, caps = forward(tiny_weights, tokens, 0.5, hook)
         return caps, copies, views
 
     caps, copies, views = run(dict(store_logits=True, store_probs=True, override=override))

@@ -19,6 +19,7 @@ from glyphflow import (
     RunConfig,
     ScoreMode,
     ScoreVector,
+    SweepConfig,
     build_injection,
     build_prompt,
     coreattn,
@@ -28,7 +29,9 @@ from glyphflow import (
     pipeline,
     prepare_glyph,
     reconstruct_capture,
+    run_analyze,
     run_generate,
+    run_sweep,
 )
 from tests.conftest import TINY, TINY_SAMPLER
 
@@ -194,6 +197,43 @@ def test_streamed_generate_scores_each_captured_layer_once(monkeypatch, mode):
     run_generate(_config(mode=mode), write_outputs=False)
     steps, layers = TINY_SAMPLER.cutoff_step, TINY.n_layers
     assert calls == [(layer, step) for step in range(1, steps + 1) for layer in range(layers)]
+
+
+def _count_token_scores(monkeypatch) -> list:
+    inner = coreattn.token_scores
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(coreattn, "token_scores", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(ScoreMode))
+def test_sweep_scores_each_cell_of_positive_ratio(monkeypatch, tmp_path, mode):
+    """Each cell with ratio > 0 scores its cutoff x n_layers captured layers,
+    and a ratio-0 cell scores none: the count the benchmark's smoke check
+    pins at 1890 for the default sweep."""
+    ratios, steps = (0.0, 0.5, 1.0), (1, 2)
+    cfg = replace(_config(mode=mode), sweep=SweepConfig(ratios=ratios, steps=steps))
+    calls = _count_token_scores(monkeypatch)
+    run_sweep(cfg, out_dir=str(tmp_path))
+    assert len(calls) == sum(step * TINY.n_layers for r in ratios if r > 0 for step in steps)
+
+
+@pytest.mark.parametrize("mode", list(ScoreMode))
+def test_analyze_scores_each_captured_layer_twice(monkeypatch, mode):
+    """Once to plan and once to report the scores: 2 x steps x n_layers
+    `token_scores` calls, the count the benchmark's smoke check pins at 144
+    for the default trace."""
+    cfg = _config(mode=mode)
+    glyph = prepare_glyph(cfg)
+    trace = reconstruct_capture(init_model(cfg.model), glyph, "", cfg.sampler)
+    calls = _count_token_scores(monkeypatch)
+    run_analyze(trace, glyph_mask_patches(glyph, TINY.patch), 0.25, mode=mode)
+    assert len(calls) == 2 * trace.steps * TINY.n_layers
 
 
 def test_streamed_generate_holds_no_step_of_the_trace():
