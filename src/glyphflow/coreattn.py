@@ -6,10 +6,11 @@ same selected set drives every head during injection. `StepScorer` is the one
 scoring, averaging and selection path: one scorer per captured step is fed
 each layer in turn and picks every layer's core set. `build_injection` asks a
 trace for each step's scorer: a full trace feeds its stored step into a new
-one, `pipeline.StreamedTrace` keeps the ones it fed as the capture produced
-each layer, and `pipeline.run_analyze` reports their scores. The coverage and
-shift of the selected rows are measured by `metrics.row_masses` and
-`metrics.row_fraction`.
+one, and a `pipeline.ScoreReducer` (a `pipeline.StreamedTrace` in generate)
+keeps the ones it fed as the capture produced each layer, so generate, sweep
+and analyze score each captured (step, layer) once; `pipeline.run_analyze`
+reports the scores of the scorers that planned. The coverage and shift of the
+selected rows are measured by `metrics.row_masses` and `metrics.row_fraction`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 from .tensorio import write_tensors
 
 if TYPE_CHECKING:
-    from .pipeline import StreamedTrace
+    from .pipeline import ScoreReducer
     from .sampler import AttentionTrace
 
 
@@ -256,13 +257,13 @@ class InjectionPlan:
     """One CoreTokenSet per (step <= cutoff, layer), tied to the trace it was built from.
 
     `trace` is that trace itself, an `AttentionTrace` or a
-    `pipeline.StreamedTrace`, held by reference; plan equality ignores it.
+    `pipeline.ScoreReducer`, held by reference; plan equality ignores it.
     The plan's layer count and n_img are the trace's, and its cutoff is at
     most the trace's step count. The scoring mode and averaging flag that
     chose each set are in that set's `source`.
     """
 
-    trace: "AttentionTrace | StreamedTrace" = field(repr=False, compare=False)
+    trace: "AttentionTrace | ScoreReducer" = field(repr=False, compare=False)
     cutoff_step: int
     ratio: float
     sets: dict[tuple[int, int], CoreTokenSet]
@@ -283,7 +284,7 @@ class InjectionPlan:
 
 
 def build_injection(
-    trace: "AttentionTrace | StreamedTrace",
+    trace: "AttentionTrace | ScoreReducer",
     ratio: float,
     cutoff_step: int | None = None,
     mode: ScoreMode = ScoreMode.ROW_MASS,
@@ -292,11 +293,11 @@ def build_injection(
     """Select one core set per (step, layer) through each step's `StepScorer`.
 
     `trace.step_scorer(step, mode, averaging)` gives it: a full trace feeds
-    the step's layers into a new scorer, a streamed one returns the scorer
-    it fed while it captured. With averaging on, layer L's selection uses
-    the running mean of layers 1..L, reset at each step; in layer_variance
-    mode the step's one variance vector drives every layer's selection. At
-    ratio 0 every set is empty and nothing is scored.
+    the step's layers into a new scorer, a `pipeline.ScoreReducer` returns
+    the scorer it fed while it captured or replayed. With averaging on,
+    layer L's selection uses the running mean of layers 1..L, reset at each
+    step; in layer_variance mode the step's one variance vector drives every
+    layer's selection. At ratio 0 every set is empty and nothing is scored.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside [0,1]")

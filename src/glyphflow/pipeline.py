@@ -39,7 +39,7 @@ from .metrics import (
     row_fraction,
     row_masses,
 )
-from .model import init_model
+from .model import SinkFn, init_model
 from .netpbm import write_pgm
 from .runconfig import RunConfig, config_hash
 from .sampler import (
@@ -117,65 +117,89 @@ def _glyph_checksum(glyph: GlyphImage) -> str:
     return tensors_checksum({"pixels": glyph.pixels, "mask": glyph.mask})
 
 
-def _empty_row_masses(steps: int, n_layers: int, n_img: int) -> RowMasses:
-    return RowMasses(*(np.empty((steps, n_layers, n_img)) for _ in RowMasses._fields))
+class ScoreReducer:
+    """What selection and the coverage metrics read of a reconstruction
+    capture, reduced layer by layer instead of kept as an `AttentionTrace`.
 
-
-def _fill_row_masses(table: RowMasses, step: int, layer: int, maps: np.ndarray, mask_frac):
-    """Write the head-mean row masses of one layer's (n_heads, n_img, n_img)
-    probs into the table's (1-based step, layer) slot."""
-    for dst, src in zip(table, row_masses(maps.mean(axis=0), mask_frac)):
-        dst[step - 1, layer] = src
-
-
-def _trace_row_masses(trace: AttentionTrace, mask_frac: np.ndarray) -> RowMasses:
-    """`_fill_row_masses` of every captured (step, layer), as one table.
-
-    Each field has shape (steps, n_layers, n_img); every plan over the trace
-    reads its core rows' coverage and shift from this one table.
+    `reconstruct_capture` calls it as `on_layer` while forward still holds
+    each layer's I2I views; `replay` feeds it a full trace's layers in the
+    same order. Each layer's probabilities are scored once, through the
+    step's one `StepScorer`, and their head-mean row masses fill `masses`,
+    the (steps, n_layers, n_img) table behind every plan's coverage and
+    shift. Like a full trace it answers `steps`, `n_layers`, `n_img` and
+    `step_scorer`, so `build_injection` plans from it.
     """
-    table = _empty_row_masses(trace.steps, trace.n_layers, trace.n_img)
-    for step, probs in enumerate(trace.probs, start=1):
-        for layer, maps in enumerate(probs):
-            _fill_row_masses(table, step, layer, maps, mask_frac)
-    return table
+
+    def __init__(
+        self, steps: int, n_layers: int, n_img: int, mode: ScoreMode, averaging: bool,
+        mask_frac: np.ndarray,
+    ):
+        self.steps, self.n_layers, self.n_img = steps, n_layers, n_img
+        self.mode, self.averaging = mode, averaging
+        self.masses = RowMasses(*(np.empty((steps, n_layers, n_img)) for _ in RowMasses._fields))
+        self._mask_frac = mask_frac
+        self._scorers: list[StepScorer] = []
+
+    @classmethod
+    def replay(
+        cls, trace: AttentionTrace, mask_frac: np.ndarray, mode: ScoreMode, averaging: bool
+    ) -> "ScoreReducer":
+        """A reducer fed every (step, layer) of a full trace in capture order."""
+        reducer = cls(trace.steps, trace.n_layers, trace.n_img, mode, averaging, mask_frac)
+        for step, (logits, probs) in enumerate(zip(trace.logits, trace.probs), start=1):
+            for layer in range(trace.n_layers):
+                reducer(step, layer, logits[layer], probs[layer])
+        return reducer
+
+    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray) -> bool:
+        """Score one layer and fill its row masses; returns whether the
+        layer's core set is known now (`StepScorer.add`)."""
+        if layer == 0:
+            self._scorers.append(StepScorer(step, self.mode, self.averaging))
+        for dst, src in zip(self.masses, row_masses(probs.mean(axis=0), self._mask_frac)):
+            dst[step - 1, layer] = src
+        return self._scorers[-1].add(probs)
+
+    def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
+        if (mode, averaging) != (self.mode, self.averaging) or step > len(self._scorers):
+            raise TraceMismatch(f"reducer kept no {mode.value} scores for step {step}")
+        return self._scorers[step - 1]
 
 
-class StreamedTrace:
-    """What an injected generate reads of its reconstruction capture, kept
-    layer by layer instead of as an `AttentionTrace`.
+def _tee(*reducers: SinkFn) -> SinkFn:
+    """One layer sink that hands each layer to every reducer in turn."""
+
+    def on_layer(step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
+        for reduce in reducers:
+            reduce(step, layer, logits, probs)
+
+    return on_layer
+
+
+class StreamedTrace(ScoreReducer):
+    """What an injected generate reads of its reconstruction capture: a
+    `ScoreReducer` plus the logit rows of the core sets and the trace checksum.
 
     Every injected `run_generate` passes it to `reconstruct_capture` as
-    `on_layer` and plans from it; it reduces each layer's I2I views while
-    forward still holds them. It copies them into one reused
-    (n_heads, n_img, n_img) logits/probs pair, laid out as a full trace's
-    (step, layer) block, and applies to that pair the operations a full
-    trace would see:
-    - the layer's bytes, fed to the trace checksum's `ChecksumStream`, which
-      hashes them while forward goes on; the next layer waits for it before
-      it overwrites the pair;
-    - the step's `StepScorer`, kept for `build_injection`, which picks each
-      layer's core set through it;
-    - the (n_heads, k, n_img) logit rows of the layer's core set;
-    - `_fill_row_masses`, behind coverage and shift.
-    A layer's core set is picked as soon as the scorer knows it. In
+    `on_layer` and plans from it. It copies each layer's I2I views into one
+    reused (n_heads, n_img, n_img) logits/probs pair, laid out as a full
+    trace's (step, layer) block, and feeds that pair to the trace checksum's
+    `ChecksumStream` (which hashes it while forward goes on; the next layer
+    waits for it), to the reducer, and, once the scorer knows the layer's
+    core set, to the (n_heads, k, n_img) rows kept for injection. In
     layer_variance mode that is only after the step's last layer, so each
-    layer's logits are copied until the end of the step. At ratio 0 nothing
-    is selected, so only the checksum is fed. Like a full trace it answers
-    `step_scorer` (for `build_injection`), `core_rows` (for
-    `generate_with_injection`) and `checksum`, with the same results; its
-    t values are `SamplerConfig.captured_t_values`, as a full trace's are.
+    layer's logits are copied until the end of the step. At ratio 0 only the
+    checksum is fed. `core_rows` and `checksum` give what a full trace of the
+    same capture would; its t values are `SamplerConfig.captured_t_values`.
     """
 
     def __init__(self, config: RunConfig, mask_frac: np.ndarray):
         mcfg, inj = config.model, config.injection
         self.t_values = config.sampler.captured_t_values()
-        self.steps = len(self.t_values)
-        self.n_layers, self.n_heads, self.n_img = mcfg.n_layers, mcfg.n_heads, mcfg.n_img
-        self.ratio, self.mode, self.averaging = inj.ratio, inj.mode, inj.averaging
-        self.masses = _empty_row_masses(self.steps, self.n_layers, self.n_img)
-        self._mask_frac = mask_frac
-        self._scorers: list[StepScorer] = []
+        super().__init__(
+            len(self.t_values), mcfg.n_layers, mcfg.n_img, inj.mode, inj.averaging, mask_frac
+        )
+        self.n_heads, self.ratio = mcfg.n_heads, inj.ratio
         self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
         block = (self.n_heads, self.n_img, self.n_img)
         self._logits, self._probs = np.empty(block), np.empty(block)
@@ -190,11 +214,9 @@ class StreamedTrace:
         self._hash.update({"logits": self._logits, "probs": self._probs})
         if self.ratio == 0.0:
             return
-        if layer == 0:
-            self._scorers.append(StepScorer(step, self.mode, self.averaging))
+        scorer_knows = super().__call__(step, layer, self._logits, self._probs)
         scorer = self._scorers[-1]
-        _fill_row_masses(self.masses, step, layer, self._probs, self._mask_frac)
-        if scorer.add(self._probs):
+        if scorer_knows:
             self._keep_rows(scorer, layer, self._logits)
         else:
             self._pending.append(self._logits.copy())
@@ -206,11 +228,6 @@ class StreamedTrace:
     def _keep_rows(self, scorer: StepScorer, layer: int, logits: np.ndarray):
         core = scorer.core_set(layer, self.ratio)
         self._rows[(scorer.step, layer)] = (core.indices, logits[:, core.rows(), :])
-
-    def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
-        if (mode, averaging) != (self.mode, self.averaging) or step > len(self._scorers):
-            raise TraceMismatch(f"streamed trace kept no {mode.value} scores for step {step}")
-        return self._scorers[step - 1]
 
     def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
         if not core.indices:
@@ -283,11 +300,7 @@ def run_generate(
         on_layer = trace = StreamedTrace(config, mask_frac)
         if config.io.save_trace:
             saved = AttentionTrace.empty(config.sampler, config.model)
-
-            def on_layer(*layer):
-                trace(*layer)
-                saved(*layer)
-
+            on_layer = _tee(trace, saved)
         reconstruct_capture(
             weights, glyph, config.io.recon_prompt, config.sampler, probe=probe, on_layer=on_layer
         )
@@ -359,15 +372,17 @@ class SweepResult:
 
 
 def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
-    """Evaluate the (top-k ratio x injection-cutoff) grid from one shared trace.
+    """Evaluate the (top-k ratio x injection-cutoff) grid from one shared capture.
 
-    One reconstruction capture at the largest grid cutoff serves every cell;
-    each cell builds its own plan and fills its planned core rows' mask
-    coverage and attention shift into the two grids. With sweep.full_runs
-    each cell also runs generation and writes its image; only then does the
-    trace keep logits, since selection and the metrics read probabilities
-    alone. A failed cell is recorded and stays None, written as NA, so a
-    sweep whose every cell fails still writes both CSVs.
+    One reconstruction capture at the largest grid cutoff feeds a
+    `ScoreReducer`, which scores each (step, layer) once and keeps the row
+    masses; each cell builds its own plan and fills its planned core rows'
+    mask coverage and attention shift, read from those masses, into the two
+    grids. With sweep.full_runs the same capture also fills a full
+    `AttentionTrace`, the cells plan from it, and each cell runs generation
+    with its logit rows and writes its image. A failed cell is recorded and
+    stays None, written as NA, so a sweep whose every cell fails still
+    writes both CSVs.
     """
     out_dir = out_dir if out_dir is not None else config.io.out_dir
     ratios = config.sweep.ratios
@@ -387,12 +402,14 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
     prompt = build_prompt(config.io.word, config.io.style).prompt
     mask_frac = glyph_mask_patches(glyph, config.model.patch)
     trace_cfg = replace(config.sampler, cutoff_step=max_cutoff)
-    full_runs = config.sweep.full_runs
-    trace = reconstruct_capture(
-        weights, glyph, config.io.recon_prompt, trace_cfg,
-        on_layer=AttentionTrace.empty(trace_cfg, config.model, logits=full_runs),
+    mcfg, inj, full_runs = config.model, config.injection, config.sweep.full_runs
+    on_layer = trace = scores = ScoreReducer(
+        max_cutoff, mcfg.n_layers, mcfg.n_img, inj.mode, inj.averaging, mask_frac
     )
-    masses = _trace_row_masses(trace, mask_frac)
+    if full_runs:
+        trace = AttentionTrace.empty(trace_cfg, mcfg)
+        on_layer = _tee(scores, trace)
+    reconstruct_capture(weights, glyph, config.io.recon_prompt, trace_cfg, on_layer=on_layer)
 
     os.makedirs(out_dir, exist_ok=True)
     tables: dict[str, dict[tuple[float, int], float | None]] = {
@@ -404,13 +421,9 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
         for step in steps:
             try:
                 plan = build_injection(
-                    trace,
-                    ratio,
-                    cutoff_step=step,
-                    mode=config.injection.mode,
-                    averaging=config.injection.averaging,
+                    trace, ratio, cutoff_step=step, mode=inj.mode, averaging=inj.averaging
                 )
-                stats = _coverage_metrics(masses, plan)
+                stats = _coverage_metrics(scores.masses, plan)
                 if full_runs:
                     cell_cfg = replace(config.sampler, cutoff_step=step)
                     image, _ = generate_with_injection(weights, prompt, trace, plan, cell_cfg)
@@ -443,25 +456,27 @@ def run_analyze(
     mode: ScoreMode = ScoreMode.ROW_MASS,
     averaging: bool = True,
 ) -> AnalyzeResult:
-    """Score every captured (step, layer), select core sets, measure the shift.
+    """Score every captured (step, layer) once, select core sets, measure the shift.
 
+    The trace is replayed layer by layer into a `ScoreReducer`, which plans.
     raw_scores holds the per-layer statistics; selection_scores holds what
     selection actually ranked (running means, raw scores, or the per-step
-    variance vector in layer_variance mode), both from each step's
-    `AttentionTrace.step_scorer`. The CSV has one row per (step, layer) with
+    variance vector in layer_variance mode), both from the step scorers
+    that picked the plan's sets. The CSV has one row per (step, layer) with
     the attention shift and mask coverage of that pair's core rows.
     """
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside (0,1]")
-    plan = build_injection(trace, ratio, mode=mode, averaging=averaging)
+    scores = ScoreReducer.replay(trace, mask_frac, mode, averaging)
+    plan = build_injection(scores, ratio, mode=mode, averaging=averaging)
     raw_scores = []
     selection_scores = []
     for step in range(1, trace.steps + 1):
-        scorer = trace.step_scorer(step, mode, averaging)
+        scorer = scores.step_scorer(step, mode, averaging)
         raw_scores.extend(scorer.raw)
         selection_scores.extend(scorer.ranked())
 
-    rows = _core_shift_rows(_trace_row_masses(trace, mask_frac), plan)
+    rows = _core_shift_rows(scores.masses, plan)
     lines = ["step,layer,attention_shift,mask_coverage"]
     lines += [f"{step},{layer},{shift!r},{cov!r}" for step, layer, shift, cov in rows]
     return AnalyzeResult(

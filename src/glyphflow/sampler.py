@@ -136,27 +136,25 @@ def trace_meta(t_values: tuple[float, ...], dims: tuple[int, int, int, int]) -> 
 class AttentionTrace:
     """I2I logits and probabilities for steps 1..steps at every layer and head.
 
-    `probs` has shape (steps, n_layers, n_heads, n_img, n_img) and there is
-    one t value per step; `steps`, `n_layers`, `n_heads` and `n_img` are
-    read-only properties of that shape, so no copy of them is stored.
-    `logits` has the same shape, or is None in a probs-only trace
-    (`AttentionTrace.empty(..., logits=False)`). Core-token selection and
-    the coverage/shift metrics read only `probs`; the logit consumers
-    (`step_logits`, `core_rows`, `checksum` and `save`) refuse such a trace
-    with `TraceMismatch`. A plan pairs with the trace object it was built
-    from, never by checksum, so nothing caches the checksum.
+    `logits` and `probs` have shape (steps, n_layers, n_heads, n_img, n_img)
+    and there is one t value per step; `steps`, `n_layers`, `n_heads` and
+    `n_img` are read-only properties of that shape, so no copy of them is
+    stored. A plan pairs with the trace object it was built from, never by
+    checksum, so nothing caches the checksum.
 
     A trace is a layer reducer: `empty` allocates one and
-    `reconstruct_capture` fills it through `__call__`. `reconstruct`,
-    `analyze` and `sweep` plan from a full trace, whose `step_scorer` feeds
-    a stored step into a new `StepScorer`. An injected generate plans from a
+    `reconstruct_capture` fills it through `__call__`. It is what
+    `reconstruct` and `generate --save-trace` write and `analyze` loads;
+    `analyze` replays it into a `pipeline.ScoreReducer`, which plans. A
+    sweep with `full_runs` plans from a full trace itself, as any direct
+    caller of `build_injection` may: its `step_scorer` feeds a stored step
+    into a new `StepScorer`. An injected generate plans from a
     `pipeline.StreamedTrace`, which answers `step_scorer`, `core_rows` and
-    `checksum` alike; with `io.save_trace` the same capture also fills a
-    full trace, which is only written to `trace.bin`.
+    `checksum` alike.
     """
 
     t_values: tuple[float, ...]
-    logits: np.ndarray | None = field(repr=False)
+    logits: np.ndarray = field(repr=False)
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -165,29 +163,20 @@ class AttentionTrace:
             raise ShapeMismatch(
                 f"trace probs must have shape (steps, layers, heads, n_img, n_img), got {shape}"
             )
-        if self.logits is not None and self.logits.shape != shape:
+        if self.logits.shape != shape:
             raise ShapeMismatch(f"trace logits shape {self.logits.shape} != probs shape {shape}")
         if len(self.t_values) != self.steps:
             raise ShapeMismatch("one t value per captured step required")
 
     @classmethod
-    def empty(cls, cfg: SamplerConfig, model: ModelConfig, logits: bool = True) -> "AttentionTrace":
-        """An unfilled trace of `cfg`'s captured steps at `model`'s dims.
-
-        logits=False allocates and keeps only the probabilities, which halves
-        the trace; it can drive selection and metrics but not injection.
-        """
+    def empty(cls, cfg: SamplerConfig, model: ModelConfig) -> "AttentionTrace":
+        """An unfilled trace of `cfg`'s captured steps at `model`'s dims."""
         shape = (cfg.cutoff_step, model.n_layers, model.n_heads, model.n_img, model.n_img)
-        return cls(
-            t_values=cfg.captured_t_values(),
-            logits=np.empty(shape) if logits else None,
-            probs=np.empty(shape),
-        )
+        return cls(t_values=cfg.captured_t_values(), logits=np.empty(shape), probs=np.empty(shape))
 
     def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
         """Copy one captured layer's I2I blocks into its (1-based step, layer) slot."""
-        if self.logits is not None:
-            self.logits[step - 1, layer] = logits
+        self.logits[step - 1, layer] = logits
         self.probs[step - 1, layer] = probs
 
     @property
@@ -206,14 +195,9 @@ class AttentionTrace:
     def n_img(self) -> int:
         return self.probs.shape[3]
 
-    def _logits(self) -> np.ndarray:
-        if self.logits is None:
-            raise TraceMismatch("trace holds probabilities only; it was captured without logits")
-        return self.logits
-
     def step_logits(self, step: int, layer: int) -> np.ndarray:
         """Per-head I2I logits for 1-based step."""
-        return self._logits()[step - 1, layer]
+        return self.logits[step - 1, layer]
 
     def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
         """A `StepScorer` fed every layer of 1-based `step`'s probabilities."""
@@ -230,7 +214,7 @@ class AttentionTrace:
         return trace_meta(self.t_values, self.probs.shape[:4])
 
     def _tensors(self) -> dict[str, np.ndarray]:
-        return {"logits": self._logits(), "probs": self.probs}
+        return {"logits": self.logits, "probs": self.probs}
 
     def checksum(self) -> str:
         """`tensors_checksum` of the trace's tensors and meta: one sha256 over
@@ -291,7 +275,7 @@ def reconstruct_capture(
     which copies each layer into its slot, so the full trace is returned.
     The blocks are views of forward's maps that the next layer
     overwrites, so any other reducer reduces or copies each layer during
-    its call (see `pipeline.StreamedTrace`).
+    its call (see `pipeline.ScoreReducer` and `pipeline.StreamedTrace`).
     """
     cfg = cfg or SamplerConfig()
     if on_layer is None:
@@ -333,9 +317,8 @@ def generate_with_injection(
     read once before the first forward. Pass
     trace=None, plan=None for a baseline run. The plan must have been built
     from `trace` itself (`plan.trace is trace`); a trace with the same bytes
-    is still refused, so no trace is hashed here. A probs-only trace, or one
-    whose layers, heads or n_img differ from the model's, is refused before
-    any forward runs.
+    is still refused, so no trace is hashed here. A trace whose layers, heads
+    or n_img differ from the model's is refused before any forward runs.
 
     Each step builds one `AttentionHook` that both branches share: its
     override is the injection through the cutoff and None after it, and it

@@ -29,7 +29,7 @@ from glyphflow import (
 )
 from glyphflow.coreattn import StepScorer
 from glyphflow.metrics import row_fraction
-from glyphflow.pipeline import _trace_row_masses
+from glyphflow.pipeline import ScoreReducer
 from glyphflow.tensorio import read_tensors
 
 
@@ -402,8 +402,8 @@ def test_apply_injection_errors(rng):
 def attention_shift(maps_per_layer, mask_frac, core):
     """Per layer, the core rows' off-mask fraction, read as the pipeline reads it."""
     probs = np.stack([np.asarray(m, dtype=np.float64) for m in maps_per_layer])[None]
-    trace = AttentionTrace(t_values=(1.0,), logits=None, probs=probs)
-    masses = _trace_row_masses(trace, mask_frac)
+    trace = AttentionTrace(t_values=(1.0,), logits=np.zeros_like(probs), probs=probs)
+    masses = ScoreReducer.replay(trace, mask_frac, ScoreMode.ROW_MASS, True).masses
     idx = core.rows()
     return [
         row_fraction(masses.off[0, l], masses.total[0, l], idx) for l in range(trace.n_layers)

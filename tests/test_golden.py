@@ -5,8 +5,8 @@ Pins the full sha256 of the default injected PGM, the default
 (step, layer), the default run's coverage and shift metrics, both default
 sweep CSVs, the default `analyze` shift.csv, and the image of a one-cell
 `sweep --full-runs` at the default (ratio, cutoff). For every scoring mode,
-with averaging on and off, it pins `analyze`'s plan sets, shift.csv and both
-score dumps on the default probs-only trace. A change that moves any
+with averaging on and off, it pins both default sweep CSVs and `analyze`'s
+plan sets, shift.csv and both score dumps on the default trace. A change that moves any
 of them changes what the pipeline produces; only a change meant to do so may
 update these values, and it records the old and new ones in CHANGES.md.
 Trace and manifest checksums are not pinned: trace floats may drift by a few
@@ -107,6 +107,50 @@ def test_golden_sweep_csvs(tmp_path):
     assert {m: _file_sha256(p) for m, p in result.csv_paths.items()} == SWEEP_CSV_SHA256
 
 
+# (mode, averaging) -> both CSVs of the default sweep in that scoring mode;
+# row_mass with averaging is the default, pinned by SWEEP_CSV_SHA256 above.
+SWEEP_MODE_SHA256 = {
+    ("row_mass", False): {
+        "mask_coverage": "bd770b7e815ae173c9ad6e5e35b46cfb510a35d7b19ec82b4fbc51d8cf6f6076",
+        "attention_shift": "7f237552080aa36045c55e18b4743d0bb1383f66805e6934d03f7c8f242a48e4",
+    },
+    ("row_max", True): {
+        "mask_coverage": "b8b1d0bb5bf3907f69b8e05be4daadf83596c9d194cc2f3f3255f8c69ed1fdfb",
+        "attention_shift": "4e02eae23e0a619b017cf3fd4461028a1c96edfb56a8d8fe657b63a5b5591a39",
+    },
+    ("row_max", False): {
+        "mask_coverage": "9bc314f6fd629672ae456679570206ff8936331daaf54c983a1e7be007203145",
+        "attention_shift": "1adecfade0cd6f0051f20279e80c624f2cbef3b6c4014753e73f3271877dba35",
+    },
+    ("column_mass", True): {
+        "mask_coverage": "d7e117d2583f3fd34cec4b554a6b441ec044401405fb099b476e2b82a693b733",
+        "attention_shift": "a220348a2105e3461641d0f69f458c3e69343dc494221ad6627d55b54c0140e0",
+    },
+    ("column_mass", False): {
+        "mask_coverage": "12f346ed6c006cccb1ba1c052b4edbbb2b689e08fe8879747056946cde168216",
+        "attention_shift": "43ca239e5891b87d676b772609ff3ca6c86402c7602f1b5558ce710896846746",
+    },
+    ("layer_variance", True): {
+        "mask_coverage": "4c685026c23ca9f1858456001bef4737aaafe6456b2378a4a24ecd7c240e3702",
+        "attention_shift": "f3908ad1ac8ad23d133cf2cb1080baee1adf19beda0e9d29c00af0975bff1d2a",
+    },
+    ("layer_variance", False): {
+        "mask_coverage": "4c685026c23ca9f1858456001bef4737aaafe6456b2378a4a24ecd7c240e3702",
+        "attention_shift": "f3908ad1ac8ad23d133cf2cb1080baee1adf19beda0e9d29c00af0975bff1d2a",
+    },
+}
+
+
+@pytest.mark.parametrize("mode,averaging", sorted(SWEEP_MODE_SHA256))
+def test_golden_sweep_csvs_every_mode(tmp_path, mode, averaging):
+    base = RunConfig()
+    injection = replace(base.injection, mode=ScoreMode(mode), averaging=averaging)
+    result = run_sweep(replace(base, injection=injection), out_dir=str(tmp_path))
+    assert result.failures == []
+    got = {m: _file_sha256(p) for m, p in result.csv_paths.items()}
+    assert got == SWEEP_MODE_SHA256[(mode, averaging)]
+
+
 def test_golden_analyze_shift_csv(tmp_path):
     """The default analyze, on the captured trace and on its saved and reloaded copy."""
     cfg = RunConfig()
@@ -143,7 +187,7 @@ def test_golden_full_runs_cell_equals_default_run(tmp_path):
 
 
 # (mode, averaging) -> (plan digest, shift.csv sha256, scores_raw.bin sha256,
-# scores_selection.bin sha256) of `run_analyze` on the default probs-only trace
+# scores_selection.bin sha256) of `run_analyze` on the default trace
 # at the default ratio. layer_variance ignores averaging, so it is pinned once.
 ANALYZE_MODE_SHA256 = {
     ("row_mass", True): (
@@ -192,20 +236,17 @@ ANALYZE_MODE_SHA256 = {
 
 
 @pytest.fixture(scope="module")
-def default_probs_trace():
+def default_trace():
     cfg = RunConfig()
     glyph = prepare_glyph(cfg)
-    trace = reconstruct_capture(
-        init_model(cfg.model), glyph, cfg.io.recon_prompt, cfg.sampler,
-        on_layer=AttentionTrace.empty(cfg.sampler, cfg.model, logits=False),
-    )
+    trace = reconstruct_capture(init_model(cfg.model), glyph, cfg.io.recon_prompt, cfg.sampler)
     return trace, glyph_mask_patches(glyph, cfg.model.patch)
 
 
 @pytest.mark.parametrize("mode,averaging", sorted(ANALYZE_MODE_SHA256))
-def test_golden_analyze_every_mode(default_probs_trace, tmp_path, mode, averaging):
+def test_golden_analyze_every_mode(default_trace, tmp_path, mode, averaging):
     """Plan sets, shift.csv and both score dumps of `analyze` in every scoring mode."""
-    trace, mask_frac = default_probs_trace
+    trace, mask_frac = default_trace
     plans = []
     inner = pipeline.build_injection
 

@@ -30,7 +30,7 @@ from glyphflow import (
     tensors_checksum,
     write_error_manifest,
 )
-from glyphflow.pipeline import _coverage_metrics, _trace_row_masses
+from glyphflow.pipeline import ScoreReducer, _coverage_metrics
 from glyphflow.runconfig import IOConfig, InjectionConfig, SweepConfig
 from tests.conftest import TINY, TINY_SAMPLER
 
@@ -236,24 +236,23 @@ def test_run_sweep_full_runs_hashes_nothing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("full_runs", [False, True])
 def test_run_sweep_captures_logits_only_for_full_runs(tmp_path, monkeypatch, full_runs):
-    # only a sweep that generates its cells reads the trace's logits
+    # the capture feeds a ScoreReducer; only a sweep that generates its cells
+    # reads logit rows, so only it builds a full AttentionTrace
     traces = []
-    inner = glyphflow.pipeline.reconstruct_capture
+    inner = AttentionTrace.__post_init__
 
-    def tapped(*args, **kwargs):
-        traces.append(inner(*args, **kwargs))
-        return traces[-1]
+    def counted(trace):
+        inner(trace)
+        traces.append(trace)
 
-    monkeypatch.setattr(glyphflow.pipeline, "reconstruct_capture", tapped)
+    monkeypatch.setattr(AttentionTrace, "__post_init__", counted)
     cfg = tiny_run_config()
     cfg = dataclasses.replace(
         cfg, sweep=SweepConfig(ratios=(0.5,), steps=(1, 2), full_runs=full_runs)
     )
     result = run_sweep(cfg, out_dir=str(tmp_path))
     assert result.failures == []
-    (trace,) = traces
-    assert trace.probs.shape[0] == 2
-    assert (trace.logits is not None) == full_runs
+    assert [trace.logits.shape[0] for trace in traces] == ([2] if full_runs else [])
 
 
 def test_run_sweep_partial_failure(tmp_path):
@@ -318,12 +317,14 @@ def test_run_analyze(tiny_trace, tiny_cfg):
 
 
 def test_trace_row_masses_match_the_public_metrics(tiny_trace, tiny_cfg):
-    """The once-per-trace table gives the bits of a direct per-core-set reduction."""
+    """The reducer's one table gives the bits of a direct per-core-set reduction."""
     mask_frac = np.linspace(0.0, 1.0, tiny_cfg.n_img)
-    masses = _trace_row_masses(tiny_trace, mask_frac)
+    scores = ScoreReducer.replay(tiny_trace, mask_frac, ScoreMode.ROW_MASS, True)
+    masses = scores.masses
     shape = (tiny_trace.steps, tiny_trace.n_layers, tiny_trace.n_img)
     assert all(field.shape == shape for field in masses)
-    plan = build_injection(tiny_trace, 0.25)
+    plan = build_injection(scores, 0.25)
+    assert plan == build_injection(tiny_trace, 0.25)
     on = mask_frac >= 0.5
     coverages = []
     shifts = []

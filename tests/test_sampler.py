@@ -11,6 +11,7 @@ from glyphflow import (
     GlyphFlowError,
     ModelConfig,
     SamplerConfig,
+    ScoreMode,
     ShapeMismatch,
     TraceMismatch,
     build_injection,
@@ -18,12 +19,14 @@ from glyphflow import (
     draw_noise,
     euler_step,
     generate_with_injection,
+    glyph_mask_patches,
     init_model,
     noise_to,
     rasterize_text,
     reconstruct_capture,
     write_tensors,
 )
+from glyphflow.pipeline import ScoreReducer
 from tests.conftest import MALFORMED_TRACES, write_malformed_trace
 
 
@@ -166,13 +169,13 @@ def test_trace_rejects_inconsistent_arrays():
     probs = np.zeros((2, 1, 1, 3, 3))
     AttentionTrace(t_values=(1.0, 0.5), logits=np.zeros_like(probs), probs=probs)
     with pytest.raises(ShapeMismatch):
-        AttentionTrace(t_values=(1.0, 0.5), logits=None, probs=probs[0])
+        AttentionTrace(t_values=(1.0, 0.5), logits=probs[0], probs=probs[0])
     with pytest.raises(ShapeMismatch):
-        AttentionTrace(t_values=(1.0, 0.5), logits=None, probs=probs[..., :2])
+        AttentionTrace(t_values=(1.0, 0.5), logits=probs[..., :2], probs=probs[..., :2])
     with pytest.raises(ShapeMismatch):
         AttentionTrace(t_values=(1.0, 0.5), logits=probs[:, :, :, :2, :2], probs=probs)
     with pytest.raises(ShapeMismatch):
-        AttentionTrace(t_values=(1.0,), logits=None, probs=probs)
+        AttentionTrace(t_values=(1.0,), logits=np.zeros_like(probs), probs=probs)
 
 
 @pytest.mark.parametrize("key", ["steps", "n_layers", "n_heads", "n_img"])
@@ -199,59 +202,64 @@ def test_trace_load_rejects_malformed_tensors_and_t_values(tmp_path, tiny_trace,
 
 
 def test_probs_only_capture_equals_full_probs(tiny_weights, tiny_glyph, tiny_sampler, tiny_trace):
-    lean = reconstruct_capture(
-        tiny_weights, tiny_glyph, "", tiny_sampler,
-        on_layer=AttentionTrace.empty(tiny_sampler, tiny_weights.cfg, logits=False),
-    )
-    assert lean.logits is None
-    assert lean.probs.tobytes() == tiny_trace.probs.tobytes()
-
-
-def test_probs_only_trace_refuses_logit_consumers(
-    tmp_path, monkeypatch, tiny_weights, tiny_glyph, tiny_sampler
-):
-    lean = reconstruct_capture(
-        tiny_weights, tiny_glyph, "", tiny_sampler,
-        on_layer=AttentionTrace.empty(tiny_sampler, tiny_weights.cfg, logits=False),
-    )
-    with pytest.raises(TraceMismatch):
-        lean.step_logits(1, 0)
-    with pytest.raises(TraceMismatch):
-        lean.checksum()
-    with pytest.raises(TraceMismatch):
-        lean.save(tmp_path / "trace.bin")
-    assert not (tmp_path / "trace.bin").exists()
-
-    plan = build_injection(lean, ratio=0.25)
-    forwards = []
-    monkeypatch.setattr(glyphflow.sampler, "forward", lambda *a, **k: forwards.append(a))
-    with pytest.raises(TraceMismatch):
-        generate_with_injection(tiny_weights, "x", lean, plan, tiny_sampler)
-    assert forwards == []
-
+    """A capture reduced straight into a `ScoreReducer`, which reads only each
+    layer's probabilities, scores, masses and plans as the full trace's
+    replay does, in every mode."""
+    cfg = tiny_weights.cfg
+    mask_frac = glyph_mask_patches(tiny_glyph, cfg.patch)
+    for mode in ScoreMode:
+        streamed = ScoreReducer(
+            tiny_sampler.cutoff_step, cfg.n_layers, cfg.n_img, mode, True, mask_frac
+        )
+        reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, on_layer=streamed)
+        replayed = ScoreReducer.replay(tiny_trace, mask_frac, mode, True)
+        for got, want in zip(streamed.masses, replayed.masses):
+            assert got.tobytes() == want.tobytes()
+        for step in range(1, tiny_trace.steps + 1):
+            got = streamed.step_scorer(step, mode, True)
+            want = tiny_trace.step_scorer(step, mode, True)
+            assert [s.scores.tobytes() for s in got.raw] == [
+                s.scores.tobytes() for s in want.raw
+            ]
+            assert [s.scores.tobytes() for s in got.ranked()] == [
+                s.scores.tobytes() for s in want.ranked()
+            ]
+        assert build_injection(streamed, 0.25, mode=mode) == build_injection(
+            tiny_trace, 0.25, mode=mode
+        )
 
 def test_probs_only_capture_allocates_no_logits():
+    """A capture into a `ScoreReducer` keeps neither logits nor probabilities:
+    its tracemalloc peak is below a full trace capture's by at least 0.9 of
+    the trace's two arrays."""
     # the default model at cutoff 1: one step of (layers, heads, n_img, n_img) logits
     cfg = ModelConfig()
     weights = init_model(cfg)
     glyph = rasterize_text("logo", width=cfg.canvas, height=cfg.canvas, scale=4, patch=cfg.patch)
+    mask_frac = glyph_mask_patches(glyph, cfg.patch)
     sampler = SamplerConfig(steps=1, cutoff_step=1)
     reconstruct_capture(weights, glyph, "", sampler)  # forward's buffers are made once
 
-    traces, peaks = {}, {}
-    for logits in (True, False):
+    sinks = {
+        "trace": lambda: AttentionTrace.empty(sampler, cfg),
+        "reducer": lambda: ScoreReducer(
+            1, cfg.n_layers, cfg.n_img, ScoreMode.ROW_MASS, True, mask_frac
+        ),
+    }
+    peaks = {}
+    for name, make in sinks.items():
         tracemalloc.start()
         try:
-            traces[logits] = reconstruct_capture(
-                weights, glyph, "", sampler,
-                on_layer=AttentionTrace.empty(sampler, cfg, logits=logits),
-            )
-            peaks[logits] = tracemalloc.get_traced_memory()[1]
+            sink = make()
+            reconstruct_capture(weights, glyph, "", sampler, on_layer=sink)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    logits_nbytes = traces[True].logits.nbytes
+        if name == "trace":
+            logits_nbytes = sink.logits.nbytes
+            trace_nbytes = logits_nbytes + sink.probs.nbytes
     assert logits_nbytes == cfg.n_layers * cfg.n_heads * cfg.n_img**2 * 8  # 12.6 MB
-    assert peaks[True] - peaks[False] >= 0.9 * logits_nbytes
+    assert peaks["trace"] - peaks["reducer"] >= 0.9 * trace_nbytes
 
 
 def test_probe_sees_reconstruction(tiny_weights, tiny_glyph, tiny_sampler):

@@ -75,7 +75,8 @@ def _run(cfg: RunConfig, out_dir, probed: bool):
 
 def _reference(cfg: RunConfig, probed: bool):
     """The full-trace pipeline, spelled out: capture an `AttentionTrace`,
-    plan from it, generate from it, measure its row masses and hash it."""
+    plan from it, generate from it, measure its replayed row masses and hash
+    it."""
     calls = []
     probe = _probe(calls) if probed else None
     glyph = prepare_glyph(cfg)
@@ -90,7 +91,8 @@ def _reference(cfg: RunConfig, probed: bool):
     image, manifest = generate_with_injection(weights, prompt, trace, plan, cfg.sampler, probe)
     metrics = {}
     if plan.ratio > 0.0 and plan.cutoff_step > 0:
-        masses = pipeline._trace_row_masses(trace, glyph_mask_patches(glyph, cfg.model.patch))
+        mask_frac = glyph_mask_patches(glyph, cfg.model.patch)
+        masses = pipeline.ScoreReducer.replay(trace, mask_frac, inj.mode, inj.averaging).masses
         metrics = pipeline._coverage_metrics(masses, plan)
     return image, plan, calls, [asdict(log) for log in manifest.step_logs], metrics, trace
 
@@ -212,28 +214,56 @@ def _count_token_scores(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("mode", list(ScoreMode))
-def test_sweep_scores_each_cell_of_positive_ratio(monkeypatch, tmp_path, mode):
-    """Each cell with ratio > 0 scores its cutoff x n_layers captured layers,
-    and a ratio-0 cell scores none: the count the benchmark's smoke check
-    pins at 1890 for the default sweep."""
+def test_sweep_scores_each_captured_layer_once(monkeypatch, tmp_path, mode):
+    """The capture at the grid's largest cutoff is scored once for the whole
+    sweep, whatever its ratios: max cutoff x n_layers `token_scores` calls,
+    108 for the default sweep."""
     ratios, steps = (0.0, 0.5, 1.0), (1, 2)
     cfg = replace(_config(mode=mode), sweep=SweepConfig(ratios=ratios, steps=steps))
     calls = _count_token_scores(monkeypatch)
-    run_sweep(cfg, out_dir=str(tmp_path))
-    assert len(calls) == sum(step * TINY.n_layers for r in ratios if r > 0 for step in steps)
+    result = run_sweep(cfg, out_dir=str(tmp_path))
+    assert [(r, s) for r, s, _ in result.failures] == [(0.0, 1), (0.0, 2)]
+    assert len(calls) == max(steps) * TINY.n_layers
 
 
 @pytest.mark.parametrize("mode", list(ScoreMode))
-def test_analyze_scores_each_captured_layer_twice(monkeypatch, mode):
-    """Once to plan and once to report the scores: 2 x steps x n_layers
-    `token_scores` calls, the count the benchmark's smoke check pins at 144
-    for the default trace."""
+def test_analyze_scores_each_captured_layer_once(monkeypatch, mode):
+    """The scorers that plan also give the reported scores: steps x n_layers
+    `token_scores` calls, 72 for the default trace."""
     cfg = _config(mode=mode)
     glyph = prepare_glyph(cfg)
     trace = reconstruct_capture(init_model(cfg.model), glyph, "", cfg.sampler)
     calls = _count_token_scores(monkeypatch)
     run_analyze(trace, glyph_mask_patches(glyph, TINY.patch), 0.25, mode=mode)
-    assert len(calls) == 2 * trace.steps * TINY.n_layers
+    assert len(calls) == trace.steps * TINY.n_layers
+
+
+def test_sweep_memory_is_bounded_by_one_forward(tmp_path):
+    """tracemalloc peak of a grid-24 sweep, whose full trace would take
+    255 MB: below 3 of one forward's 22 MB (2, heads, T, T) map blocks plus
+    the scores and row masses the sweep keeps. The multiple covers the map
+    block itself, softmax's one (heads, T, T) buffer and the rest of a
+    forward's temporaries (the peak read 37.5 MB, numpy 2.4.6); one step of
+    the trace's probabilities alone, 64 MB, would exceed it."""
+    model = replace(RunConfig().model, grid=24)
+    sampler = replace(RunConfig().sampler, steps=2, cutoff_step=2)
+    cfg = replace(
+        RunConfig(), model=model, sampler=sampler,
+        sweep=SweepConfig(ratios=(0.125, 0.5), steps=(1, 2)),
+    )
+    n, layers, steps, T = model.n_img, model.n_layers, sampler.cutoff_step, model.seq_len
+    trace_bytes = 2 * steps * layers * model.n_heads * n * n * 8
+    map_block = 2 * model.n_heads * T * T * 8
+    kept = (3 + 2) * steps * layers * n * 8  # three row-mass fields, raw and ranked scores
+    tracemalloc.start()
+    try:
+        result = run_sweep(cfg, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.failures == []
+    assert trace_bytes > 10 * map_block
+    assert peak < 3 * map_block + kept
 
 
 def test_streamed_generate_holds_no_step_of_the_trace():
