@@ -5,12 +5,12 @@ Scores always come from head-averaged statistics of I2I probability maps; the
 same selected set drives every head during injection. `StepScorer` is the one
 scoring, averaging and selection path: one scorer per captured step is fed
 each layer in turn and picks every layer's core set. `build_injection` asks a
-trace for each step's scorer: a full trace feeds its stored step into a new
-one, and a `pipeline.ScoreReducer` (a `pipeline.StreamedTrace` in generate)
-keeps the ones it fed as the capture produced each layer, so generate, sweep
-and analyze score each captured (step, layer) once; `pipeline.run_analyze`
-reports the scores of the scorers that planned. The coverage and shift of the
-selected rows are measured by `metrics.row_masses` and `metrics.row_fraction`.
+trace for each step's scorer: a `pipeline.ScoreReducer` keeps the ones it fed
+as the capture produced each layer, so generate, sweep and analyze score each
+captured (step, layer) once; a full trace, which only direct callers pass,
+feeds its stored step into a new one. `pipeline.run_analyze` reports the
+scores of the scorers that planned. The coverage and shift of the selected
+rows are measured by `metrics.row_masses` and `metrics.row_fraction`.
 """
 
 from __future__ import annotations
@@ -292,12 +292,13 @@ def build_injection(
 ) -> InjectionPlan:
     """Select one core set per (step, layer) through each step's `StepScorer`.
 
-    `trace.step_scorer(step, mode, averaging)` gives it: a full trace feeds
-    the step's layers into a new scorer, a `pipeline.ScoreReducer` returns
-    the scorer it fed while it captured or replayed. With averaging on,
-    layer L's selection uses the running mean of layers 1..L, reset at each
-    step; in layer_variance mode the step's one variance vector drives every
-    layer's selection. At ratio 0 every set is empty and nothing is scored.
+    `trace.step_scorer(step, mode, averaging)` gives it: a
+    `pipeline.ScoreReducer` returns the scorer it fed as it captured or
+    replayed; a full trace, which only direct callers pass, feeds the step's
+    layers into a new scorer. With averaging on, layer L's selection uses
+    the running mean of layers 1..L, reset at each step; in layer_variance
+    mode the step's one variance vector drives every layer's selection. At
+    ratio 0 every set is empty and nothing is scored.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside [0,1]")

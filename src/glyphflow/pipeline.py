@@ -39,7 +39,7 @@ from .metrics import (
     row_fraction,
     row_masses,
 )
-from .model import SinkFn, init_model
+from .model import init_model
 from .netpbm import write_pgm
 from .runconfig import RunConfig, config_hash
 from .sampler import (
@@ -118,92 +118,107 @@ def _glyph_checksum(glyph: GlyphImage) -> str:
 
 
 class ScoreReducer:
-    """What selection and the coverage metrics read of a reconstruction
-    capture, reduced layer by layer instead of kept as an `AttentionTrace`.
+    """What a pipeline run reads of a reconstruction capture, reduced layer
+    by layer instead of kept as an `AttentionTrace`.
 
     `reconstruct_capture` calls it as `on_layer` while forward still holds
     each layer's I2I views; `replay` feeds it a full trace's layers in the
     same order. Each layer's probabilities are scored once, through the
     step's one `StepScorer`, and their head-mean row masses fill `masses`,
     the (steps, n_layers, n_img) table behind every plan's coverage and
-    shift. Like a full trace it answers `steps`, `n_layers`, `n_img` and
-    `step_scorer`, so `build_injection` plans from it.
+    shift. Once the scorer knows a layer's core set at ratio `keep` (the
+    widest any plan injects; 0 keeps none), that set's (n_heads, k, n_img)
+    logit rows are kept: in layer_variance mode only after the step's last
+    layer, so each layer's logits are copied until then. Like a full trace
+    it answers `step_scorer` and `core_rows`, so plans are built and
+    injected from it.
     """
 
     def __init__(
-        self, steps: int, n_layers: int, n_img: int, mode: ScoreMode, averaging: bool,
-        mask_frac: np.ndarray,
+        self, steps: int, n_layers: int, n_heads: int, n_img: int, mode: ScoreMode,
+        averaging: bool, mask_frac: np.ndarray, keep: float = 0.0,
     ):
-        self.steps, self.n_layers, self.n_img = steps, n_layers, n_img
-        self.mode, self.averaging = mode, averaging
+        self.steps, self.n_layers, self.n_heads, self.n_img = steps, n_layers, n_heads, n_img
+        self.mode, self.averaging, self.keep = mode, averaging, keep
         self.masses = RowMasses(*(np.empty((steps, n_layers, n_img)) for _ in RowMasses._fields))
         self._mask_frac = mask_frac
         self._scorers: list[StepScorer] = []
+        self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
+        self._pending: list[np.ndarray] = []  # layer_variance: the step's logits so far
 
     @classmethod
     def replay(
         cls, trace: AttentionTrace, mask_frac: np.ndarray, mode: ScoreMode, averaging: bool
     ) -> "ScoreReducer":
         """A reducer fed every (step, layer) of a full trace in capture order."""
-        reducer = cls(trace.steps, trace.n_layers, trace.n_img, mode, averaging, mask_frac)
+        reducer = cls(*trace.probs.shape[:4], mode, averaging, mask_frac)
         for step, (logits, probs) in enumerate(zip(trace.logits, trace.probs), start=1):
             for layer in range(trace.n_layers):
                 reducer(step, layer, logits[layer], probs[layer])
         return reducer
 
-    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray) -> bool:
-        """Score one layer and fill its row masses; returns whether the
-        layer's core set is known now (`StepScorer.add`)."""
+    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
+        """Score one layer, fill its row masses and keep its core rows."""
         if layer == 0:
             self._scorers.append(StepScorer(step, self.mode, self.averaging))
         for dst, src in zip(self.masses, row_masses(probs.mean(axis=0), self._mask_frac)):
             dst[step - 1, layer] = src
-        return self._scorers[-1].add(probs)
+        scorer = self._scorers[-1]
+        if not scorer.add(probs) and self.keep:
+            self._pending.append(logits.copy())
+        elif self.keep:
+            self._keep_rows(scorer, layer, logits)
+        if layer == self.n_layers - 1:
+            for held, held_logits in enumerate(self._pending):
+                self._keep_rows(scorer, held, held_logits)
+            self._pending = []
+
+    def _keep_rows(self, scorer: StepScorer, layer: int, logits: np.ndarray):
+        core = scorer.core_set(layer, self.keep)
+        self._rows[(scorer.step, layer)] = (core.indices, logits[:, core.rows(), :])
 
     def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
-        if (mode, averaging) != (self.mode, self.averaging) or step > len(self._scorers):
+        if (mode, averaging) != (self.mode, self.averaging) or not 0 < step <= len(self._scorers):
             raise TraceMismatch(f"reducer kept no {mode.value} scores for step {step}")
         return self._scorers[step - 1]
 
-
-def _tee(*reducers: SinkFn) -> SinkFn:
-    """One layer sink that hands each layer to every reducer in turn."""
-
-    def on_layer(step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
-        for reduce in reducers:
-            reduce(step, layer, logits, probs)
-
-    return on_layer
+    def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
+        """The (n_heads, k, n_img) logit rows of a core set at most `keep`
+        wide. A narrower set is a prefix of the same ranking, so a subset of
+        the kept one; the kept set itself gets the kept array, not a copy."""
+        if not core.indices:
+            return np.empty((self.n_heads, 0, self.n_img))
+        kept, rows = self._rows.get((step, layer), ((), None))
+        hit = np.isin(kept, core.rows())
+        if np.count_nonzero(hit) != len(core.indices):
+            raise TraceMismatch(f"reducer kept no such rows at step {step} layer {layer}")
+        return rows if hit.all() else rows[:, hit, :]
 
 
 class StreamedTrace(ScoreReducer):
     """What an injected generate reads of its reconstruction capture: a
-    `ScoreReducer` plus the logit rows of the core sets and the trace checksum.
+    `ScoreReducer` that keeps the core rows at the run's ratio, plus the
+    trace checksum.
 
     Every injected `run_generate` passes it to `reconstruct_capture` as
     `on_layer` and plans from it. It copies each layer's I2I views into one
     reused (n_heads, n_img, n_img) logits/probs pair, laid out as a full
     trace's (step, layer) block, and feeds that pair to the trace checksum's
     `ChecksumStream` (which hashes it while forward goes on; the next layer
-    waits for it), to the reducer, and, once the scorer knows the layer's
-    core set, to the (n_heads, k, n_img) rows kept for injection. In
-    layer_variance mode that is only after the step's last layer, so each
-    layer's logits are copied until the end of the step. At ratio 0 only the
-    checksum is fed. `core_rows` and `checksum` give what a full trace of the
-    same capture would; its t values are `SamplerConfig.captured_t_values`.
+    waits for it) and to the reducer; at ratio 0 only the checksum is fed.
+    `checksum` gives what a full trace of the same capture would; its t
+    values are `SamplerConfig.captured_t_values`.
     """
 
     def __init__(self, config: RunConfig, mask_frac: np.ndarray):
         mcfg, inj = config.model, config.injection
         self.t_values = config.sampler.captured_t_values()
         super().__init__(
-            len(self.t_values), mcfg.n_layers, mcfg.n_img, inj.mode, inj.averaging, mask_frac
+            len(self.t_values), mcfg.n_layers, mcfg.n_heads, mcfg.n_img, inj.mode,
+            inj.averaging, mask_frac, keep=inj.ratio,
         )
-        self.n_heads, self.ratio = mcfg.n_heads, inj.ratio
-        self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
         block = (self.n_heads, self.n_img, self.n_img)
         self._logits, self._probs = np.empty(block), np.empty(block)
-        self._pending: list[np.ndarray] = []  # layer_variance: the step's logits so far
         shape = (self.steps, self.n_layers, *block)
         self._hash = ChecksumStream({"logits": ("f8", shape), "probs": ("f8", shape)})
 
@@ -212,30 +227,8 @@ class StreamedTrace(ScoreReducer):
         np.copyto(self._logits, logits)
         np.copyto(self._probs, probs)
         self._hash.update({"logits": self._logits, "probs": self._probs})
-        if self.ratio == 0.0:
-            return
-        scorer_knows = super().__call__(step, layer, self._logits, self._probs)
-        scorer = self._scorers[-1]
-        if scorer_knows:
-            self._keep_rows(scorer, layer, self._logits)
-        else:
-            self._pending.append(self._logits.copy())
-        if layer == self.n_layers - 1:
-            for held, held_logits in enumerate(self._pending):
-                self._keep_rows(scorer, held, held_logits)
-            self._pending = []
-
-    def _keep_rows(self, scorer: StepScorer, layer: int, logits: np.ndarray):
-        core = scorer.core_set(layer, self.ratio)
-        self._rows[(scorer.step, layer)] = (core.indices, logits[:, core.rows(), :])
-
-    def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
-        if not core.indices:
-            return np.empty((self.n_heads, 0, self.n_img))
-        indices, rows = self._rows.get((step, layer), ((), None))
-        if indices != core.indices:
-            raise TraceMismatch(f"streamed trace kept other rows at step {step} layer {layer}")
-        return rows
+        if self.keep:
+            super().__call__(step, layer, self._logits, self._probs)
 
     def checksum(self) -> str:
         """The checksum the full trace of the same capture would have."""
@@ -300,7 +293,11 @@ def run_generate(
         on_layer = trace = StreamedTrace(config, mask_frac)
         if config.io.save_trace:
             saved = AttentionTrace.empty(config.sampler, config.model)
-            on_layer = _tee(trace, saved)
+
+            def on_layer(step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
+                trace(step, layer, logits, probs)
+                saved(step, layer, logits, probs)
+
         reconstruct_capture(
             weights, glyph, config.io.recon_prompt, config.sampler, probe=probe, on_layer=on_layer
         )
@@ -376,11 +373,12 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
 
     One reconstruction capture at the largest grid cutoff feeds a
     `ScoreReducer`, which scores each (step, layer) once and keeps the row
-    masses; each cell builds its own plan and fills its planned core rows'
-    mask coverage and attention shift, read from those masses, into the two
-    grids. With sweep.full_runs the same capture also fills a full
-    `AttentionTrace`, the cells plan from it, and each cell runs generation
-    with its logit rows and writes its image. A failed cell is recorded and
+    masses; each cell plans from it, looking up the step scorers, and fills
+    its planned core rows' mask coverage and attention shift, read from
+    those masses, into the two grids. With sweep.full_runs the reducer also
+    keeps the logit rows of the core sets at the grid's largest ratio, and
+    each cell runs generation with its own subset of them and writes its
+    image. No full trace is built either way. A failed cell is recorded and
     stays None, written as NA, so a sweep whose every cell fails still
     writes both CSVs.
     """
@@ -403,13 +401,11 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
     mask_frac = glyph_mask_patches(glyph, config.model.patch)
     trace_cfg = replace(config.sampler, cutoff_step=max_cutoff)
     mcfg, inj, full_runs = config.model, config.injection, config.sweep.full_runs
-    on_layer = trace = scores = ScoreReducer(
-        max_cutoff, mcfg.n_layers, mcfg.n_img, inj.mode, inj.averaging, mask_frac
+    scores = ScoreReducer(
+        max_cutoff, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, inj.mode, inj.averaging,
+        mask_frac, keep=max(ratios) if full_runs else 0.0,
     )
-    if full_runs:
-        trace = AttentionTrace.empty(trace_cfg, mcfg)
-        on_layer = _tee(scores, trace)
-    reconstruct_capture(weights, glyph, config.io.recon_prompt, trace_cfg, on_layer=on_layer)
+    reconstruct_capture(weights, glyph, config.io.recon_prompt, trace_cfg, on_layer=scores)
 
     os.makedirs(out_dir, exist_ok=True)
     tables: dict[str, dict[tuple[float, int], float | None]] = {
@@ -421,12 +417,12 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
         for step in steps:
             try:
                 plan = build_injection(
-                    trace, ratio, cutoff_step=step, mode=inj.mode, averaging=inj.averaging
+                    scores, ratio, cutoff_step=step, mode=inj.mode, averaging=inj.averaging
                 )
                 stats = _coverage_metrics(scores.masses, plan)
                 if full_runs:
                     cell_cfg = replace(config.sampler, cutoff_step=step)
-                    image, _ = generate_with_injection(weights, prompt, trace, plan, cell_cfg)
+                    image, _ = generate_with_injection(weights, prompt, scores, plan, cell_cfg)
                     write_pgm(os.path.join(out_dir, f"cell_r{ratio!r}_s{step}.pgm"), image)
                 tables["mask_coverage"][(ratio, step)] = stats["mask_coverage_mean"]
                 tables["attention_shift"][(ratio, step)] = stats["attention_shift_mean"]

@@ -41,7 +41,7 @@ from .model import (
 from .tensorio import read_tensors, tensors_checksum, write_tensors
 
 if TYPE_CHECKING:
-    from .pipeline import StreamedTrace
+    from .pipeline import ScoreReducer
 
 # A probe receives (step, t, branch, captures) after each forward. The
 # captures are copies of the forward's attention maps that the probe may keep.
@@ -145,12 +145,10 @@ class AttentionTrace:
     A trace is a layer reducer: `empty` allocates one and
     `reconstruct_capture` fills it through `__call__`. It is what
     `reconstruct` and `generate --save-trace` write and `analyze` loads;
-    `analyze` replays it into a `pipeline.ScoreReducer`, which plans. A
-    sweep with `full_runs` plans from a full trace itself, as any direct
-    caller of `build_injection` may: its `step_scorer` feeds a stored step
-    into a new `StepScorer`. An injected generate plans from a
-    `pipeline.StreamedTrace`, which answers `step_scorer`, `core_rows` and
-    `checksum` alike.
+    `analyze` replays it into a `pipeline.ScoreReducer`, and every pipeline
+    run plans and injects from such a reducer. Only a direct caller of
+    `build_injection` plans from a full trace: its `step_scorer` feeds a
+    stored step into a new `StepScorer`, and `core_rows` slices its logits.
     """
 
     t_values: tuple[float, ...]
@@ -195,14 +193,19 @@ class AttentionTrace:
     def n_img(self) -> int:
         return self.probs.shape[3]
 
+    def _index(self, step: int) -> int:
+        if not 0 < step <= self.steps:
+            raise TraceMismatch(f"trace holds steps 1..{self.steps}, not step {step}")
+        return step - 1
+
     def step_logits(self, step: int, layer: int) -> np.ndarray:
         """Per-head I2I logits for 1-based step."""
-        return self.logits[step - 1, layer]
+        return self.logits[self._index(step), layer]
 
     def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
         """A `StepScorer` fed every layer of 1-based `step`'s probabilities."""
         scorer = StepScorer(step, mode, averaging)
-        for maps in self.probs[step - 1]:
+        for maps in self.probs[self._index(step)]:
             scorer.add(maps)
         return scorer
 
@@ -275,7 +278,7 @@ def reconstruct_capture(
     which copies each layer into its slot, so the full trace is returned.
     The blocks are views of forward's maps that the next layer
     overwrites, so any other reducer reduces or copies each layer during
-    its call (see `pipeline.ScoreReducer` and `pipeline.StreamedTrace`).
+    its call (see `pipeline.ScoreReducer`).
     """
     cfg = cfg or SamplerConfig()
     if on_layer is None:
@@ -302,7 +305,7 @@ def reconstruct_capture(
 def generate_with_injection(
     weights: ModelWeights,
     prompt: str,
-    trace: "AttentionTrace | StreamedTrace | None",
+    trace: "AttentionTrace | ScoreReducer | None",
     plan: InjectionPlan | None,
     cfg: SamplerConfig | None = None,
     probe: ProbeFn | None = None,
@@ -311,10 +314,10 @@ def generate_with_injection(
 
     For steps <= plan.cutoff_step every layer's I2I logit rows listed in the
     plan are replaced by the trace's rows, identically in the conditional and
-    unconditional branches. `trace` is a `pipeline.StreamedTrace` (an
-    injected `run_generate`) or an `AttentionTrace` (a sweep's full runs);
-    either gives the plan's (n_heads, k, n_img) rows through `core_rows`,
-    read once before the first forward. Pass
+    unconditional branches. `trace` is a `pipeline.ScoreReducer` (every
+    pipeline run) or an `AttentionTrace` (a direct caller); either gives the
+    plan's (n_heads, k, n_img) rows through `core_rows`, read once before
+    the first forward. Pass
     trace=None, plan=None for a baseline run. The plan must have been built
     from `trace` itself (`plan.trace is trace`); a trace with the same bytes
     is still refused, so no trace is hashed here. A trace whose layers, heads

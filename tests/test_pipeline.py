@@ -235,9 +235,9 @@ def test_run_sweep_full_runs_hashes_nothing(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("full_runs", [False, True])
-def test_run_sweep_captures_logits_only_for_full_runs(tmp_path, monkeypatch, full_runs):
-    # the capture feeds a ScoreReducer; only a sweep that generates its cells
-    # reads logit rows, so only it builds a full AttentionTrace
+def test_run_sweep_builds_no_attention_trace(tmp_path, monkeypatch, full_runs):
+    # the capture feeds one ScoreReducer, which plans every cell and, with
+    # full_runs, keeps the core rows each cell injects: no full trace is built
     traces = []
     inner = AttentionTrace.__post_init__
 
@@ -248,11 +248,12 @@ def test_run_sweep_captures_logits_only_for_full_runs(tmp_path, monkeypatch, ful
     monkeypatch.setattr(AttentionTrace, "__post_init__", counted)
     cfg = tiny_run_config()
     cfg = dataclasses.replace(
-        cfg, sweep=SweepConfig(ratios=(0.5,), steps=(1, 2), full_runs=full_runs)
+        cfg, sweep=SweepConfig(ratios=(0.25, 0.5), steps=(1, 2), full_runs=full_runs)
     )
     result = run_sweep(cfg, out_dir=str(tmp_path))
     assert result.failures == []
-    assert [trace.logits.shape[0] for trace in traces] == ([2] if full_runs else [])
+    assert len(list(tmp_path.glob("cell_*.pgm"))) == (4 if full_runs else 0)
+    assert traces == []
 
 
 def test_run_sweep_partial_failure(tmp_path):

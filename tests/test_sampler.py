@@ -209,7 +209,7 @@ def test_probs_only_capture_equals_full_probs(tiny_weights, tiny_glyph, tiny_sam
     mask_frac = glyph_mask_patches(tiny_glyph, cfg.patch)
     for mode in ScoreMode:
         streamed = ScoreReducer(
-            tiny_sampler.cutoff_step, cfg.n_layers, cfg.n_img, mode, True, mask_frac
+            tiny_sampler.cutoff_step, cfg.n_layers, cfg.n_heads, cfg.n_img, mode, True, mask_frac
         )
         reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, on_layer=streamed)
         replayed = ScoreReducer.replay(tiny_trace, mask_frac, mode, True)
@@ -228,6 +228,58 @@ def test_probs_only_capture_equals_full_probs(tiny_weights, tiny_glyph, tiny_sam
             tiny_trace, 0.25, mode=mode
         )
 
+
+@pytest.mark.parametrize("averaging", [True, False])
+@pytest.mark.parametrize("mode", list(ScoreMode))
+def test_reducer_serves_the_rows_of_every_set_up_to_keep(
+    tiny_weights, tiny_glyph, tiny_sampler, tiny_trace, mode, averaging
+):
+    """A reducer that keeps the 0.5 sets' rows gives the full trace's rows of
+    the 0.5 and 0.25 sets; the 0.5 set gets the kept array itself, never a
+    copy, and a 0.75 set, whose rows were not kept, is refused."""
+    cfg = tiny_weights.cfg
+    mask_frac = glyph_mask_patches(tiny_glyph, cfg.patch)
+    reducer = ScoreReducer(
+        tiny_sampler.cutoff_step, cfg.n_layers, cfg.n_heads, cfg.n_img, mode, averaging,
+        mask_frac, keep=0.5,
+    )
+    reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, on_layer=reducer)
+    for ratio in (0.25, 0.5):
+        plan = build_injection(reducer, ratio, mode=mode, averaging=averaging)
+        for key, core in plan.sets.items():
+            got = reducer.core_rows(*key, core)
+            assert got.shape == (cfg.n_heads, len(core.indices), cfg.n_img)
+            assert got.tobytes() == tiny_trace.core_rows(*key, core).tobytes()
+            assert (reducer.core_rows(*key, core) is got) == (ratio == 0.5)
+    wide = build_injection(reducer, 0.75, mode=mode, averaging=averaging)
+    for key, core in wide.sets.items():
+        with pytest.raises(TraceMismatch):
+            reducer.core_rows(*key, core)
+
+
+def test_trace_and_reducer_refuse_steps_outside_the_capture(
+    tiny_weights, tiny_glyph, tiny_sampler, tiny_trace
+):
+    """Steps are 1-based: step 0 is not the last step, and a step past the
+    capture raises a package error, not numpy's IndexError."""
+    cfg = tiny_weights.cfg
+    reducer = ScoreReducer(
+        tiny_sampler.cutoff_step, cfg.n_layers, cfg.n_heads, cfg.n_img, ScoreMode.ROW_MASS,
+        True, glyph_mask_patches(tiny_glyph, cfg.patch),
+    )
+    reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, on_layer=reducer)
+    for step in (0, -1, tiny_trace.steps + 1):
+        with pytest.raises(TraceMismatch):
+            tiny_trace.step_logits(step, 0)
+        with pytest.raises(TraceMismatch):
+            tiny_trace.step_scorer(step, ScoreMode.ROW_MASS, True)
+        with pytest.raises(TraceMismatch):
+            reducer.step_scorer(step, ScoreMode.ROW_MASS, True)
+    last = tiny_trace.steps
+    assert tiny_trace.step_logits(last, 1).tobytes() == tiny_trace.logits[-1, 1].tobytes()
+    assert reducer.step_scorer(last, ScoreMode.ROW_MASS, True).step == last
+
+
 def test_probs_only_capture_allocates_no_logits():
     """A capture into a `ScoreReducer` keeps neither logits nor probabilities:
     its tracemalloc peak is below a full trace capture's by at least 0.9 of
@@ -243,7 +295,7 @@ def test_probs_only_capture_allocates_no_logits():
     sinks = {
         "trace": lambda: AttentionTrace.empty(sampler, cfg),
         "reducer": lambda: ScoreReducer(
-            1, cfg.n_layers, cfg.n_img, ScoreMode.ROW_MASS, True, mask_frac
+            1, cfg.n_layers, cfg.n_heads, cfg.n_img, ScoreMode.ROW_MASS, True, mask_frac
         ),
     }
     peaks = {}

@@ -1,8 +1,10 @@
-"""Every injected `run_generate` plans from a `StreamedTrace`, which keeps
-only what the run reads of its reconstruction capture: the same plan, image,
-metrics and trace checksum as the full-trace reference pipeline, with or
-without io.save_trace, in memory that does not grow with the trace's full
-logits and probs."""
+"""Every pipeline run plans, and injects, from a `ScoreReducer` that keeps
+only what the run reads of its reconstruction capture. An injected
+`run_generate` uses its `StreamedTrace` form: the same plan, image, metrics
+and trace checksum as the full-trace reference pipeline, with or without
+io.save_trace, in memory that does not grow with the trace's full logits and
+probs. A sweep, with or without full_runs, and analyze score each captured
+layer once, and a sweep holds no step of the trace."""
 
 import json
 import math
@@ -213,13 +215,18 @@ def _count_token_scores(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("mode", list(ScoreMode))
-def test_sweep_scores_each_captured_layer_once(monkeypatch, tmp_path, mode):
+@pytest.mark.parametrize(
+    "mode, full_runs",
+    [pytest.param(mode, False, id=mode.value) for mode in ScoreMode]
+    + [pytest.param(mode, True, id=f"{mode.value}-full_runs") for mode in ScoreMode],
+)
+def test_sweep_scores_each_captured_layer_once(monkeypatch, tmp_path, mode, full_runs):
     """The capture at the grid's largest cutoff is scored once for the whole
-    sweep, whatever its ratios: max cutoff x n_layers `token_scores` calls,
-    108 for the default sweep."""
+    sweep, whatever its ratios and whether its cells generate: max cutoff x
+    n_layers `token_scores` calls, 108 for the default sweep."""
     ratios, steps = (0.0, 0.5, 1.0), (1, 2)
-    cfg = replace(_config(mode=mode), sweep=SweepConfig(ratios=ratios, steps=steps))
+    sweep = SweepConfig(ratios=ratios, steps=steps, full_runs=full_runs)
+    cfg = replace(_config(mode=mode), sweep=sweep)
     calls = _count_token_scores(monkeypatch)
     result = run_sweep(cfg, out_dir=str(tmp_path))
     assert [(r, s) for r, s, _ in result.failures] == [(0.0, 1), (0.0, 2)]
@@ -238,23 +245,29 @@ def test_analyze_scores_each_captured_layer_once(monkeypatch, mode):
     assert len(calls) == trace.steps * TINY.n_layers
 
 
-def test_sweep_memory_is_bounded_by_one_forward(tmp_path):
+@pytest.mark.parametrize("full_runs", [False, True])
+def test_sweep_memory_is_bounded_by_one_forward(tmp_path, full_runs):
     """tracemalloc peak of a grid-24 sweep, whose full trace would take
     255 MB: below 3 of one forward's 22 MB (2, heads, T, T) map blocks plus
-    the scores and row masses the sweep keeps. The multiple covers the map
-    block itself, softmax's one (heads, T, T) buffer and the rest of a
-    forward's temporaries (the peak read 37.5 MB, numpy 2.4.6); one step of
-    the trace's probabilities alone, 64 MB, would exceed it."""
+    the scores, row masses and, with full_runs, the core rows at the grid's
+    largest ratio that the sweep keeps. The multiple covers the map block
+    itself, softmax's one (heads, T, T) buffer and the rest of a forward's
+    temporaries (the peak read 38.2 MB without full_runs and 52.5 MB with
+    it, numpy 2.4.6); one step of the trace's probabilities alone, 64 MB,
+    would exceed it."""
     model = replace(RunConfig().model, grid=24)
     sampler = replace(RunConfig().sampler, steps=2, cutoff_step=2)
+    ratios = (0.125,)
     cfg = replace(
         RunConfig(), model=model, sampler=sampler,
-        sweep=SweepConfig(ratios=(0.125, 0.5), steps=(1, 2)),
+        sweep=SweepConfig(ratios=ratios, steps=(1, 2), full_runs=full_runs),
     )
     n, layers, steps, T = model.n_img, model.n_layers, sampler.cutoff_step, model.seq_len
     trace_bytes = 2 * steps * layers * model.n_heads * n * n * 8
     map_block = 2 * model.n_heads * T * T * 8
     kept = (3 + 2) * steps * layers * n * 8  # three row-mass fields, raw and ranked scores
+    if full_runs:
+        kept += steps * layers * model.n_heads * math.ceil(max(ratios) * n) * n * 8
     tracemalloc.start()
     try:
         result = run_sweep(cfg, out_dir=str(tmp_path))
@@ -262,6 +275,7 @@ def test_sweep_memory_is_bounded_by_one_forward(tmp_path):
     finally:
         tracemalloc.stop()
     assert result.failures == []
+    assert len(list(tmp_path.glob("cell_*.pgm"))) == (2 if full_runs else 0)
     assert trace_bytes > 10 * map_block
     assert peak < 3 * map_block + kept
 
