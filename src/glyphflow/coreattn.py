@@ -8,9 +8,11 @@ each layer in turn and picks every layer's core set. `build_injection` asks a
 trace for each step's scorer: a `pipeline.ScoreReducer` keeps the ones it fed
 as the capture produced each layer, so generate, sweep and analyze score each
 captured (step, layer) once; a full trace, which only direct callers pass,
-feeds its stored step into a new one. `pipeline.run_analyze` reports the
-scores of the scorers that planned. The coverage and shift of the selected
-rows are measured by `metrics.row_masses` and `metrics.row_fraction`.
+feeds its stored step into a new one. A scorer sorts each ranking vector
+once and builds each (layer, ratio) set once, so plans that share a scorer
+share its sets. `pipeline.run_analyze` reports the scores of the scorers
+that planned. The coverage and shift of the selected rows are measured by
+`metrics.row_masses` and `metrics.row_fraction`.
 """
 
 from __future__ import annotations
@@ -192,6 +194,11 @@ class StepScorer:
     mode it is not: every layer ranks by the step's one variance vector,
     which exists only once the step's last layer is in. `core_set` picks a
     layer's set and `ranked` lists the vectors selection ranks.
+
+    Each ranking vector is sorted once, and each (layer, ratio) set is built
+    once and handed out again on every later call, so a sweep's cells share
+    them. In layer_variance mode `add` drops the variance vector, its order
+    and the sets built from them, since the next layer changes them.
     """
 
     def __init__(self, step: int, mode: ScoreMode, averaging: bool):
@@ -199,6 +206,9 @@ class StepScorer:
         self.raw: list[ScoreVector] = []
         self._ranked: list[ScoreVector] = []
         self._state: CumulativeScore | None = None
+        self._variance: ScoreVector | None = None
+        self._orders: dict[int, np.ndarray] = {}
+        self._sets: dict[tuple[int, float], CoreTokenSet] = {}
 
     def add(self, probs: np.ndarray) -> bool:
         variance = self.mode == ScoreMode.LAYER_VARIANCE
@@ -206,6 +216,9 @@ class StepScorer:
         s = token_scores(probs, base, len(self.raw), self.step)
         self.raw.append(s)
         if variance:
+            self._variance = None
+            self._orders.clear()
+            self._sets.clear()
             return False
         if self.averaging:
             state = self._state or CumulativeScore.empty(s.n_img, self.mode)
@@ -218,25 +231,48 @@ class StepScorer:
         """The vectors selection ranks, over the layers added so far: one per
         layer, or the step's one variance vector in layer_variance mode."""
         if self.mode == ScoreMode.LAYER_VARIANCE:
-            return [variance_scores(self.raw)]
+            if self._variance is None:
+                self._variance = variance_scores(self.raw)
+            return [self._variance]
         return self._ranked
 
     def core_set(self, layer: int, ratio: float) -> CoreTokenSet:
         """Layer `layer`'s core set: the top ceil(ratio * n_img) tokens of the
-        vector that ranks it."""
-        if self.mode == ScoreMode.LAYER_VARIANCE:
-            return select_core_tokens(replace(variance_scores(self.raw), layer=layer), ratio)
-        return select_core_tokens(self._ranked[layer], ratio, averaged=self.averaging)
+        vector that ranks it. A repeated call returns the same object."""
+        core = self._sets.get((layer, ratio))
+        if core is None:
+            variance = self.mode == ScoreMode.LAYER_VARIANCE
+            i = 0 if variance else layer
+            s = self.ranked()[i]
+            order = self._orders.get(i)
+            if order is None:
+                order = self._orders[i] = rank_order(s)
+            if variance:
+                s = replace(s, layer=layer)
+            averaged = self.averaging and not variance
+            core = self._sets[(layer, ratio)] = select_core_tokens(s, ratio, averaged, order)
+        return core
 
 
-def select_core_tokens(s: ScoreVector, ratio: float, averaged: bool = False) -> CoreTokenSet:
-    """Top-k by score, k = ceil(ratio * N); ties keep the lower index."""
+def rank_order(s: ScoreVector) -> np.ndarray:
+    """Token indices by descending score; ties keep the lower index first."""
+    return np.argsort(-s.scores, kind="stable")
+
+
+def select_core_tokens(
+    s: ScoreVector, ratio: float, averaged: bool = False, order: np.ndarray | None = None
+) -> CoreTokenSet:
+    """Top-k by score, k = ceil(ratio * N); ties keep the lower index.
+
+    `order` is `rank_order(s)` when the caller already holds it.
+    """
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside (0,1]")
+    if order is None:
+        order = rank_order(s)
     k = math.ceil(ratio * s.n_img)
-    order = np.argsort(-s.scores, kind="stable")[:k]
     return CoreTokenSet(
-        indices=tuple(int(i) for i in np.sort(order)),
+        indices=tuple(np.sort(order[:k]).tolist()),
         ratio=ratio,
         n_img=s.n_img,
         source=SelectionSource(step=s.step, layer=s.layer, mode=s.mode, averaged=averaged),

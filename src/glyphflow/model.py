@@ -145,6 +145,11 @@ class AttentionHook:
     keeps any of their bytes copies them; it must not write them.
     A sink is not a full-map capture.
 
+    `velocity = False` says the caller discards the velocity: forward stops
+    right after the last layer's sink and full-map captures, skipping that
+    layer's attention output, MLP and the velocity head, and returns None
+    for it. The sink and the captures get the same bytes either way.
+
     A hook with no flag, override or sink set runs the same forward as no
     hook, so a caller may build one hook per step whatever it turns on.
     """
@@ -154,6 +159,7 @@ class AttentionHook:
     override: OverrideFn | None = None
     step: int = 0
     sink: SinkFn | None = None
+    velocity: bool = True
 
 
 # ---------------------------------------------------------------- weights
@@ -375,8 +381,8 @@ def forward(
     tokens: TokenSequence,
     t: float,
     hook: AttentionHook | None = None,
-) -> tuple[np.ndarray, dict[int, JointAttention]]:
-    """One joint-attention pass; returns (velocity (n_img, patch^2), captures).
+) -> tuple[np.ndarray | None, dict[int, JointAttention]]:
+    """One joint-attention pass; returns (velocity (n_img, patch^2) or None, captures).
 
     Per block: pre-LN with timestep scale/shift, multi-head joint attention
     (per-head logits scaled by 1/sqrt(d_head), hook override of the I2I block,
@@ -391,7 +397,9 @@ def forward(
     override gets each head's I2I block as a view of the logits map, and its
     return value is assigned back into that view. `hook.sink` gets
     `hook.step`, the layer and its I2I blocks as views of the same pair,
-    right after the layer's softmax; full-map captures are copies.
+    right after the layer's softmax; full-map captures are copies, taken
+    right after the sink. With `hook.velocity` False the pass ends there at
+    the last layer and the velocity is None.
     """
     cfg = weights.cfg
     if not 0.0 <= t <= 1.0:
@@ -408,6 +416,8 @@ def forward(
     # more often and a default sweep op takes ~40k more minor page faults
     logits, probs = np.empty((2, n_heads, seq, seq))
     sink = hook.sink if hook is not None else None
+    want_velocity = hook is None or hook.velocity
+    last = cfg.n_layers - 1
 
     x = tokens.joint()
     for layer, lw in enumerate(weights.layers):
@@ -416,7 +426,6 @@ def forward(
         h = _layernorm(x) * (1.0 + s1) + b1
         q = (h @ lw.wq).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         k = (h @ lw.wk).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
-        v = (h @ lw.wv).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         np.matmul(q, k.transpose(0, 2, 1), out=logits)
         logits *= scale
 
@@ -429,19 +438,22 @@ def forward(
         _softmax_rows(logits, out=probs)
         if sink is not None:
             sink(hook.step, layer, logits[:, t_txt:, t_txt:], probs[:, t_txt:, t_txt:])
-        ctx = (probs @ v).transpose(1, 0, 2).reshape(seq, cfg.d_model)
-        x = x + ctx @ lw.wo
-
-        h2 = _layernorm(x) * (1.0 + s2) + b2
-        x = x + _gelu(h2 @ lw.w1) @ lw.w2
-        _require_finite(x, "block output", layer)
-
         if hook is not None and (hook.store_logits or hook.store_probs):
             captured[layer] = JointAttention(
                 t_txt=t_txt,
                 logits=logits.copy() if hook.store_logits else None,
                 probs=probs.copy() if hook.store_probs else None,
             )
+        if layer == last and not want_velocity:
+            return None, captured
+
+        v = (h @ lw.wv).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
+        ctx = (probs @ v).transpose(1, 0, 2).reshape(seq, cfg.d_model)
+        x = x + ctx @ lw.wo
+
+        h2 = _layernorm(x) * (1.0 + s2) + b2
+        x = x + _gelu(h2 @ lw.w1) @ lw.w2
+        _require_finite(x, "block output", layer)
 
     velocity = _layernorm(x[t_txt:]) @ weights.head_w
     _require_finite(velocity, "velocity", cfg.n_layers)

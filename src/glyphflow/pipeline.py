@@ -237,25 +237,38 @@ class StreamedTrace(ScoreReducer):
 
 
 def _core_shift_rows(
-    masses: RowMasses, plan: InjectionPlan
+    masses: RowMasses, plan: InjectionPlan, measured: dict | None = None
 ) -> list[tuple[int, int, float, float]]:
-    """(step, layer, attention shift, mask coverage) of every planned core set."""
+    """(step, layer, attention shift, mask coverage) of every planned core set.
+
+    `measured` maps (step, layer, ratio) to the (shift, coverage) pair of a
+    set measured before, so plans that share a step scorer's sets (a
+    sweep's cells) measure each set once; a row that fails is not stored,
+    so every plan that reaches it fails.
+    """
+    measured = {} if measured is None else measured
     rows = []
     for (step, layer), core in sorted(plan.sets.items()):
-        idx = core.rows()
-        total = masses.total[step - 1, layer]
-        shift = row_fraction(masses.off[step - 1, layer], total, idx)
-        cov = row_fraction(masses.on[step - 1, layer], total, idx)
-        rows.append((step, layer, shift, cov))
+        pair = measured.get((step, layer, core.ratio))
+        if pair is None:
+            idx = core.rows()
+            total = masses.total[step - 1, layer]
+            pair = measured[(step, layer, core.ratio)] = (
+                row_fraction(masses.off[step - 1, layer], total, idx),
+                row_fraction(masses.on[step - 1, layer], total, idx),
+            )
+        rows.append((step, layer, *pair))
     return rows
 
 
-def _coverage_metrics(masses: RowMasses, plan: InjectionPlan) -> dict[str, float]:
+def _coverage_metrics(
+    masses: RowMasses, plan: InjectionPlan, measured: dict | None = None
+) -> dict[str, float]:
     """Mean on/off-mask attention of the planned core rows over all (step, layer).
 
     A plan that covers no (step, layer) has no rows to average and raises.
     """
-    rows = _core_shift_rows(masses, plan)
+    rows = _core_shift_rows(masses, plan, measured)
     if not rows:
         raise ShapeMismatch("at least one row required")
     return {
@@ -375,10 +388,12 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
     `ScoreReducer`, which scores each (step, layer) once and keeps the row
     masses; each cell plans from it, looking up the step scorers, and fills
     its planned core rows' mask coverage and attention shift, read from
-    those masses, into the two grids. With sweep.full_runs the reducer also
-    keeps the logit rows of the core sets at the grid's largest ratio, and
-    each cell runs generation with its own subset of them and writes its
-    image. No full trace is built either way. A failed cell is recorded and
+    those masses, into the two grids. The cells share the scorers' core
+    sets and measure each set once, for every cell whose cutoff reaches it;
+    each cell still averages its own rows. With sweep.full_runs the reducer
+    also keeps the logit rows of the core sets at the grid's largest ratio,
+    and each cell runs generation with its own subset of them and writes
+    its image. No full trace is built either way. A failed cell is recorded and
     stays None, written as NA, so a sweep whose every cell fails still
     writes both CSVs.
     """
@@ -413,13 +428,14 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
         for metric in ("attention_shift", "mask_coverage")
     }
     failures: list[tuple[float, int, str]] = []
+    measured: dict[tuple[int, int, float], tuple[float, float]] = {}
     for ratio in ratios:
         for step in steps:
             try:
                 plan = build_injection(
                     scores, ratio, cutoff_step=step, mode=inj.mode, averaging=inj.averaging
                 )
-                stats = _coverage_metrics(scores.masses, plan)
+                stats = _coverage_metrics(scores.masses, plan, measured)
                 if full_runs:
                     cell_cfg = replace(config.sampler, cutoff_step=step)
                     image, _ = generate_with_injection(weights, prompt, scores, plan, cell_cfg)

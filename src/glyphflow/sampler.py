@@ -295,6 +295,7 @@ def reconstruct_capture(
             store_probs=probe is not None,
             step=i,
             sink=on_layer,
+            velocity=False,
         )
         _, captured = forward(weights, tokens, t_i, hook)
         if probe is not None:

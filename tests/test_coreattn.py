@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from glyphflow import (
     AttentionTrace,
@@ -194,6 +198,74 @@ def test_step_scorer_per_mode():
     for layer in range(3):
         core = var_scorer.core_set(layer, 1.0)
         assert core.source == SelectionSource(2, layer, ScoreMode.LAYER_VARIANCE, False)
+
+
+def _ranking_vector(maps, mode: ScoreMode, averaging: bool, layer: int) -> ScoreVector:
+    """The vector that ranks `layer` of one step of per-layer maps, from the
+    public scoring functions."""
+    if mode == ScoreMode.LAYER_VARIANCE:
+        raw = [token_scores(m, ScoreMode.ROW_MASS, l, 3) for l, m in enumerate(maps)]
+        return replace(variance_scores(raw), layer=layer)
+    vectors = [token_scores(m, mode, l, 3) for l, m in enumerate(maps[: layer + 1])]
+    if not averaging:
+        return vectors[layer]
+    state = CumulativeScore.empty(vectors[0].n_img, mode)
+    for vector in vectors:
+        state = cumulative_update(state, vector)
+    return state.to_score_vector(layer, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(list(ScoreMode)),
+    averaging=st.booleans(),
+    data=st.data(),
+)
+def test_step_scorer_sets_are_fresh_selections_built_once(mode, averaging, data):
+    """Whatever order the (layer, ratio) requests come in, the scorer's set is
+    `select_core_tokens` of the vector that ranks the layer, and a repeated
+    request gets the same object. A later `add` keeps every earlier layer's
+    sets, except in layer_variance mode, where it re-ranks."""
+    n = data.draw(st.integers(1, 12), label="n_img")
+    n_layers = data.draw(st.integers(2, 4), label="n_layers")
+    # small whole-number entries, so that scores tie often
+    maps = data.draw(
+        hnp.arrays(np.float64, (n_layers + 1, 1, n, n), elements=st.sampled_from([0.0, 1.0, 2.0])),
+        label="maps",
+    )
+    ratio = st.floats(0.0, 1.0, exclude_min=True)
+    variance = mode == ScoreMode.LAYER_VARIANCE
+    scorer = StepScorer(3, mode, averaging)
+
+    def check(layers: int, earlier: dict) -> dict:
+        requests = data.draw(
+            st.lists(st.tuples(st.integers(0, layers - 1), ratio), min_size=1, max_size=10),
+            label=f"requests over {layers} layers",
+        )
+        got = {}
+        for layer, r in requests:
+            core = scorer.core_set(layer, r)
+            want = select_core_tokens(
+                _ranking_vector(maps[:layers], mode, averaging, layer), r,
+                averaged=averaging and not variance,
+            )
+            assert core == want
+            assert scorer.core_set(layer, r) is core
+            if (layer, r) in got:
+                assert got[(layer, r)] is core
+            if (layer, r) in earlier:
+                assert (earlier[(layer, r)] is core) is not variance
+            got[(layer, r)] = core
+        return got
+
+    for layer_maps in maps[:n_layers]:
+        scorer.add(layer_maps)
+    before = check(n_layers, {})
+    # every earlier request again, then new ones over one more layer
+    scorer.add(maps[n_layers])
+    for (layer, r), core in before.items():
+        assert (scorer.core_set(layer, r) is core) is not variance
+    check(n_layers + 1, before)
 
 
 # ---------------------------------------------------------------- selection

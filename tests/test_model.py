@@ -393,6 +393,38 @@ def test_sink_matches_capture(tiny_weights, tiny_glyph, override):
     ]
 
 
+@pytest.mark.parametrize("override", [None, lambda step, layer, head, block: block * 0.5])
+def test_capture_forward_without_velocity_stops_after_the_last_sink(
+    tiny_weights, tiny_glyph, override
+):
+    """A hook that wants no velocity ends the pass at the last layer's sink
+    and captures: the sink and the full-map captures get a full forward's
+    bytes, and the velocity is None."""
+    tokens = make_tokens(tiny_weights, "A", tiny_glyph.pixels)
+
+    def run(velocity):
+        sunk = []
+
+        def sink(step, layer, logits, probs):
+            sunk.append((step, layer, logits.tobytes(), probs.tobytes()))
+
+        hook = AttentionHook(
+            store_logits=True, store_probs=True, override=override, step=2, sink=sink,
+            velocity=velocity,
+        )
+        vel, caps = forward(tiny_weights, tokens, 0.5, hook)
+        maps = {layer: (att.logits.tobytes(), att.probs.tobytes()) for layer, att in caps.items()}
+        return vel, sunk, maps
+
+    full_vel, full_sunk, full_maps = run(True)
+    vel, sunk, maps = run(False)
+    assert full_vel.shape == (tiny_weights.cfg.n_img, tiny_weights.cfg.patch_dim)
+    assert vel is None
+    assert [layer for _, layer, _, _ in sunk] == list(range(tiny_weights.cfg.n_layers))
+    assert sunk == full_sunk
+    assert maps == full_maps
+
+
 def test_in_place_override_matches_returned_copy(tiny_weights, tiny_glyph):
     # the block is a view of forward's logits: editing it in place and
     # returning it gives the bytes of returning an edited copy

@@ -333,6 +333,27 @@ def test_probe_does_not_change_the_trace(tiny_weights, tiny_glyph, tiny_sampler,
     assert probed.probs.tobytes() == tiny_trace.probs.tobytes()
 
 
+def test_reconstruction_forwards_compute_no_velocity(
+    monkeypatch, tiny_weights, tiny_glyph, tiny_sampler, tiny_trace
+):
+    # every capture forward asks for no velocity and gets none, with or
+    # without a probe, and the trace keeps its bytes
+    real_forward = glyphflow.sampler.forward
+    velocities = []
+
+    def recorded(weights, tokens, t, hook):
+        velocity, captured = real_forward(weights, tokens, t, hook)
+        velocities.append((hook.velocity, velocity))
+        return velocity, captured
+
+    monkeypatch.setattr(glyphflow.sampler, "forward", recorded)
+    for probe in (None, lambda *args: None):
+        velocities.clear()
+        trace = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, probe=probe)
+        assert velocities == [(False, None)] * tiny_sampler.cutoff_step
+        assert trace.checksum() == tiny_trace.checksum()
+
+
 def test_trace_holds_the_probed_i2i_blocks(tiny_weights, tiny_glyph, tiny_sampler):
     seen = {}
 

@@ -4,7 +4,8 @@ only what the run reads of its reconstruction capture. An injected
 and trace checksum as the full-trace reference pipeline, with or without
 io.save_trace, in memory that does not grow with the trace's full logits and
 probs. A sweep, with or without full_runs, and analyze score each captured
-layer once, and a sweep holds no step of the trace."""
+layer once, a sweep's cells share their core sets and measured rows, and a
+sweep holds no step of the trace."""
 
 import json
 import math
@@ -203,15 +204,15 @@ def test_streamed_generate_scores_each_captured_layer_once(monkeypatch, mode):
     assert calls == [(layer, step) for step in range(1, steps + 1) for layer in range(layers)]
 
 
-def _count_token_scores(monkeypatch) -> list:
-    inner = coreattn.token_scores
+def _count_calls(monkeypatch, module, name: str) -> list:
+    inner = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(coreattn, "token_scores", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -227,10 +228,68 @@ def test_sweep_scores_each_captured_layer_once(monkeypatch, tmp_path, mode, full
     ratios, steps = (0.0, 0.5, 1.0), (1, 2)
     sweep = SweepConfig(ratios=ratios, steps=steps, full_runs=full_runs)
     cfg = replace(_config(mode=mode), sweep=sweep)
-    calls = _count_token_scores(monkeypatch)
+    calls = _count_calls(monkeypatch, coreattn, "token_scores")
     result = run_sweep(cfg, out_dir=str(tmp_path))
     assert [(r, s) for r, s, _ in result.failures] == [(0.0, 1), (0.0, 2)]
     assert len(calls) == max(steps) * TINY.n_layers
+
+
+@pytest.mark.parametrize(
+    "mode, full_runs",
+    [pytest.param(mode, False, id=mode.value) for mode in ScoreMode]
+    + [pytest.param(mode, True, id=f"{mode.value}-full_runs") for mode in ScoreMode],
+)
+def test_sweep_ranks_and_measures_each_core_set_once(monkeypatch, tmp_path, mode, full_runs):
+    """The cells share their step scorers' rankings, core sets and measured
+    rows: max cutoff x n_layers rankings (max cutoff in layer_variance mode,
+    which ranks each step by one vector), max cutoff x n_layers x ratios
+    core sets and two `row_fraction` calls per set. For the default sweep
+    that is 108 rankings (18), 540 sets and 1080 calls, where planning and
+    measuring every cell on its own took 1890 sets and 3780 calls."""
+    ratios, steps = (0.5, 0.25, 1.0), (2, 1, 3)
+    sweep = SweepConfig(ratios=ratios, steps=steps, full_runs=full_runs)
+    cfg = replace(_config(mode=mode), sweep=sweep)
+    rankings = _count_calls(monkeypatch, coreattn, "rank_order")
+    sets = _count_calls(monkeypatch, coreattn, "select_core_tokens")
+    fractions = _count_calls(monkeypatch, pipeline, "row_fraction")
+    result = run_sweep(cfg, out_dir=str(tmp_path))
+    assert result.failures == []
+    ranked_per_step = 1 if mode == ScoreMode.LAYER_VARIANCE else TINY.n_layers
+    assert len(rankings) == max(steps) * ranked_per_step
+    assert len(sets) == max(steps) * TINY.n_layers * len(ratios)
+    assert len(fractions) == 2 * len(sets)
+
+
+def test_sweep_zero_mass_row_fails_exactly_the_cells_that_reach_it(monkeypatch, tmp_path):
+    """A core row with no attention mass at step 2 fails the cells of its
+    ratio whose cutoff reaches step 2, and only those, whatever order the
+    cells run in: a row measured for one cell is reused, a failed one is
+    measured again."""
+    cfg = replace(_config(), sweep=SweepConfig(ratios=(0.25, 1.0), steps=(3, 1, 2)))
+    clean = run_sweep(cfg, out_dir=str(tmp_path / "clean"))
+    assert clean.failures == []
+    capture = pipeline.reconstruct_capture
+
+    def capture_then_zero_a_row(*args, on_layer, **kwargs):
+        capture(*args, on_layer=on_layer, **kwargs)
+        # a row of step 2, layer 0 that ratio 1.0 plans and ratio 0.25 does not
+        narrow = on_layer.step_scorer(2, on_layer.mode, on_layer.averaging).core_set(0, 0.25)
+        row = min(set(range(on_layer.n_img)) - set(narrow.indices))
+        on_layer.masses.total[1, 0, row] = 0.0
+        return on_layer
+
+    monkeypatch.setattr(pipeline, "reconstruct_capture", capture_then_zero_a_row)
+    result = run_sweep(cfg, out_dir=str(tmp_path / "zeroed"))
+    assert [(r, s) for r, s, _ in result.failures] == [(1.0, 3), (1.0, 2)]
+    assert all(msg.startswith("ZeroRowMass: ") for _, _, msg in result.failures)
+    failed = {(1.0, 2), (1.0, 3)}
+    for metric, table in result.tables.items():
+        assert {cell for cell, value in table.items() if value is None} == failed
+        assert {c: v for c, v in table.items() if c not in failed} == {
+            c: v for c, v in clean.tables[metric].items() if c not in failed
+        }
+        lines = (tmp_path / "zeroed" / f"sweep_{metric}.csv").read_text().splitlines()
+        assert [line for line in lines if line.endswith(",NA")] == ["1.0,2,NA", "1.0,3,NA"]
 
 
 @pytest.mark.parametrize("mode", list(ScoreMode))
@@ -240,7 +299,7 @@ def test_analyze_scores_each_captured_layer_once(monkeypatch, mode):
     cfg = _config(mode=mode)
     glyph = prepare_glyph(cfg)
     trace = reconstruct_capture(init_model(cfg.model), glyph, "", cfg.sampler)
-    calls = _count_token_scores(monkeypatch)
+    calls = _count_calls(monkeypatch, coreattn, "token_scores")
     run_analyze(trace, glyph_mask_patches(glyph, TINY.patch), 0.25, mode=mode)
     assert len(calls) == trace.steps * TINY.n_layers
 
