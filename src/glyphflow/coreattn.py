@@ -8,11 +8,11 @@ each layer in turn and picks every layer's core set. `build_injection` asks a
 trace for each step's scorer: a `pipeline.ScoreReducer` keeps the ones it fed
 as the capture produced each layer, so generate, sweep and analyze score each
 captured (step, layer) once; a full trace, which only direct callers pass,
-feeds its stored step into a new one. A scorer sorts each ranking vector
-once and builds each (layer, ratio) set once, so plans that share a scorer
-share its sets. `pipeline.run_analyze` reports the scores of the scorers
-that planned. The coverage and shift of the selected rows are measured by
-`metrics.row_masses` and `metrics.row_fraction`.
+feeds its stored step into a new one. A scorer builds each (layer, ratio)
+set once, so plans that share a scorer share its sets. `pipeline.run_analyze`
+reports the scores of the scorers that planned. The reducer that planned
+also measures the coverage and shift of the selected rows, from
+`metrics.row_masses` through `metrics.row_fraction`.
 """
 
 from __future__ import annotations
@@ -195,10 +195,10 @@ class StepScorer:
     which exists only once the step's last layer is in. `core_set` picks a
     layer's set and `ranked` lists the vectors selection ranks.
 
-    Each ranking vector is sorted once, and each (layer, ratio) set is built
-    once and handed out again on every later call, so a sweep's cells share
-    them. In layer_variance mode `add` drops the variance vector, its order
-    and the sets built from them, since the next layer changes them.
+    Each (layer, ratio) set is built once and handed out again on every
+    later call, so a sweep's cells share them. In layer_variance mode `add`
+    drops the variance vector and the sets built from it, since the next
+    layer changes them.
     """
 
     def __init__(self, step: int, mode: ScoreMode, averaging: bool):
@@ -207,7 +207,6 @@ class StepScorer:
         self._ranked: list[ScoreVector] = []
         self._state: CumulativeScore | None = None
         self._variance: ScoreVector | None = None
-        self._orders: dict[int, np.ndarray] = {}
         self._sets: dict[tuple[int, float], CoreTokenSet] = {}
 
     def add(self, probs: np.ndarray) -> bool:
@@ -217,7 +216,6 @@ class StepScorer:
         self.raw.append(s)
         if variance:
             self._variance = None
-            self._orders.clear()
             self._sets.clear()
             return False
         if self.averaging:
@@ -242,34 +240,19 @@ class StepScorer:
         core = self._sets.get((layer, ratio))
         if core is None:
             variance = self.mode == ScoreMode.LAYER_VARIANCE
-            i = 0 if variance else layer
-            s = self.ranked()[i]
-            order = self._orders.get(i)
-            if order is None:
-                order = self._orders[i] = rank_order(s)
+            s = self.ranked()[0 if variance else layer]
             if variance:
                 s = replace(s, layer=layer)
             averaged = self.averaging and not variance
-            core = self._sets[(layer, ratio)] = select_core_tokens(s, ratio, averaged, order)
+            core = self._sets[(layer, ratio)] = select_core_tokens(s, ratio, averaged)
         return core
 
 
-def rank_order(s: ScoreVector) -> np.ndarray:
-    """Token indices by descending score; ties keep the lower index first."""
-    return np.argsort(-s.scores, kind="stable")
-
-
-def select_core_tokens(
-    s: ScoreVector, ratio: float, averaged: bool = False, order: np.ndarray | None = None
-) -> CoreTokenSet:
-    """Top-k by score, k = ceil(ratio * N); ties keep the lower index.
-
-    `order` is `rank_order(s)` when the caller already holds it.
-    """
+def select_core_tokens(s: ScoreVector, ratio: float, averaged: bool = False) -> CoreTokenSet:
+    """Top-k by score, k = ceil(ratio * N); ties keep the lower index."""
     if not 0.0 < ratio <= 1.0:
         raise ConfigError(f"ratio {ratio} outside (0,1]")
-    if order is None:
-        order = rank_order(s)
+    order = np.argsort(-s.scores, kind="stable")
     k = math.ceil(ratio * s.n_img)
     return CoreTokenSet(
         indices=tuple(np.sort(order[:k]).tolist()),

@@ -125,13 +125,14 @@ class ScoreReducer:
     each layer's I2I views; `replay` feeds it a full trace's layers in the
     same order. Each layer's probabilities are scored once, through the
     step's one `StepScorer`, and their head-mean row masses fill `masses`,
-    the (steps, n_layers, n_img) table behind every plan's coverage and
-    shift. Once the scorer knows a layer's core set at ratio `keep` (the
-    widest any plan injects; 0 keeps none), that set's (n_heads, k, n_img)
-    logit rows are kept: in layer_variance mode only after the step's last
-    layer, so each layer's logits are copied until then. Like a full trace
-    it answers `step_scorer` and `core_rows`, so plans are built and
-    injected from it.
+    the (steps, n_layers, n_img) table `shift_rows` and `coverage` measure
+    its plans from. Once the scorer knows a layer's core set at ratio `keep`
+    (the widest any plan injects; 0 keeps none), its (n_heads, k, n_img)
+    logit rows are kept, in layer_variance mode only after the step's last
+    layer, so each layer's logits are copied until then; a set that raises
+    keeps none, as each plan needing it raises too. Like a full trace it
+    answers `step_scorer` and `core_rows`, so plans are built and injected
+    from it.
     """
 
     def __init__(
@@ -144,6 +145,7 @@ class ScoreReducer:
         self._mask_frac = mask_frac
         self._scorers: list[StepScorer] = []
         self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
+        self._measured: dict[tuple[int, int, float], tuple[float, float]] = {}
         self._pending: list[np.ndarray] = []  # layer_variance: the step's logits so far
 
     @classmethod
@@ -174,7 +176,10 @@ class ScoreReducer:
             self._pending = []
 
     def _keep_rows(self, scorer: StepScorer, layer: int, logits: np.ndarray):
-        core = scorer.core_set(layer, self.keep)
+        try:
+            core = scorer.core_set(layer, self.keep)
+        except GlyphFlowError:
+            return
         self._rows[(scorer.step, layer)] = (core.indices, logits[:, core.rows(), :])
 
     def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
@@ -193,6 +198,36 @@ class ScoreReducer:
         if np.count_nonzero(hit) != len(core.indices):
             raise TraceMismatch(f"reducer kept no such rows at step {step} layer {layer}")
         return rows if hit.all() else rows[:, hit, :]
+
+    def shift_rows(self, plan: InjectionPlan) -> list[tuple[int, int, float, float]]:
+        """(step, layer, attention shift, mask coverage) of each core set of
+        a plan built from this reducer; any other plan raises `TraceMismatch`.
+        Each (step, layer, ratio) pair is measured once, so a sweep's cells
+        share them; a row that raises is not kept, so each plan reaching it
+        raises."""
+        if plan.trace is not self:
+            raise TraceMismatch("plan was not built from this reducer")
+        rows = []
+        for (step, layer), core in sorted(plan.sets.items()):
+            pair = self._measured.get((step, layer, core.ratio))
+            if pair is None:
+                idx, total = core.rows(), self.masses.total[step - 1, layer]
+                pair = self._measured[(step, layer, core.ratio)] = (
+                    row_fraction(self.masses.off[step - 1, layer], total, idx),
+                    row_fraction(self.masses.on[step - 1, layer], total, idx),
+                )
+            rows.append((step, layer, *pair))
+        return rows
+
+    def coverage(self, plan: InjectionPlan) -> dict[str, float]:
+        """Mean mask coverage and attention shift over a plan's core rows."""
+        rows = self.shift_rows(plan)
+        if not rows:
+            raise ShapeMismatch("at least one row required")
+        return {
+            "mask_coverage_mean": float(np.mean([cov for _, _, _, cov in rows])),
+            "attention_shift_mean": float(np.mean([shift for _, _, shift, _ in rows])),
+        }
 
 
 class StreamedTrace(ScoreReducer):
@@ -234,47 +269,6 @@ class StreamedTrace(ScoreReducer):
         """The checksum the full trace of the same capture would have."""
         dims = (self.steps, self.n_layers, self.n_heads, self.n_img)
         return self._hash.hexdigest(trace_meta(self.t_values, dims))
-
-
-def _core_shift_rows(
-    masses: RowMasses, plan: InjectionPlan, measured: dict | None = None
-) -> list[tuple[int, int, float, float]]:
-    """(step, layer, attention shift, mask coverage) of every planned core set.
-
-    `measured` maps (step, layer, ratio) to the (shift, coverage) pair of a
-    set measured before, so plans that share a step scorer's sets (a
-    sweep's cells) measure each set once; a row that fails is not stored,
-    so every plan that reaches it fails.
-    """
-    measured = {} if measured is None else measured
-    rows = []
-    for (step, layer), core in sorted(plan.sets.items()):
-        pair = measured.get((step, layer, core.ratio))
-        if pair is None:
-            idx = core.rows()
-            total = masses.total[step - 1, layer]
-            pair = measured[(step, layer, core.ratio)] = (
-                row_fraction(masses.off[step - 1, layer], total, idx),
-                row_fraction(masses.on[step - 1, layer], total, idx),
-            )
-        rows.append((step, layer, *pair))
-    return rows
-
-
-def _coverage_metrics(
-    masses: RowMasses, plan: InjectionPlan, measured: dict | None = None
-) -> dict[str, float]:
-    """Mean on/off-mask attention of the planned core rows over all (step, layer).
-
-    A plan that covers no (step, layer) has no rows to average and raises.
-    """
-    rows = _core_shift_rows(masses, plan, measured)
-    if not rows:
-        raise ShapeMismatch("at least one row required")
-    return {
-        "mask_coverage_mean": float(np.mean([cov for _, _, _, cov in rows])),
-        "attention_shift_mean": float(np.mean([shift for _, _, shift, _ in rows])),
-    }
 
 
 def run_generate(
@@ -333,7 +327,7 @@ def run_generate(
     manifest.metrics["char_recall"] = f1.recall
     manifest.metrics["char_f1"] = f1.f1
     if plan is not None and plan.ratio > 0.0 and plan.cutoff_step > 0:
-        manifest.metrics.update(_coverage_metrics(trace.masses, plan))
+        manifest.metrics.update(trace.coverage(plan))
 
     manifest.checksums["weights"] = weights.checksum()
     if trace is not None:
@@ -386,16 +380,16 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
 
     One reconstruction capture at the largest grid cutoff feeds a
     `ScoreReducer`, which scores each (step, layer) once and keeps the row
-    masses; each cell plans from it, looking up the step scorers, and fills
-    its planned core rows' mask coverage and attention shift, read from
-    those masses, into the two grids. The cells share the scorers' core
-    sets and measure each set once, for every cell whose cutoff reaches it;
-    each cell still averages its own rows. With sweep.full_runs the reducer
-    also keeps the logit rows of the core sets at the grid's largest ratio,
-    and each cell runs generation with its own subset of them and writes
-    its image. No full trace is built either way. A failed cell is recorded and
-    stays None, written as NA, so a sweep whose every cell fails still
-    writes both CSVs.
+    masses. Each cell plans from it and fills the mask coverage and
+    attention shift of its core rows, which the reducer measures, into the
+    two grids. The cells share the scorers' core sets, and each set is
+    measured once for every cell whose cutoff reaches it; each cell still
+    averages its own rows. With sweep.full_runs the reducer also keeps the
+    logit rows of the core sets at the grid's largest ratio, and each cell
+    runs generation with its own subset of them and writes its image. No
+    full trace is built either way. A failed cell is recorded and stays
+    None, written as NA, so a sweep whose every cell fails still writes
+    both CSVs.
     """
     out_dir = out_dir if out_dir is not None else config.io.out_dir
     ratios = config.sweep.ratios
@@ -428,14 +422,13 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
         for metric in ("attention_shift", "mask_coverage")
     }
     failures: list[tuple[float, int, str]] = []
-    measured: dict[tuple[int, int, float], tuple[float, float]] = {}
     for ratio in ratios:
         for step in steps:
             try:
                 plan = build_injection(
                     scores, ratio, cutoff_step=step, mode=inj.mode, averaging=inj.averaging
                 )
-                stats = _coverage_metrics(scores.masses, plan, measured)
+                stats = scores.coverage(plan)
                 if full_runs:
                     cell_cfg = replace(config.sampler, cutoff_step=step)
                     image, _ = generate_with_injection(weights, prompt, scores, plan, cell_cfg)
@@ -488,7 +481,7 @@ def run_analyze(
         raw_scores.extend(scorer.raw)
         selection_scores.extend(scorer.ranked())
 
-    rows = _core_shift_rows(scores.masses, plan)
+    rows = scores.shift_rows(plan)
     lines = ["step,layer,attention_shift,mask_coverage"]
     lines += [f"{step},{layer},{shift!r},{cov!r}" for step, layer, shift, cov in rows]
     return AnalyzeResult(

@@ -279,6 +279,26 @@ def test_sweep_exit_codes(tmp_path, conf, capsys):
         assert path.read_text() == f"ratio,step,{metric}\n0.0,1,NA\n"
 
 
+def test_one_layer_variance_sweep_fails_alike_with_full_runs(tmp_path, capsys):
+    """One layer has no layer variance, so every cell fails. With --full-runs
+    the capture, which keeps the rows of sets it cannot pick, keeps none and
+    leaves the same failure to each cell: same errors, same CSVs, exit 3."""
+    conf = tmp_path / "one.conf"
+    one_layer = TINY_CONF.replace("model.n_layers = 2", "model.n_layers = 1")
+    conf.write_text(one_layer + "sweep.ratios = 0.25,0.5\nsweep.steps = 1,2\n")
+    errors = []
+    for flags in ([], ["--full-runs"]):
+        d = tmp_path / ("full" if flags else "reduced")
+        args = ["sweep", "--config", str(conf), "--mode", "layer_variance", *flags]
+        assert main([*args, "--out-dir", str(d)]) == 3
+        errors.append(capsys.readouterr().err)
+        assert not list(d.glob("cell_*.pgm"))
+    assert errors[0] == errors[1]
+    assert errors[0].count("failed: FewerThanTwoLayers") == 4
+    for name in ("sweep_attention_shift.csv", "sweep_mask_coverage.csv"):
+        assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "reduced" / name).read_bytes()
+
+
 def test_sweep_reads_no_sampler_cutoff(tmp_path, capsys):
     # the tiny config's sampler.cutoff (2) is out of range for --steps 1, but
     # the sweep captures at its grid's largest cutoff and never reads it

@@ -16,6 +16,7 @@ from glyphflow import (
     RunManifest,
     ScoreMode,
     ShapeMismatch,
+    TraceMismatch,
     ZeroRowMass,
     build_injection,
     build_prompt,
@@ -30,7 +31,7 @@ from glyphflow import (
     tensors_checksum,
     write_error_manifest,
 )
-from glyphflow.pipeline import ScoreReducer, _coverage_metrics
+from glyphflow.pipeline import ScoreReducer
 from glyphflow.runconfig import IOConfig, InjectionConfig, SweepConfig
 from tests.conftest import TINY, TINY_SAMPLER
 
@@ -334,10 +335,30 @@ def test_trace_row_masses_match_the_public_metrics(tiny_trace, tiny_cfg):
         total = rows.sum(axis=1)
         coverages.append(float(np.mean(rows[:, on].sum(axis=1) / total)))
         shifts.append(float(np.mean(rows[:, ~on].sum(axis=1) / total)))
-    assert _coverage_metrics(masses, plan) == {
+    assert scores.coverage(plan) == {
         "mask_coverage_mean": float(np.mean(coverages)),
         "attention_shift_mean": float(np.mean(shifts)),
     }
+
+
+def test_reducer_measures_only_its_own_plans(tiny_trace, tiny_cfg):
+    """A plan from the full trace or from a second reducer of it picks the
+    same sets, yet the reducer refuses it, since its measured pairs are
+    keyed by ratio, which names a set only among its own scorers'. A
+    refused plan leaves those pairs as they were."""
+    mask_frac = np.linspace(0.0, 1.0, tiny_cfg.n_img)
+    scores = ScoreReducer.replay(tiny_trace, mask_frac, ScoreMode.ROW_MASS, True)
+    own = scores.shift_rows(build_injection(scores, 0.25))
+    measured = dict(scores._measured)
+    other = ScoreReducer.replay(tiny_trace, mask_frac, ScoreMode.ROW_MASS, True)
+    for trace in (tiny_trace, other):
+        plan = build_injection(trace, 0.5)
+        with pytest.raises(TraceMismatch):
+            scores.shift_rows(plan)
+        with pytest.raises(TraceMismatch):
+            scores.coverage(plan)
+        assert scores._measured == measured
+    assert other.shift_rows(build_injection(other, 0.25)) == own
 
 
 def test_run_analyze_zero_mass_core_row(tiny_trace, tiny_cfg):

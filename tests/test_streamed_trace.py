@@ -78,8 +78,8 @@ def _run(cfg: RunConfig, out_dir, probed: bool):
 
 def _reference(cfg: RunConfig, probed: bool):
     """The full-trace pipeline, spelled out: capture an `AttentionTrace`,
-    plan from it, generate from it, measure its replayed row masses and hash
-    it."""
+    plan from it, generate from it, measure a plan of its replayed reducer
+    and hash it."""
     calls = []
     probe = _probe(calls) if probed else None
     glyph = prepare_glyph(cfg)
@@ -95,8 +95,11 @@ def _reference(cfg: RunConfig, probed: bool):
     metrics = {}
     if plan.ratio > 0.0 and plan.cutoff_step > 0:
         mask_frac = glyph_mask_patches(glyph, cfg.model.patch)
-        masses = pipeline.ScoreReducer.replay(trace, mask_frac, inj.mode, inj.averaging).masses
-        metrics = pipeline._coverage_metrics(masses, plan)
+        scores = pipeline.ScoreReducer.replay(trace, mask_frac, inj.mode, inj.averaging)
+        metrics = scores.coverage(build_injection(
+            scores, inj.ratio, cutoff_step=cfg.sampler.cutoff_step, mode=inj.mode,
+            averaging=inj.averaging,
+        ))
     return image, plan, calls, [asdict(log) for log in manifest.step_logs], metrics, trace
 
 
@@ -240,22 +243,19 @@ def test_sweep_scores_each_captured_layer_once(monkeypatch, tmp_path, mode, full
     + [pytest.param(mode, True, id=f"{mode.value}-full_runs") for mode in ScoreMode],
 )
 def test_sweep_ranks_and_measures_each_core_set_once(monkeypatch, tmp_path, mode, full_runs):
-    """The cells share their step scorers' rankings, core sets and measured
-    rows: max cutoff x n_layers rankings (max cutoff in layer_variance mode,
-    which ranks each step by one vector), max cutoff x n_layers x ratios
-    core sets and two `row_fraction` calls per set. For the default sweep
-    that is 108 rankings (18), 540 sets and 1080 calls, where planning and
-    measuring every cell on its own took 1890 sets and 3780 calls."""
+    """The cells share their step scorers' core sets, each ranked once by
+    its own `select_core_tokens` call, and the reducer's measured rows: max
+    cutoff x n_layers x ratios core sets and two `row_fraction` calls per
+    set. For the default sweep that is 540 sets and 1080 calls, where
+    planning and measuring every cell on its own took 1890 sets and 3780
+    calls."""
     ratios, steps = (0.5, 0.25, 1.0), (2, 1, 3)
     sweep = SweepConfig(ratios=ratios, steps=steps, full_runs=full_runs)
     cfg = replace(_config(mode=mode), sweep=sweep)
-    rankings = _count_calls(monkeypatch, coreattn, "rank_order")
     sets = _count_calls(monkeypatch, coreattn, "select_core_tokens")
     fractions = _count_calls(monkeypatch, pipeline, "row_fraction")
     result = run_sweep(cfg, out_dir=str(tmp_path))
     assert result.failures == []
-    ranked_per_step = 1 if mode == ScoreMode.LAYER_VARIANCE else TINY.n_layers
-    assert len(rankings) == max(steps) * ranked_per_step
     assert len(sets) == max(steps) * TINY.n_layers * len(ratios)
     assert len(fractions) == 2 * len(sets)
 
@@ -290,6 +290,39 @@ def test_sweep_zero_mass_row_fails_exactly_the_cells_that_reach_it(monkeypatch, 
         }
         lines = (tmp_path / "zeroed" / f"sweep_{metric}.csv").read_text().splitlines()
         assert [line for line in lines if line.endswith(",NA")] == ["1.0,2,NA", "1.0,3,NA"]
+
+
+def test_generate_and_analyze_measure_each_core_set_once(monkeypatch):
+    """One `run_generate` and one `run_analyze` each make two `row_fraction`
+    calls per planned set, and measuring the same plan again makes none:
+    the reducer that planned keeps every pair it measured."""
+    cfg = _config()
+    glyph = prepare_glyph(cfg)
+    trace = reconstruct_capture(init_model(cfg.model), glyph, "", cfg.sampler)
+    mask_frac = glyph_mask_patches(glyph, TINY.patch)
+    plans = []
+    inner = pipeline.build_injection
+
+    def tap(*args, **kwargs):
+        plans.append(inner(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(pipeline, "build_injection", tap)
+    fractions = _count_calls(monkeypatch, pipeline, "row_fraction")
+    runs = {
+        "generate": lambda: run_generate(cfg, write_outputs=False),
+        "analyze": lambda: run_analyze(trace, mask_frac, cfg.injection.ratio),
+    }
+    for name, run in runs.items():
+        plans.clear()
+        fractions.clear()
+        run()
+        (plan,) = plans
+        assert len(plan.sets) == cfg.sampler.cutoff_step * TINY.n_layers, name
+        assert len(fractions) == 2 * len(plan.sets), name
+        plan.trace.coverage(plan)
+        plan.trace.shift_rows(plan)
+        assert len(fractions) == 2 * len(plan.sets), name
 
 
 @pytest.mark.parametrize("mode", list(ScoreMode))
