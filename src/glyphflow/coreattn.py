@@ -1,18 +1,19 @@
 """Core-token machinery: score image tokens from I2I attention, average scores
-across layers, select top-k sets, and build row-replacement plans.
+across layers, select top-k sets, build row-replacement plans, and reduce a
+reconstruction capture to what those plans read.
 
 Scores always come from head-averaged statistics of I2I probability maps; the
 same selected set drives every head during injection. `StepScorer` is the one
 scoring, averaging and selection path: one scorer per captured step is fed
 each layer in turn and picks every layer's core set. `build_injection` asks a
-trace for each step's scorer: a `pipeline.ScoreReducer` keeps the ones it fed
-as the capture produced each layer, so generate, sweep and analyze score each
+trace for each step's scorer: a `ScoreReducer` keeps the ones it fed as the
+capture produced each layer, so generate, sweep and analyze score each
 captured (step, layer) once; a full trace, which only direct callers pass,
 feeds its stored step into a new one. A scorer builds each (layer, ratio)
-set once, so plans that share a scorer share its sets. `pipeline.run_analyze`
-reports the scores of the scorers that planned. The reducer that planned
-also measures the coverage and shift of the selected rows, from
-`metrics.row_masses` through `metrics.row_fraction`.
+set once, so plans that share a scorer share its sets. The reducer that
+planned also keeps the core logit rows injection writes and measures the
+coverage and shift of the selected rows, from `metrics.row_masses` through
+`metrics.row_fraction`.
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ from .errors import (
     ConfigError,
     EmptyTrace,
     FewerThanTwoLayers,
+    GlyphFlowError,
     IndexOutOfRange,
     ModeMismatch,
     ShapeMismatch,
     TraceMismatch,
 )
+from .metrics import RowMasses, row_fraction, row_masses
 from .tensorio import write_tensors
 
 if TYPE_CHECKING:
-    from .pipeline import ScoreReducer
     from .sampler import AttentionTrace
 
 
@@ -275,10 +277,9 @@ def _empty_set(n_img: int, step: int, layer: int, mode: ScoreMode, averaged: boo
 class InjectionPlan:
     """One CoreTokenSet per (step <= cutoff, layer), tied to the trace it was built from.
 
-    `trace` is that trace itself, an `AttentionTrace` or a
-    `pipeline.ScoreReducer`, held by reference; plan equality ignores it.
-    The plan's layer count and n_img are the trace's, and its cutoff is at
-    most the trace's step count. The scoring mode and averaging flag that
+    `trace` is that trace itself, an `AttentionTrace` or a `ScoreReducer`,
+    held by reference; plan equality ignores it. The plan's layer count and
+    n_img are the trace's, and its cutoff is at most the trace's step count. The scoring mode and averaging flag that
     chose each set are in that set's `source`.
     """
 
@@ -311,10 +312,10 @@ def build_injection(
 ) -> InjectionPlan:
     """Select one core set per (step, layer) through each step's `StepScorer`.
 
-    `trace.step_scorer(step, mode, averaging)` gives it: a
-    `pipeline.ScoreReducer` returns the scorer it fed as it captured or
-    replayed; a full trace, which only direct callers pass, feeds the step's
-    layers into a new scorer. With averaging on, layer L's selection uses
+    `trace.step_scorer(step, mode, averaging)` gives it: a `ScoreReducer`
+    returns the scorer it fed as it captured or replayed; a full trace,
+    which only direct callers pass, feeds the step's layers into a new
+    scorer. With averaging on, layer L's selection uses
     the running mean of layers 1..L, reset at each step; in layer_variance
     mode the step's one variance vector drives every layer's selection. At
     ratio 0 every set is empty and nothing is scored.
@@ -339,6 +340,119 @@ def build_injection(
                 sets[(step, layer)] = scorer.core_set(layer, ratio)
 
     return InjectionPlan(trace=trace, cutoff_step=cutoff, ratio=ratio, sets=sets)
+
+
+class ScoreReducer:
+    """What a pipeline run reads of a reconstruction capture, reduced layer
+    by layer instead of kept as an `AttentionTrace`.
+
+    `reconstruct_capture` calls it as `on_layer` while forward still holds
+    each layer's I2I views; `replay` feeds it a full trace's layers in the
+    same order. Each layer's probabilities are scored once, through the
+    step's one `StepScorer`, and their head-mean row masses fill `masses`,
+    the (steps, n_layers, n_img) table `shift_rows` and `coverage` measure
+    its plans from. Once the scorer knows a layer's core set at ratio `keep`
+    (the widest any plan injects; 0 keeps none), its (n_heads, k, n_img)
+    logit rows are kept, in layer_variance mode only after the step's last
+    layer, so each layer's logits are copied until then; a set that raises
+    keeps none, as each plan needing it raises too. Like a full trace it
+    answers `step_scorer` and `core_rows`, so plans are built and injected
+    from it.
+    """
+
+    def __init__(
+        self, steps: int, n_layers: int, n_heads: int, n_img: int, mode: ScoreMode,
+        averaging: bool, mask_frac: np.ndarray, keep: float = 0.0,
+    ):
+        self.steps, self.n_layers, self.n_heads, self.n_img = steps, n_layers, n_heads, n_img
+        self.mode, self.averaging, self.keep = mode, averaging, keep
+        self.masses = RowMasses(*(np.empty((steps, n_layers, n_img)) for _ in RowMasses._fields))
+        self._mask_frac = mask_frac
+        self._scorers: list[StepScorer] = []
+        self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
+        self._measured: dict[tuple[int, int, float], tuple[float, float]] = {}
+        self._pending: list[np.ndarray] = []  # layer_variance: the step's logits so far
+
+    @classmethod
+    def replay(
+        cls, trace: AttentionTrace, mask_frac: np.ndarray, mode: ScoreMode, averaging: bool
+    ) -> "ScoreReducer":
+        """A reducer fed every (step, layer) of a full trace in capture order."""
+        reducer = cls(*trace.probs.shape[:4], mode, averaging, mask_frac)
+        for step, (logits, probs) in enumerate(zip(trace.logits, trace.probs), start=1):
+            for layer in range(trace.n_layers):
+                reducer(step, layer, logits[layer], probs[layer])
+        return reducer
+
+    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
+        """Score one layer, fill its row masses and keep its core rows."""
+        if layer == 0:
+            self._scorers.append(StepScorer(step, self.mode, self.averaging))
+        for dst, src in zip(self.masses, row_masses(probs.mean(axis=0), self._mask_frac)):
+            dst[step - 1, layer] = src
+        scorer = self._scorers[-1]
+        if not scorer.add(probs) and self.keep:
+            self._pending.append(logits.copy())
+        elif self.keep:
+            self._keep_rows(scorer, layer, logits)
+        if layer == self.n_layers - 1:
+            for held, held_logits in enumerate(self._pending):
+                self._keep_rows(scorer, held, held_logits)
+            self._pending = []
+
+    def _keep_rows(self, scorer: StepScorer, layer: int, logits: np.ndarray):
+        try:
+            core = scorer.core_set(layer, self.keep)
+        except GlyphFlowError:
+            return
+        self._rows[(scorer.step, layer)] = (core.indices, logits[:, core.rows(), :])
+
+    def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
+        if (mode, averaging) != (self.mode, self.averaging) or not 0 < step <= len(self._scorers):
+            raise TraceMismatch(f"reducer kept no {mode.value} scores for step {step}")
+        return self._scorers[step - 1]
+
+    def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
+        """The (n_heads, k, n_img) logit rows of a core set at most `keep`
+        wide. A narrower set is a prefix of the same ranking, so a subset of
+        the kept one; the kept set itself gets the kept array, not a copy."""
+        if not core.indices:
+            return np.empty((self.n_heads, 0, self.n_img))
+        kept, rows = self._rows.get((step, layer), ((), None))
+        hit = np.isin(kept, core.rows())
+        if np.count_nonzero(hit) != len(core.indices):
+            raise TraceMismatch(f"reducer kept no such rows at step {step} layer {layer}")
+        return rows if hit.all() else rows[:, hit, :]
+
+    def shift_rows(self, plan: InjectionPlan) -> list[tuple[int, int, float, float]]:
+        """(step, layer, attention shift, mask coverage) of each core set of
+        a plan built from this reducer; any other plan raises `TraceMismatch`.
+        Each (step, layer, ratio) pair is measured once, so a sweep's cells
+        share them; a row that raises is not kept, so each plan reaching it
+        raises."""
+        if plan.trace is not self:
+            raise TraceMismatch("plan was not built from this reducer")
+        rows = []
+        for (step, layer), core in sorted(plan.sets.items()):
+            pair = self._measured.get((step, layer, core.ratio))
+            if pair is None:
+                idx, total = core.rows(), self.masses.total[step - 1, layer]
+                pair = self._measured[(step, layer, core.ratio)] = (
+                    row_fraction(self.masses.off[step - 1, layer], total, idx),
+                    row_fraction(self.masses.on[step - 1, layer], total, idx),
+                )
+            rows.append((step, layer, *pair))
+        return rows
+
+    def coverage(self, plan: InjectionPlan) -> dict[str, float]:
+        """Mean mask coverage and attention shift over a plan's core rows."""
+        rows = self.shift_rows(plan)
+        if not rows:
+            raise ShapeMismatch("at least one row required")
+        return {
+            "mask_coverage_mean": float(np.mean([cov for _, _, _, cov in rows])),
+            "attention_shift_mean": float(np.mean([shift for _, _, shift, _ in rows])),
+        }
 
 
 def apply_injection(

@@ -1,7 +1,10 @@
 """End-to-end runs: rasterize, reconstruct, plan, generate, measure, record.
 
-This is the layer the CLI calls. Every artifact a run writes is listed in its
-manifest together with checksums of all inputs that influence output bytes.
+This is the layer the CLI calls. It builds each run's layer sinks from the
+run's config (`coreattn.ScoreReducer`, `sampler.TraceChecksum`,
+`sampler.AttentionTrace`) and feeds them one capture. Every artifact a run
+writes is listed in its manifest together with checksums of all inputs that
+influence output bytes.
 """
 
 from __future__ import annotations
@@ -12,13 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coreattn import (
-    CoreTokenSet,
-    InjectionPlan,
-    ScoreMode,
-    StepScorer,
-    build_injection,
-)
+from .coreattn import ScoreMode, ScoreReducer, build_injection
 from .errors import (
     ConfigError,
     DuplicateCell,
@@ -26,30 +23,22 @@ from .errors import (
     GlyphFlowError,
     NonFiniteValue,
     ShapeMismatch,
-    TraceMismatch,
     read_text,
 )
 from .glyphs import GlyphImage, glyph_mask_patches, load_glyph_bitmap, rasterize_text
 from .manifest import RunManifest
-from .metrics import (
-    RowMasses,
-    char_f1,
-    exact_match,
-    render_sweep_csv,
-    row_fraction,
-    row_masses,
-)
+from .metrics import char_f1, exact_match, render_sweep_csv
 from .model import init_model
 from .netpbm import write_pgm
 from .runconfig import RunConfig, config_hash
 from .sampler import (
     AttentionTrace,
     ProbeFn,
+    TraceChecksum,
     generate_with_injection,
     reconstruct_capture,
-    trace_meta,
 )
-from .tensorio import ChecksumStream, file_checksum, tensors_checksum
+from .tensorio import file_checksum, tensors_checksum
 
 PROMPT_PREFIX = "A text "
 PROMPT_MIDDLE = " logo decorated with "
@@ -117,158 +106,16 @@ def _glyph_checksum(glyph: GlyphImage) -> str:
     return tensors_checksum({"pixels": glyph.pixels, "mask": glyph.mask})
 
 
-class ScoreReducer:
-    """What a pipeline run reads of a reconstruction capture, reduced layer
-    by layer instead of kept as an `AttentionTrace`.
-
-    `reconstruct_capture` calls it as `on_layer` while forward still holds
-    each layer's I2I views; `replay` feeds it a full trace's layers in the
-    same order. Each layer's probabilities are scored once, through the
-    step's one `StepScorer`, and their head-mean row masses fill `masses`,
-    the (steps, n_layers, n_img) table `shift_rows` and `coverage` measure
-    its plans from. Once the scorer knows a layer's core set at ratio `keep`
-    (the widest any plan injects; 0 keeps none), its (n_heads, k, n_img)
-    logit rows are kept, in layer_variance mode only after the step's last
-    layer, so each layer's logits are copied until then; a set that raises
-    keeps none, as each plan needing it raises too. Like a full trace it
-    answers `step_scorer` and `core_rows`, so plans are built and injected
-    from it.
-    """
-
-    def __init__(
-        self, steps: int, n_layers: int, n_heads: int, n_img: int, mode: ScoreMode,
-        averaging: bool, mask_frac: np.ndarray, keep: float = 0.0,
-    ):
-        self.steps, self.n_layers, self.n_heads, self.n_img = steps, n_layers, n_heads, n_img
-        self.mode, self.averaging, self.keep = mode, averaging, keep
-        self.masses = RowMasses(*(np.empty((steps, n_layers, n_img)) for _ in RowMasses._fields))
-        self._mask_frac = mask_frac
-        self._scorers: list[StepScorer] = []
-        self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
-        self._measured: dict[tuple[int, int, float], tuple[float, float]] = {}
-        self._pending: list[np.ndarray] = []  # layer_variance: the step's logits so far
-
-    @classmethod
-    def replay(
-        cls, trace: AttentionTrace, mask_frac: np.ndarray, mode: ScoreMode, averaging: bool
-    ) -> "ScoreReducer":
-        """A reducer fed every (step, layer) of a full trace in capture order."""
-        reducer = cls(*trace.probs.shape[:4], mode, averaging, mask_frac)
-        for step, (logits, probs) in enumerate(zip(trace.logits, trace.probs), start=1):
-            for layer in range(trace.n_layers):
-                reducer(step, layer, logits[layer], probs[layer])
-        return reducer
-
-    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
-        """Score one layer, fill its row masses and keep its core rows."""
-        if layer == 0:
-            self._scorers.append(StepScorer(step, self.mode, self.averaging))
-        for dst, src in zip(self.masses, row_masses(probs.mean(axis=0), self._mask_frac)):
-            dst[step - 1, layer] = src
-        scorer = self._scorers[-1]
-        if not scorer.add(probs) and self.keep:
-            self._pending.append(logits.copy())
-        elif self.keep:
-            self._keep_rows(scorer, layer, logits)
-        if layer == self.n_layers - 1:
-            for held, held_logits in enumerate(self._pending):
-                self._keep_rows(scorer, held, held_logits)
-            self._pending = []
-
-    def _keep_rows(self, scorer: StepScorer, layer: int, logits: np.ndarray):
-        try:
-            core = scorer.core_set(layer, self.keep)
-        except GlyphFlowError:
-            return
-        self._rows[(scorer.step, layer)] = (core.indices, logits[:, core.rows(), :])
-
-    def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
-        if (mode, averaging) != (self.mode, self.averaging) or not 0 < step <= len(self._scorers):
-            raise TraceMismatch(f"reducer kept no {mode.value} scores for step {step}")
-        return self._scorers[step - 1]
-
-    def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
-        """The (n_heads, k, n_img) logit rows of a core set at most `keep`
-        wide. A narrower set is a prefix of the same ranking, so a subset of
-        the kept one; the kept set itself gets the kept array, not a copy."""
-        if not core.indices:
-            return np.empty((self.n_heads, 0, self.n_img))
-        kept, rows = self._rows.get((step, layer), ((), None))
-        hit = np.isin(kept, core.rows())
-        if np.count_nonzero(hit) != len(core.indices):
-            raise TraceMismatch(f"reducer kept no such rows at step {step} layer {layer}")
-        return rows if hit.all() else rows[:, hit, :]
-
-    def shift_rows(self, plan: InjectionPlan) -> list[tuple[int, int, float, float]]:
-        """(step, layer, attention shift, mask coverage) of each core set of
-        a plan built from this reducer; any other plan raises `TraceMismatch`.
-        Each (step, layer, ratio) pair is measured once, so a sweep's cells
-        share them; a row that raises is not kept, so each plan reaching it
-        raises."""
-        if plan.trace is not self:
-            raise TraceMismatch("plan was not built from this reducer")
-        rows = []
-        for (step, layer), core in sorted(plan.sets.items()):
-            pair = self._measured.get((step, layer, core.ratio))
-            if pair is None:
-                idx, total = core.rows(), self.masses.total[step - 1, layer]
-                pair = self._measured[(step, layer, core.ratio)] = (
-                    row_fraction(self.masses.off[step - 1, layer], total, idx),
-                    row_fraction(self.masses.on[step - 1, layer], total, idx),
-                )
-            rows.append((step, layer, *pair))
-        return rows
-
-    def coverage(self, plan: InjectionPlan) -> dict[str, float]:
-        """Mean mask coverage and attention shift over a plan's core rows."""
-        rows = self.shift_rows(plan)
-        if not rows:
-            raise ShapeMismatch("at least one row required")
-        return {
-            "mask_coverage_mean": float(np.mean([cov for _, _, _, cov in rows])),
-            "attention_shift_mean": float(np.mean([shift for _, _, shift, _ in rows])),
-        }
-
-
-class StreamedTrace(ScoreReducer):
-    """What an injected generate reads of its reconstruction capture: a
-    `ScoreReducer` that keeps the core rows at the run's ratio, plus the
-    trace checksum.
-
-    Every injected `run_generate` passes it to `reconstruct_capture` as
-    `on_layer` and plans from it. It copies each layer's I2I views into one
-    reused (n_heads, n_img, n_img) logits/probs pair, laid out as a full
-    trace's (step, layer) block, and feeds that pair to the trace checksum's
-    `ChecksumStream` (which hashes it while forward goes on; the next layer
-    waits for it) and to the reducer; at ratio 0 only the checksum is fed.
-    `checksum` gives what a full trace of the same capture would; its t
-    values are `SamplerConfig.captured_t_values`.
-    """
-
-    def __init__(self, config: RunConfig, mask_frac: np.ndarray):
-        mcfg, inj = config.model, config.injection
-        self.t_values = config.sampler.captured_t_values()
-        super().__init__(
-            len(self.t_values), mcfg.n_layers, mcfg.n_heads, mcfg.n_img, inj.mode,
-            inj.averaging, mask_frac, keep=inj.ratio,
-        )
-        block = (self.n_heads, self.n_img, self.n_img)
-        self._logits, self._probs = np.empty(block), np.empty(block)
-        shape = (self.steps, self.n_layers, *block)
-        self._hash = ChecksumStream({"logits": ("f8", shape), "probs": ("f8", shape)})
-
-    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
-        self._hash.wait()
-        np.copyto(self._logits, logits)
-        np.copyto(self._probs, probs)
-        self._hash.update({"logits": self._logits, "probs": self._probs})
-        if self.keep:
-            super().__call__(step, layer, self._logits, self._probs)
-
-    def checksum(self) -> str:
-        """The checksum the full trace of the same capture would have."""
-        dims = (self.steps, self.n_layers, self.n_heads, self.n_img)
-        return self._hash.hexdigest(trace_meta(self.t_values, dims))
+def _score_reducer(
+    config: RunConfig, steps: int, mask_frac: np.ndarray, keep: float
+) -> ScoreReducer:
+    """A reducer of a `steps`-step capture at the config's model dims, scoring
+    as its injection section says and keeping core rows at ratio `keep`."""
+    mcfg, inj = config.model, config.injection
+    return ScoreReducer(
+        steps, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, inj.mode, inj.averaging,
+        mask_frac, keep=keep,
+    )
 
 
 def run_generate(
@@ -282,10 +129,11 @@ def run_generate(
 
     baseline=True runs the config with injection.enabled = False, so the
     manifest's config hash is that of the run that happened. An injected
-    run has one capture path: a `StreamedTrace` reduces the reconstruction
-    layer by layer, and the plan, the injected rows, the coverage metrics
-    and the trace checksum all come from it. io.save_trace only adds an
-    `AttentionTrace` fed by the same capture and written to trace.bin.
+    run's capture feeds each layer to its sinks in turn: a `TraceChecksum`
+    gives the trace checksum; above ratio 0 a `ScoreReducer` gives the
+    plan, the injected rows and the coverage metrics (at ratio 0 every set
+    is empty and the reducer is never fed); io.save_trace adds an
+    `AttentionTrace`, written to trace.bin.
     """
     if baseline:
         config = replace(config, injection=replace(config.injection, enabled=False))
@@ -295,29 +143,30 @@ def run_generate(
     weights = init_model(config.model)
 
     mask_frac = glyph_mask_patches(glyph, config.model.patch)
-    trace = plan = saved = None
+    scores = plan = checksum = saved = None
     if config.injection.enabled:
-        on_layer = trace = StreamedTrace(config, mask_frac)
+        inj = config.injection
+        checksum = TraceChecksum(config.sampler, config.model)
+        scores = _score_reducer(config, config.sampler.cutoff_step, mask_frac, inj.ratio)
+        sinks = [checksum, scores] if inj.ratio > 0.0 else [checksum]
         if config.io.save_trace:
             saved = AttentionTrace.empty(config.sampler, config.model)
+            sinks.append(saved)
 
-            def on_layer(step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
-                trace(step, layer, logits, probs)
-                saved(step, layer, logits, probs)
+        def on_layer(step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
+            for sink in sinks:  # the checksum first: it hashes while the others run
+                sink(step, layer, logits, probs)
 
         reconstruct_capture(
             weights, glyph, config.io.recon_prompt, config.sampler, probe=probe, on_layer=on_layer
         )
         plan = build_injection(
-            trace,
-            config.injection.ratio,
-            cutoff_step=config.sampler.cutoff_step,
-            mode=config.injection.mode,
-            averaging=config.injection.averaging,
+            scores, inj.ratio, cutoff_step=config.sampler.cutoff_step, mode=inj.mode,
+            averaging=inj.averaging,
         )
 
     image, manifest = generate_with_injection(
-        weights, prompt, trace, plan, config.sampler, probe=probe
+        weights, prompt, scores, plan, config.sampler, probe=probe
     )
 
     predicted = config.io.predicted or config.io.word
@@ -327,11 +176,11 @@ def run_generate(
     manifest.metrics["char_recall"] = f1.recall
     manifest.metrics["char_f1"] = f1.f1
     if plan is not None and plan.ratio > 0.0 and plan.cutoff_step > 0:
-        manifest.metrics.update(trace.coverage(plan))
+        manifest.metrics.update(scores.coverage(plan))
 
     manifest.checksums["weights"] = weights.checksum()
-    if trace is not None:
-        manifest.checksums["trace"] = trace.checksum()
+    if checksum is not None:
+        manifest.checksums["trace"] = checksum.hexdigest()
     manifest.checksums["glyph"] = _glyph_checksum(glyph)
     manifest.config_hash = config_hash(
         config, inputs={"glyph": manifest.checksums["glyph"]}
@@ -409,11 +258,8 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
     prompt = build_prompt(config.io.word, config.io.style).prompt
     mask_frac = glyph_mask_patches(glyph, config.model.patch)
     trace_cfg = replace(config.sampler, cutoff_step=max_cutoff)
-    mcfg, inj, full_runs = config.model, config.injection, config.sweep.full_runs
-    scores = ScoreReducer(
-        max_cutoff, mcfg.n_layers, mcfg.n_heads, mcfg.n_img, inj.mode, inj.averaging,
-        mask_frac, keep=max(ratios) if full_runs else 0.0,
-    )
+    inj, full_runs = config.injection, config.sweep.full_runs
+    scores = _score_reducer(config, max_cutoff, mask_frac, max(ratios) if full_runs else 0.0)
     reconstruct_capture(weights, glyph, config.io.recon_prompt, trace_cfg, on_layer=scores)
 
     os.makedirs(out_dir, exist_ok=True)

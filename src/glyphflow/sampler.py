@@ -5,8 +5,10 @@ The schedule has steps+1 evenly spaced knots from 1 down to 0; step i
 evaluates the model at knot i-1, so a run costs exactly `steps` evaluations
 per CFG branch.
 Reconstruction never integrates: each captured step re-noises the clean glyph
-latent to t_i with one fixed eps, runs a single unguided forward, and records
-every layer's I2I logits and probabilities.
+latent to t_i with one fixed eps, runs a single unguided forward, and hands
+every layer's I2I logits and probabilities to a layer sink: an
+`AttentionTrace` stores them, a `TraceChecksum` hashes them as the full
+trace's checksum, and a `coreattn.ScoreReducer` scores them.
 
 All noise comes from one seeded stream whose first draw is the (n_img,
 patch^2) eps, so reconstruction and generation see identical noise whenever
@@ -17,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .coreattn import CoreTokenSet, InjectionPlan, ScoreMode, StepScorer, apply_injection
+from .coreattn import (
+    CoreTokenSet, InjectionPlan, ScoreMode, ScoreReducer, StepScorer, apply_injection,
+)
 from .errors import ConfigError, ShapeMismatch, TraceMismatch
 from .glyphs import GlyphImage
 from .manifest import RunManifest, StepLog
@@ -38,10 +42,7 @@ from .model import (
     patchify,
     unpatchify,
 )
-from .tensorio import read_tensors, tensors_checksum, write_tensors
-
-if TYPE_CHECKING:
-    from .pipeline import ScoreReducer
+from .tensorio import ChecksumStream, read_tensors, tensors_checksum, write_tensors
 
 # A probe receives (step, t, branch, captures) after each forward. The
 # captures are copies of the forward's attention maps that the probe may keep.
@@ -125,7 +126,7 @@ def euler_step(x: np.ndarray, v: np.ndarray, t_i: float, t_next: float) -> np.nd
 # ---------------------------------------------------------------- trace
 
 
-def trace_meta(t_values: tuple[float, ...], dims: tuple[int, int, int, int]) -> dict[str, str]:
+def _trace_meta(t_values: tuple[float, ...], dims: tuple[int, int, int, int]) -> dict[str, str]:
     """A trace's tensordump meta: its (steps, n_layers, n_heads, n_img) and t values."""
     meta = dict(zip(("steps", "n_layers", "n_heads", "n_img"), map(str, dims)))
     meta["t_values"] = ",".join(repr(float(t)) for t in t_values)
@@ -145,7 +146,7 @@ class AttentionTrace:
     A trace is a layer reducer: `empty` allocates one and
     `reconstruct_capture` fills it through `__call__`. It is what
     `reconstruct` and `generate --save-trace` write and `analyze` loads;
-    `analyze` replays it into a `pipeline.ScoreReducer`, and every pipeline
+    `analyze` replays it into a `coreattn.ScoreReducer`, and every pipeline
     run plans and injects from such a reducer. Only a direct caller of
     `build_injection` plans from a full trace: its `step_scorer` feeds a
     stored step into a new `StepScorer`, and `core_rows` slices its logits.
@@ -163,6 +164,9 @@ class AttentionTrace:
             )
         if self.logits.shape != shape:
             raise ShapeMismatch(f"trace logits shape {self.logits.shape} != probs shape {shape}")
+        for name, size in zip(("n_layers", "n_heads", "n_img"), shape[1:4]):
+            if size == 0:  # steps may be 0: cutoff 0 captures nothing
+                raise ShapeMismatch(f"trace shape {shape} has {name} = 0")
         if len(self.t_values) != self.steps:
             raise ShapeMismatch("one t value per captured step required")
 
@@ -214,7 +218,7 @@ class AttentionTrace:
         return self.step_logits(step, layer)[:, core.rows(), :]
 
     def _meta(self) -> dict[str, str]:
-        return trace_meta(self.t_values, self.probs.shape[:4])
+        return _trace_meta(self.t_values, self.probs.shape[:4])
 
     def _tensors(self) -> dict[str, np.ndarray]:
         return {"logits": self.logits, "probs": self.probs}
@@ -254,6 +258,35 @@ class AttentionTrace:
         return trace
 
 
+class TraceChecksum:
+    """A layer sink that hashes a capture as it arrives: `hexdigest` gives
+    what `AttentionTrace.checksum` of the same capture's full trace would,
+    with no trace kept.
+
+    Each call copies the layer's I2I views into one reused (n_heads, n_img,
+    n_img) logits/probs pair, laid out as a full trace's (step, layer)
+    block, and feeds it to a `ChecksumStream`, which hashes it while the
+    caller goes on; the next call waits for that hash before it copies.
+    """
+
+    def __init__(self, cfg: SamplerConfig, model: ModelConfig):
+        self._t_values = cfg.captured_t_values()
+        self._dims = (cfg.cutoff_step, model.n_layers, model.n_heads, model.n_img)
+        block = (model.n_heads, model.n_img, model.n_img)
+        self._logits, self._probs = np.empty(block), np.empty(block)
+        shape = (*self._dims, model.n_img)
+        self._hash = ChecksumStream({"logits": ("f8", shape), "probs": ("f8", shape)})
+
+    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
+        self._hash.wait()
+        np.copyto(self._logits, logits)
+        np.copyto(self._probs, probs)
+        self._hash.update({"logits": self._logits, "probs": self._probs})
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest(_trace_meta(self._t_values, self._dims))
+
+
 # ---------------------------------------------------------------- runs
 
 
@@ -278,7 +311,7 @@ def reconstruct_capture(
     which copies each layer into its slot, so the full trace is returned.
     The blocks are views of forward's maps that the next layer
     overwrites, so any other reducer reduces or copies each layer during
-    its call (see `pipeline.ScoreReducer`).
+    its call (see `TraceChecksum` and `coreattn.ScoreReducer`).
     """
     cfg = cfg or SamplerConfig()
     if on_layer is None:
@@ -315,7 +348,7 @@ def generate_with_injection(
 
     For steps <= plan.cutoff_step every layer's I2I logit rows listed in the
     plan are replaced by the trace's rows, identically in the conditional and
-    unconditional branches. `trace` is a `pipeline.ScoreReducer` (every
+    unconditional branches. `trace` is a `coreattn.ScoreReducer` (every
     pipeline run) or an `AttentionTrace` (a direct caller); either gives the
     plan's (n_heads, k, n_img) rows through `core_rows`, read once before
     the first forward. Pass

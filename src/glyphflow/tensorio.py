@@ -167,8 +167,8 @@ def _parse_header(header: str, payload_size: int):
     for line in header_lines[1:]:
         fields = line.split(" ")
         if fields[0] == "meta":
-            if len(fields) < 3:
-                raise MalformedHeader(f"bad meta line {line!r}")
+            if len(fields) < 3 or fields[1] in meta:
+                raise MalformedHeader(f"bad or repeated meta line {line!r}")
             meta[fields[1]] = " ".join(fields[2:])
         elif fields[0] == "tensor":
             if len(fields) != 5:

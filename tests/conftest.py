@@ -54,7 +54,17 @@ MALFORMED_TRACES = {
     "t inf": lambda tensors, meta: meta.update(t_values="1.0,inf"),
     "t above 1": lambda tensors, meta: meta.update(t_values="1.5,0.75"),
     "t below 0": lambda tensors, meta: meta.update(t_values="1.0,-0.25"),
+    "0 layers": lambda tensors, meta: _cut(tensors, meta, "n_layers", np.s_[:, :0]),
+    "0 heads": lambda tensors, meta: _cut(tensors, meta, "n_heads", np.s_[:, :, :0]),
+    "0 image tokens": lambda tensors, meta: _cut(tensors, meta, "n_img", np.s_[:, :, :, :0, :0]),
 }
+
+
+def _cut(tensors, meta, dim: str, index):
+    """Empty one trace dimension in both tensors and the meta: a consistent
+    file that holds nothing to score."""
+    tensors.update({name: arr[index] for name, arr in tensors.items()})
+    meta[dim] = "0"
 
 
 def write_malformed_trace(path, trace, case):

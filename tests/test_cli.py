@@ -179,6 +179,19 @@ def test_analyze_of_a_malformed_trace_exits_2(tmp_path, conf, capsys, case):
     assert not (d / "shift.csv").exists()
 
 
+def test_analyze_of_a_trace_with_a_repeated_meta_key_exits_2(tmp_path, conf, capsys):
+    trace_path = tmp_path / "trace.bin"
+    assert main(["reconstruct", "--config", conf, "--out", str(trace_path)]) == 0
+    raw = trace_path.read_bytes()
+    assert b"\nmeta steps 2\n" in raw
+    trace_path.write_bytes(raw.replace(b"\nmeta steps 2\n", b"\nmeta steps 2\nmeta steps 3\n"))
+    d = tmp_path / "an"
+    capsys.readouterr()
+    assert main(["analyze", "--config", conf, "--trace", str(trace_path), "--out-dir", str(d)]) == 2
+    assert "repeated meta line 'meta steps 3'" in capsys.readouterr().err
+    assert not (d / "shift.csv").exists()
+
+
 def test_save_trace_flag(tmp_path, conf):
     """generate --save-trace writes the trace `reconstruct` writes for the
     same config, and its manifest holds that trace's checksum."""

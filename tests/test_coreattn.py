@@ -31,9 +31,8 @@ from glyphflow import (
     token_scores,
     variance_scores,
 )
-from glyphflow.coreattn import StepScorer
+from glyphflow.coreattn import ScoreReducer, StepScorer
 from glyphflow.metrics import row_fraction
-from glyphflow.pipeline import ScoreReducer
 from glyphflow.tensorio import read_tensors
 
 

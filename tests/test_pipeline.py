@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 from pathlib import Path
@@ -31,9 +32,30 @@ from glyphflow import (
     tensors_checksum,
     write_error_manifest,
 )
-from glyphflow.pipeline import ScoreReducer
+from glyphflow.coreattn import ScoreReducer
 from glyphflow.runconfig import IOConfig, InjectionConfig, SweepConfig
 from tests.conftest import TINY, TINY_SAMPLER
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The absolute module names an import statement of the package names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ["glyphflow" if node.level else "", node.module]))
+        return [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_only_the_cli_and_the_package_import_the_pipeline():
+    """The run layer sits on top: no module below it imports it, not even
+    under `if TYPE_CHECKING:`."""
+    importers = []
+    for path in sorted(Path(glyphflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "glyphflow.pipeline" in _imported_modules(node):
+                importers.append(path.stem)
+    assert sorted(set(importers)) == ["__init__", "cli"]
 
 
 def tiny_run_config(**io_updates) -> RunConfig:

@@ -26,7 +26,7 @@ from glyphflow import (
     reconstruct_capture,
     write_tensors,
 )
-from glyphflow.pipeline import ScoreReducer
+from glyphflow.coreattn import ScoreReducer
 from tests.conftest import MALFORMED_TRACES, write_malformed_trace
 
 

@@ -1,9 +1,10 @@
 """Every pipeline run plans, and injects, from a `ScoreReducer` that keeps
 only what the run reads of its reconstruction capture. An injected
-`run_generate` uses its `StreamedTrace` form: the same plan, image, metrics
-and trace checksum as the full-trace reference pipeline, with or without
-io.save_trace, in memory that does not grow with the trace's full logits and
-probs. A sweep, with or without full_runs, and analyze score each captured
+`run_generate` feeds each captured layer to a `TraceChecksum`, to that
+reducer and, with io.save_trace, to an `AttentionTrace`: the same plan,
+image, metrics and trace checksum as the full-trace reference pipeline, with
+or without io.save_trace, in memory that does not grow with the trace's full
+logits and probs. A sweep, with or without full_runs, and analyze score each captured
 layer once, a sweep's cells share their core sets and measured rows, and a
 sweep holds no step of the trace."""
 
@@ -95,7 +96,7 @@ def _reference(cfg: RunConfig, probed: bool):
     metrics = {}
     if plan.ratio > 0.0 and plan.cutoff_step > 0:
         mask_frac = glyph_mask_patches(glyph, cfg.model.patch)
-        scores = pipeline.ScoreReducer.replay(trace, mask_frac, inj.mode, inj.averaging)
+        scores = coreattn.ScoreReducer.replay(trace, mask_frac, inj.mode, inj.averaging)
         metrics = scores.coverage(build_injection(
             scores, inj.ratio, cutoff_step=cfg.sampler.cutoff_step, mode=inj.mode,
             averaging=inj.averaging,
@@ -115,7 +116,7 @@ def _assert_streamed_equals_full(tmp_path, sampler=TINY_SAMPLER, probed=False, *
         image, manifest, (kind, plan), calls = _run(
             replace(cfg, io=replace(cfg.io, save_trace=save_trace)), out, probed
         )
-        assert kind is pipeline.StreamedTrace
+        assert kind is coreattn.ScoreReducer
         assert image.tobytes() == ref_image.tobytes()
         assert plan == ref_plan
         assert calls == ref_calls
@@ -253,7 +254,7 @@ def test_sweep_ranks_and_measures_each_core_set_once(monkeypatch, tmp_path, mode
     sweep = SweepConfig(ratios=ratios, steps=steps, full_runs=full_runs)
     cfg = replace(_config(mode=mode), sweep=sweep)
     sets = _count_calls(monkeypatch, coreattn, "select_core_tokens")
-    fractions = _count_calls(monkeypatch, pipeline, "row_fraction")
+    fractions = _count_calls(monkeypatch, coreattn, "row_fraction")
     result = run_sweep(cfg, out_dir=str(tmp_path))
     assert result.failures == []
     assert len(sets) == max(steps) * TINY.n_layers * len(ratios)
@@ -308,7 +309,7 @@ def test_generate_and_analyze_measure_each_core_set_once(monkeypatch):
         return plans[-1]
 
     monkeypatch.setattr(pipeline, "build_injection", tap)
-    fractions = _count_calls(monkeypatch, pipeline, "row_fraction")
+    fractions = _count_calls(monkeypatch, coreattn, "row_fraction")
     runs = {
         "generate": lambda: run_generate(cfg, write_outputs=False),
         "analyze": lambda: run_analyze(trace, mask_frac, cfg.injection.ratio),

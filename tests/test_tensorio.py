@@ -86,6 +86,7 @@ def test_malformed_files(tmp_path):
         b"tensordump 1 2\ntensor a f8 1 0\nend\n" + b"\x00" * 8,   # count mismatch
         b"tensordump 1 0\nbogus line\nend\n",          # unknown directive
         b"tensordump 1 1\ntensor a f8 -1 0\nend\n",    # negative dim
+        b"tensordump 1 0\nmeta a 1\nmeta a 2\nend\n",  # repeated meta key
     ]
     for raw in cases:
         path.write_bytes(raw)
