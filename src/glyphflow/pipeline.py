@@ -9,6 +9,7 @@ influence output bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, replace
@@ -203,9 +204,13 @@ def run_generate(
 
 
 def write_error_manifest(out_dir: str, config: RunConfig, exc: Exception) -> str | None:
-    """Best-effort machine-readable failure record; returns the path if written."""
+    """Best-effort machine-readable failure record; returns the path if written.
+    Generate's fixed-name outputs go first, so none is left beside the record."""
     try:
         os.makedirs(out_dir, exist_ok=True)
+        for name in ("output.pgm", "trace.bin"):
+            with contextlib.suppress(OSError):
+                os.remove(os.path.join(out_dir, name))
         manifest = RunManifest(
             config_hash=config_hash(config),
             error={"type": type(exc).__name__, "message": str(exc)},

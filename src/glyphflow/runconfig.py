@@ -173,8 +173,9 @@ def apply_overrides(config: RunConfig, values: dict[str, object]) -> RunConfig:
 
 
 def parse_values(text: str) -> dict[str, object]:
-    """The typed value of each key that the `key = value` lines of `text` set."""
+    """The typed value of each key that the `key = value` lines of `text` set, each once."""
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -185,6 +186,9 @@ def parse_values(text: str) -> dict[str, object]:
         key = key.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = _decode(key, _SCHEMA[key][2], raw.strip())
     return values
 

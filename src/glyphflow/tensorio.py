@@ -31,24 +31,23 @@ little-endian, C order); its last chunk may be shorter, and an empty tensor
 adds no digest. The chunk size is a constant, so a checksum depends on
 neither the machine nor the thread count, nor on how a tensor's bytes are
 split into the pieces a `ChecksumStream` is fed; the chunk digests are
-computed on one thread per core the process may use.
+computed on a pool of one thread per core the process may use.
 """
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import math
 import os
 import threading
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, MalformedHeader, ShapeMismatch
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 _MAGIC = "tensordump 1"
 _END = b"\nend\n"
@@ -252,15 +251,14 @@ def _hash(task: tuple) -> bytes | None:
     return None if tensor is None else hasher.digest()
 
 
-# the hashing threads of this process: (pid, pool, its thread count), made by
-# the first hash that has work for them and made again in a forked child
-_POOL: tuple[int, "ThreadPoolExecutor | None", int] | None = None
+# the hashing pool of this process and the pid it was made under; made by the
+# first hash that has work for it, and made again in a forked child
+_POOL: tuple[int, "ThreadPoolExecutor"] | None = None
 _POOL_LOCK = threading.Lock()
 
 
-def _hash_pool() -> tuple["ThreadPoolExecutor | None", int]:
-    """The process's hashing pool and its thread count: one thread per core
-    the process may use, less the calling thread's; (None, 0) with one core.
+def _hash_pool() -> "ThreadPoolExecutor":
+    """The process's hashing pool: one thread per core the process may use.
 
     A pool's threads do not survive a fork, so a pool made under another pid
     is dropped and a new one sized for this process.
@@ -275,52 +273,17 @@ def _hash_pool() -> tuple["ThreadPoolExecutor | None", int]:
             # imported here so that an import of glyphflow does not pay for it
             from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(cores - 1, "glyphflow-hash") if cores > 1 else None
-            _POOL = (os.getpid(), pool, cores - 1)
-        return _POOL[1:]
-
-
-def _start_hashes(tasks: list[tuple]) -> Callable[[], list[bytes | None]]:
-    """Start hash tasks on the hashing pool and return the function that
-    finishes them: it hashes what is left on the calling thread, waits for
-    the pool, and returns the results in task order.
-
-    Every thread takes the next task from one shared queue until none is
-    left. hashlib releases the GIL while it hashes a large buffer, so the
-    threads run in parallel with each other and with the caller's own work
-    until it finishes them. No two tasks share a hasher. With one core
-    every task runs on the thread that finishes them.
-    """
-    results: list[bytes | None] = [None] * len(tasks)
-    queue = collections.deque(enumerate(tasks))  # popleft is atomic
-
-    def drain():
-        while True:
-            try:
-                index, task = queue.popleft()
-            except IndexError:
-                return
-            results[index] = _hash(task)
-
-    pool, threads = _hash_pool() if tasks else (None, 0)
-    helpers = [pool.submit(drain) for _ in range(min(threads, len(tasks)))] if pool else []
-
-    def finish() -> list[bytes | None]:
-        drain()
-        for helper in helpers:
-            helper.result()
-        return results
-
-    return finish
+            _POOL = (os.getpid(), ThreadPoolExecutor(cores, "glyphflow-hash"))
+        return _POOL[1]
 
 
 class ChecksumStream:
     """`tensors_checksum` of tensors whose bytes arrive piece by piece.
 
     Each tensor is declared up front by name, dtype token and shape, and
-    `update` appends the next C-order piece of any of them. It starts
-    hashing the pieces on the hashing pool and returns; `wait` finishes the
-    hashing, helping on the calling thread, and the next `update` and
+    `update` submits the next C-order piece of any of them to the hashing
+    pool and returns, so the hashing runs beside the caller's own work (hashlib
+    releases the GIL); `wait` waits for it, and the next `update` and
     `hexdigest` call it first. A piece is read until `wait` returns, so the
     caller may overwrite it only after that. Between updates only the sha256
     state of a chunk that a piece left unfinished is kept, never the bytes.
@@ -332,11 +295,11 @@ class ChecksumStream:
         self._fed = dict.fromkeys(tensors, 0)
         self._digests: dict[str, list[bytes]] = {name: [] for name in tensors}
         self._open: dict[str, object] = {}  # sha256 of each unfinished chunk
-        self._hashing: tuple[list[tuple], Callable[[], list[bytes | None]]] | None = None
+        self._hashing: list[tuple[str | None, "Future"]] = []
 
     def update(self, pieces: dict[str, np.ndarray]):
-        """Start hashing the next bytes of each named tensor, on up to one
-        thread per core, once the last update's hashing is done."""
+        """Submit the next bytes of each named tensor to the hashing pool,
+        once the last update's hashing is done. No two runs share a hasher."""
         self.wait()
         tasks = []
         for name, piece in pieces.items():
@@ -353,15 +316,14 @@ class ChecksumStream:
                 tasks.append((hasher, raw[start:stop], None if name in self._open else name))
                 start = stop
             self._fed[name] = fed + raw.size
-        self._hashing = (tasks, _start_hashes(tasks))
+        pool = _hash_pool() if tasks else None
+        self._hashing = [(task[2], pool.submit(_hash, task)) for task in tasks]
 
     def wait(self):
-        """Finish hashing the last update's pieces; after this they are never read."""
-        if self._hashing is None:
-            return
-        tasks, finish = self._hashing
-        self._hashing = None
-        for (_, _, name), digest in zip(tasks, finish()):
+        """Wait for the last update's hashing; after this its pieces are never read."""
+        hashing, self._hashing = self._hashing, []
+        for name, future in hashing:
+            digest = future.result()
             if name is not None:
                 self._digests[name].append(digest)
 

@@ -320,12 +320,14 @@ def test_sweep_reads_no_sampler_cutoff(tmp_path, capsys):
     d = tmp_path / "flag"
     assert main(["sweep", "--config", str(conf), "--steps", "1", "--out-dir", str(d)]) == 0
     same = tmp_path / "file.conf"
-    same.write_text(conf.read_text() + "sampler.steps = 1\nsampler.cutoff = 1\n")
+    same.write_text(
+        conf.read_text().replace("steps = 4\nsampler.cutoff = 2", "steps = 1\nsampler.cutoff = 1")
+    )
     assert main(["sweep", "--config", str(same), "--out-dir", str(tmp_path / "file")]) == 0
     # the same steps from a file line: the file, the flags and the cutoff rule
     # make one key -> value map before any section is validated
     steps_line = tmp_path / "steps.conf"
-    steps_line.write_text(conf.read_text() + "sampler.steps = 1\n")
+    steps_line.write_text(conf.read_text().replace("sampler.steps = 4", "sampler.steps = 1"))
     assert main(["sweep", "--config", str(steps_line), "--out-dir", str(tmp_path / "line")]) == 0
     for name in ("sweep_attention_shift.csv", "sweep_mask_coverage.csv"):
         assert (d / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
@@ -356,7 +358,10 @@ def test_sweep_grid_out_of_range_exits_2_before_any_forward(monkeypatch, tmp_pat
 
     monkeypatch.setattr(glyphflow.sampler, "forward", counted)
     conf = tmp_path / "grid.conf"
-    conf.write_text(TINY_CONF + f"sweep.ratios = 0.5\nsweep.steps = 1\n{grid}\n")
+    # each key is set once: the grid line replaces that key's valid line
+    lines = {"sweep.ratios": "sweep.ratios = 0.5", "sweep.steps": "sweep.steps = 1"}
+    lines[grid.split()[0]] = grid
+    conf.write_text(TINY_CONF + "\n".join(lines.values()) + "\n")
     d = tmp_path / "o"
     assert main(["sweep", "--config", str(conf), "--out-dir", str(d)]) == 2
     err = capsys.readouterr().err
@@ -479,6 +484,26 @@ def test_oversized_scale_overflows_the_canvas(tmp_path, conf, capsys):
     assert "exceeds canvas" in capsys.readouterr().err
     man = RunManifest.load(str(d / "manifest.json"))
     assert man.error["type"] == "TextOverflow"
+
+
+def test_failed_generate_leaves_no_earlier_output_beside_its_error_manifest(tmp_path, conf):
+    d = tmp_path / "d"
+    argv = ["generate", "--config", conf, "--out-dir", str(d)]
+    assert main(argv + ["--save-trace"]) == 0
+    assert (d / "output.pgm").exists() and (d / "trace.bin").exists()
+    assert main(argv + ["--word", "averyveryverylongword"]) == 2
+    man = RunManifest.load(str(d / "manifest.json"))
+    assert man.error["type"] == "TextOverflow" and man.outputs == {}
+    assert sorted(p.name for p in d.iterdir()) == ["manifest.json"]
+
+
+def test_config_setting_a_key_twice_exits_2(tmp_path, capsys):
+    dup = tmp_path / "dup.cfg"
+    dup.write_text("sampler.steps = 10\nsampler.steps = 12\n")
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(dup), "--out-dir", str(out)]) == 2
+    assert "already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -20,7 +20,14 @@ from glyphflow import (
     serialize,
 )
 from glyphflow.errors import read_text
-from glyphflow.runconfig import _SCHEMA, IOConfig, InjectionConfig, SweepConfig, apply_overrides
+from glyphflow.runconfig import (
+    _SCHEMA,
+    IOConfig,
+    InjectionConfig,
+    SweepConfig,
+    apply_overrides,
+    parse_values,
+)
 
 
 def test_defaults_match_reference_protocol():
@@ -106,6 +113,18 @@ def test_parse_rejects_unknown_and_malformed():
         parse("injection.ratio = 1.5\n")
     with pytest.raises(ConfigError):
         parse("sampler.cutoff = 99\n")
+
+
+def test_parse_values_refuses_a_key_set_twice():
+    text = "sampler.steps = 10\n# a comment\nio.word = a\nsampler.steps = 12\n"
+    with pytest.raises(ConfigError, match=r"line 4: key 'sampler.steps' already set on line 1"):
+        parse_values(text)
+    # the same value twice is refused too; distinct keys each once are not
+    with pytest.raises(ConfigError, match="sampler.steps"):
+        parse_values("sampler.steps = 10\nsampler.steps = 10\n")
+    assert parse_values("sampler.steps = 10\nsampler.cutoff = 4\n") == {
+        "sampler.steps": 10, "sampler.cutoff": 4,
+    }
 
 
 def test_parse_file(tmp_path):

@@ -4,6 +4,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -420,7 +421,7 @@ def test_forked_child_hashes_with_its_own_pool(monkeypatch):
         try:
             os.close(read_end)
             digest = tensors_checksum({"a": values, "b": values[::-1]})
-            fresh = parent_pool[0] is None or tensorio._hash_pool()[0] is not parent_pool[0]
+            fresh = tensorio._hash_pool() is not parent_pool
             os.write(write_end, f"{digest} {fresh}".encode())
         finally:
             os._exit(0)
@@ -433,7 +434,28 @@ def test_forked_child_hashes_with_its_own_pool(monkeypatch):
     _, status = os.waitpid(pid, 0)
     assert status == 0
     assert reply == f"{here} True"
-    assert tensorio._hash_pool() == parent_pool
+    assert tensorio._hash_pool() is parent_pool
+
+
+def test_every_chunk_is_hashed_on_the_pool(monkeypatch):
+    """No run is hashed on the calling thread, whatever the core count: the
+    pool holds one thread per core, and the caller only waits for it."""
+    monkeypatch.setattr(tensorio, "_CHECKSUM_CHUNK", 64)
+    hash_run, threads = tensorio._hash, []
+
+    def recording_hash(task):
+        threads.append(threading.current_thread().name)
+        return hash_run(task)
+
+    monkeypatch.setattr(tensorio, "_hash", recording_hash)
+    values = np.arange(10_000, dtype=np.float64)
+    tensors_checksum({"a": values, "b": values[::-1]})
+    assert len(threads) == 2 * 1250
+    assert all(name.startswith("glyphflow-hash") for name in threads)
+    pool = tensorio._hash_pool()
+    assert tensorio._hash_pool() is pool
+    if hasattr(os, "sched_getaffinity"):
+        assert pool._max_workers == len(os.sched_getaffinity(0))
 
 
 _NUM = st.one_of(st.integers(-2, 40), st.sampled_from([0, 1 << 32, 1 << 62, 1 << 70]))
