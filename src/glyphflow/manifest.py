@@ -48,23 +48,23 @@ class RunManifest:
         try:
             doc = json.loads(text)
             return cls(
-                version=_string(doc["version"], "version"),
-                config_hash=_string(doc["config_hash"], "config_hash"),
+                version=_field(doc, "version", str),
+                config_hash=_field(doc, "config_hash", str),
                 step_logs=[
                     StepLog(
-                        step=int(s["step"]),
-                        t=float(s["t"]),
-                        injected_layer_count=int(s["injected_layer_count"]),
+                        step=_field(s, "step", int),
+                        t=float(_field(s, "t", int, float)),
+                        injected_layer_count=_field(s, "injected_layer_count", int),
                     )
                     for s in doc["step_logs"]
                 ],
                 outputs=_strings(doc["outputs"], "outputs"),
-                metrics={k: float(v) for k, v in doc["metrics"].items()},
+                metrics={k: float(_field(doc["metrics"], k, int, float)) for k in doc["metrics"].keys()},
                 checksums=_strings(doc["checksums"], "checksums"),
                 error=None if doc["error"] is None else _strings(doc["error"], "error"),
             )
-        # AttributeError: metrics that are not an object; OverflowError: int(inf)
-        # or float() of a huge int; RecursionError: deeply nested arrays
+        # AttributeError: metrics that are not an object; OverflowError: float()
+        # of a huge int; RecursionError: deeply nested arrays
         except (
             AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError
         ) as exc:
@@ -75,10 +75,11 @@ class RunManifest:
         return cls.from_json(read_text(path, "manifest"))
 
 
-def _string(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"malformed manifest: {name} must be a string")
-    return value
+def _field(doc: dict, key: str, *types: type):
+    # exact types: a JSON true is a bool, which isinstance() would take for an int
+    if type(doc[key]) not in types:
+        raise ConfigError(f"malformed manifest: {key} is a {type(doc[key]).__name__}")
+    return doc[key]
 
 
 def _strings(value, name: str) -> dict[str, str]:

@@ -11,19 +11,29 @@ softmax probabilities, partitioned at index t_txt into T2T / T2I / I2T / I2I
 sub-blocks. A hook may rewrite I2I logits after scaling and before softmax,
 may capture either map, and may have each layer's I2I blocks handed to a sink
 as soon as that layer's softmax is done.
+
+Each layer's per-head attention (QK^T, scale, check, softmax, PV) runs as
+contiguous head groups, one per worker-pool thread (`tensorio.worker_pool`)
+and at most one per head: the caller runs the first and all else, hooks
+included, and the pool the rest. Every BLAS call holds numpy's bundled
+OpenBLAS to one thread (`openblas_set_num_threads_local`); where that symbol
+is missing, the heads run as one group. No output byte depends on grouping.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteActivation, ShapeMismatch
 from .glyphs import GlyphImage
-from .tensorio import tensors_checksum
+from .tensorio import tensors_checksum, worker_pool
 
 TEXT_TABLE_ROWS = 4096
 _LN_EPS = 1e-6
@@ -255,6 +265,47 @@ def init_model(cfg: ModelConfig) -> ModelWeights:
     )
 
 
+# ---------------------------------------------------------------- threads
+
+
+@cache
+def _blas_setter() -> Callable[[int], int] | None:
+    """`openblas_set_num_threads_local` of numpy's bundled OpenBLAS, which
+    returns the count it replaces; None where there is no such symbol."""
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "libscipy_openblas*")))
+    setter = getattr(ctypes.CDLL(paths[0]) if paths else None, "openblas_set_num_threads_local", None)
+    if setter is not None:
+        setter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+    return setter
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread for the block, then restore the count it had."""
+    setter = _blas_setter() or (lambda count: count)
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
+def _run_groups(work: Callable[[slice], None], groups: list[slice]):
+    """work(heads) per group, the first here and the rest on the worker pool;
+    once all are done, raises the first failing group's error in group order."""
+    pool = worker_pool()[0] if len(groups) > 1 else None
+    futures = [pool.submit(_one_blas_thread()(work), heads) for heads in groups[1:]]
+    try:
+        work(groups[0])
+    finally:
+        errors = [future.exception() for future in futures]
+    for error in filter(None, errors):
+        raise error
+
+
 # ---------------------------------------------------------------- embeddings
 
 
@@ -306,6 +357,7 @@ def unpatchify(tokens: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(cfg.canvas, cfg.canvas)
 
 
+@_one_blas_thread()
 def embed_patches(weights: ModelWeights, raw: np.ndarray) -> np.ndarray:
     """Linear patch embedding plus additive 2-D position encoding."""
     if raw.shape != (weights.cfg.n_img, weights.cfg.patch_dim):
@@ -376,6 +428,7 @@ def _require_finite(arr: np.ndarray, what: str, layer: int):
         raise NonFiniteActivation(f"non-finite {what} at layer {layer}")
 
 
+@_one_blas_thread()
 def forward(
     weights: ModelWeights,
     tokens: TokenSequence,
@@ -400,6 +453,10 @@ def forward(
     right after the layer's softmax; full-map captures are copies, taken
     right after the sink. With `hook.velocity` False the pass ends there at
     the last layer and the velocity is None.
+
+    Head groups (see the module docstring) run once per layer, or with an
+    override twice: QK^T and scale, then the rest. OpenBLAS is held to one
+    thread for the call, and its previous count restored.
     """
     cfg = weights.cfg
     if not 0.0 <= t <= 1.0:
@@ -415,9 +472,24 @@ def forward(
     # one block for the pair: with two 2.4 MB maps instead, glibc trims its heap
     # more often and a default sweep op takes ~40k more minor page faults
     logits, probs = np.empty((2, n_heads, seq, seq))
+    ctx = np.empty((n_heads, seq, d_head))  # each head's attention output
+    override = hook.override if hook is not None else None
     sink = hook.sink if hook is not None else None
-    want_velocity = hook is None or hook.velocity
-    last = cfg.n_layers - 1
+    stop_at = cfg.n_layers - 1 if hook is not None and not hook.velocity else None
+    n = min(n_heads, worker_pool()[1]) if _blas_setter() else 1
+    groups = [slice(n_heads * g // n, n_heads * (g + 1) // n) for g in range(n)]
+
+    def scores(heads: slice):  # with no override to wait for, the rest follows at once
+        np.matmul(q[heads], k[heads].transpose(0, 2, 1), out=logits[heads])
+        logits[heads] *= scale
+        if override is None:
+            attend(heads)
+
+    def attend(heads: slice):
+        _require_finite(logits[heads], "attention logits", layer)
+        _softmax_rows(logits[heads], out=probs[heads])
+        if v is not None:
+            np.matmul(probs[heads], v[heads], out=ctx[heads])
 
     x = tokens.joint()
     for layer, lw in enumerate(weights.layers):
@@ -426,16 +498,14 @@ def forward(
         h = _layernorm(x) * (1.0 + s1) + b1
         q = (h @ lw.wq).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         k = (h @ lw.wk).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
-        np.matmul(q, k.transpose(0, 2, 1), out=logits)
-        logits *= scale
-
-        if hook is not None and hook.override is not None:
+        v = None if layer == stop_at else (h @ lw.wv).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
+        _run_groups(scores, groups)
+        if override is not None:
             for head in range(n_heads):
                 block = logits[head, t_txt:, t_txt:]
-                block[...] = hook.override(hook.step, layer, head, block)
-        _require_finite(logits, "attention logits", layer)
+                block[...] = override(hook.step, layer, head, block)
+            _run_groups(attend, groups)
 
-        _softmax_rows(logits, out=probs)
         if sink is not None:
             sink(hook.step, layer, logits[:, t_txt:, t_txt:], probs[:, t_txt:, t_txt:])
         if hook is not None and (hook.store_logits or hook.store_probs):
@@ -444,13 +514,10 @@ def forward(
                 logits=logits.copy() if hook.store_logits else None,
                 probs=probs.copy() if hook.store_probs else None,
             )
-        if layer == last and not want_velocity:
+        if layer == stop_at:
             return None, captured
 
-        v = (h @ lw.wv).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
-        ctx = (probs @ v).transpose(1, 0, 2).reshape(seq, cfg.d_model)
-        x = x + ctx @ lw.wo
-
+        x = x + ctx.transpose(1, 0, 2).reshape(seq, cfg.d_model) @ lw.wo
         h2 = _layernorm(x) * (1.0 + s2) + b2
         x = x + _gelu(h2 @ lw.w1) @ lw.w2
         _require_finite(x, "block output", layer)

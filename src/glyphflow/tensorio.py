@@ -31,7 +31,7 @@ little-endian, C order); its last chunk may be shorter, and an empty tensor
 adds no digest. The chunk size is a constant, so a checksum depends on
 neither the machine nor the thread count, nor on how a tensor's bytes are
 split into the pieces a `ChecksumStream` is fed; the chunk digests are
-computed on a pool of one thread per core the process may use.
+computed on the process's worker pool (`worker_pool`).
 """
 
 from __future__ import annotations
@@ -251,14 +251,16 @@ def _hash(task: tuple) -> bytes | None:
     return None if tensor is None else hasher.digest()
 
 
-# the hashing pool of this process and the pid it was made under; made by the
-# first hash that has work for it, and made again in a forked child
-_POOL: tuple[int, "ThreadPoolExecutor"] | None = None
+# the pid the worker pool was made under, the pool and its thread count; made
+# by the first call that has work for it, and made again in a forked child
+_POOL: tuple[int, "ThreadPoolExecutor", int] | None = None
 _POOL_LOCK = threading.Lock()
 
 
-def _hash_pool() -> "ThreadPoolExecutor":
-    """The process's hashing pool: one thread per core the process may use.
+def worker_pool() -> tuple["ThreadPoolExecutor", int]:
+    """The process's one worker pool, one thread per core it may use, and its
+    thread count. `ChecksumStream` hashes on it and `model.forward` runs head
+    groups on it; no task on it waits for another.
 
     A pool's threads do not survive a fork, so a pool made under another pid
     is dropped and a new one sized for this process.
@@ -273,15 +275,15 @@ def _hash_pool() -> "ThreadPoolExecutor":
             # imported here so that an import of glyphflow does not pay for it
             from concurrent.futures import ThreadPoolExecutor
 
-            _POOL = (os.getpid(), ThreadPoolExecutor(cores, "glyphflow-hash"))
-        return _POOL[1]
+            _POOL = (os.getpid(), ThreadPoolExecutor(cores, "glyphflow-worker"), cores)
+        return _POOL[1], _POOL[2]
 
 
 class ChecksumStream:
     """`tensors_checksum` of tensors whose bytes arrive piece by piece.
 
     Each tensor is declared up front by name, dtype token and shape, and
-    `update` submits the next C-order piece of any of them to the hashing
+    `update` submits the next C-order piece of any of them to the worker
     pool and returns, so the hashing runs beside the caller's own work (hashlib
     releases the GIL); `wait` waits for it, and the next `update` and
     `hexdigest` call it first. A piece is read until `wait` returns, so the
@@ -298,7 +300,7 @@ class ChecksumStream:
         self._hashing: list[tuple[str | None, "Future"]] = []
 
     def update(self, pieces: dict[str, np.ndarray]):
-        """Submit the next bytes of each named tensor to the hashing pool,
+        """Submit the next bytes of each named tensor to the worker pool,
         once the last update's hashing is done. No two runs share a hasher."""
         self.wait()
         tasks = []
@@ -316,7 +318,7 @@ class ChecksumStream:
                 tasks.append((hasher, raw[start:stop], None if name in self._open else name))
                 start = stop
             self._fed[name] = fed + raw.size
-        pool = _hash_pool() if tasks else None
+        pool = worker_pool()[0] if tasks else None
         self._hashing = [(task[2], pool.submit(_hash, task)) for task in tasks]
 
     def wait(self):

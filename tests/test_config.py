@@ -239,6 +239,44 @@ def test_manifest_field_types(field, value):
         RunManifest.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        ("step", "step", 1.7),
+        ("step", "step", 1.0),
+        ("step", "step", True),
+        ("step", "step", "3"),
+        ("step", "injected_layer_count", 6.0),
+        ("step", "injected_layer_count", False),
+        ("step", "injected_layer_count", "6"),
+        ("step", "t", "nan"),
+        ("step", "t", "1.0"),
+        ("step", "t", True),
+        ("step", "t", None),
+        ("metric", "char_f1", "1e999"),
+        ("metric", "char_f1", True),
+        ("metric", "char_f1", None),
+    ],
+)
+def test_manifest_refuses_numbers_of_the_wrong_type(where, key, value):
+    """No coercion: a bool, a string or a float is not a step count, and a
+    bool or a string is not a time or a metric."""
+    doc = json.loads(_VALID_MANIFEST)
+    (doc["step_logs"][0] if where == "step" else doc["metrics"])[key] = value
+    with pytest.raises(ConfigError, match=f"malformed manifest: {key} is a "):
+        RunManifest.from_json(json.dumps(doc))
+
+
+def test_manifest_keeps_numbers_of_the_right_type():
+    doc = json.loads(_VALID_MANIFEST)
+    doc["step_logs"][0].update(step=3, t=0, injected_layer_count=0)
+    doc["metrics"] = {"char_f1": 1, "coverage": 0.25}
+    back = RunManifest.from_json(json.dumps(doc))
+    assert back.step_logs == [StepLog(step=3, t=0.0, injected_layer_count=0)]
+    assert back.metrics == {"char_f1": 1.0, "coverage": 0.25}
+    assert RunManifest.from_json(back.to_json()) == back
+
+
 def test_apply_overrides():
     assert apply_overrides(RunConfig(), {}) == RunConfig()
     text = "sampler.steps = 4\nsampler.cutoff = 2\ninjection.mode = row_max\n"

@@ -1,3 +1,8 @@
+import glob
+import hashlib
+import os
+import select
+import signal
 import sys
 import threading
 
@@ -21,6 +26,7 @@ from glyphflow import (
     timestep_embedding,
     unpatchify,
 )
+from glyphflow import model, tensorio
 from glyphflow.model import TEXT_TABLE_ROWS, _gelu, _softmax_rows
 
 
@@ -445,6 +451,223 @@ def test_in_place_override_matches_returned_copy(tiny_weights, tiny_glyph):
         vel, caps = forward(tiny_weights, tokens, 0.5, hook)
         results.append([vel.tobytes()] + [caps[layer].logits.tobytes() for layer in sorted(caps)])
     assert results[0] == results[1]
+
+
+# ------------------------------------------------------------------
+# attention head groups and the OpenBLAS limit
+# ------------------------------------------------------------------
+
+# four heads, so that one, two and four head groups all differ
+FOUR_HEADS = ModelConfig(d_model=16, n_heads=4, n_layers=2, patch=4, grid=4, t_txt=4, seed=0)
+
+
+def _halve_copy(step, layer, head, block):
+    return block * 0.5
+
+
+def _halve_in_place(step, layer, head, block):
+    block *= 0.5
+    return block
+
+
+# hook kind -> AttentionHook arguments; "sink" adds a sink that copies its blocks
+HOOK_KINDS = {
+    "plain": {},
+    "capture": dict(store_logits=True, store_probs=True),
+    "override_copy": dict(store_logits=True, store_probs=True, override=_halve_copy),
+    "override_in_place": dict(store_logits=True, store_probs=True, override=_halve_in_place),
+    "sink": dict(sink=True),
+    "no_velocity": dict(store_logits=True, store_probs=True, sink=True, velocity=False),
+}
+
+
+def _observed(weights, tokens, kind):
+    """Everything a caller sees of one forward: velocity, full maps, sink bytes."""
+    kwargs = dict(HOOK_KINDS[kind], step=1)
+    sunk = []
+    if kwargs.pop("sink", False):
+        kwargs["sink"] = lambda step, layer, logits, probs: sunk.append(
+            (step, layer, logits.tobytes(), probs.tobytes())
+        )
+    vel, caps = forward(weights, tokens, 0.5, AttentionHook(**kwargs))
+    maps = [(layer, caps[layer].logits.tobytes(), caps[layer].probs.tobytes()) for layer in caps]
+    return None if vel is None else vel.tobytes(), maps, sunk
+
+
+def _force_groups(monkeypatch, count):
+    """Make forward split its heads into `count` groups, whatever the core
+    count, with a stand-in limit where numpy's OpenBLAS has none."""
+    pool, _ = tensorio.worker_pool()
+    monkeypatch.setattr(model, "worker_pool", lambda: (pool, count))
+    setter = model._blas_setter() or (lambda threads: threads)
+    monkeypatch.setattr(model, "_blas_setter", lambda: setter)
+
+
+@pytest.fixture(scope="module")
+def four_heads():
+    weights = init_model(FOUR_HEADS)
+    glyph = np.zeros((FOUR_HEADS.canvas, FOUR_HEADS.canvas))
+    glyph[4:12, 6:9] = 1.0
+    return weights, make_tokens(weights, "A b", glyph)
+
+
+@pytest.mark.parametrize("kind", sorted(HOOK_KINDS))
+def test_head_groups_change_no_byte(monkeypatch, four_heads, kind):
+    weights, tokens = four_heads
+    default = _observed(weights, tokens, kind)
+    assert (default[0] is None) == (kind == "no_velocity")
+    assert bool(default[1]) == ("store_probs" in HOOK_KINDS[kind])
+    assert len(default[2]) == (FOUR_HEADS.n_layers if HOOK_KINDS[kind].get("sink") else 0)
+    for count in (1, 2, FOUR_HEADS.n_heads):
+        _force_groups(monkeypatch, count)
+        assert _observed(weights, tokens, kind) == default, count
+
+
+def test_hooks_run_on_the_calling_thread(monkeypatch, four_heads):
+    """With a group per head, the override and the sink still run on the
+    caller's thread, and forward's groups do run on the pool."""
+    weights, tokens = four_heads
+    _force_groups(monkeypatch, FOUR_HEADS.n_heads)
+    hook_threads, group_threads = set(), set()
+    attend = model._softmax_rows
+
+    def recording_softmax(logits, out):
+        group_threads.add(threading.get_ident())
+        return attend(logits, out)
+
+    monkeypatch.setattr(model, "_softmax_rows", recording_softmax)
+
+    def override(step, layer, head, block):
+        hook_threads.add(threading.get_ident())
+        return block
+
+    def sink(step, layer, logits, probs):
+        hook_threads.add(threading.get_ident())
+
+    forward(weights, tokens, 0.5, AttentionHook(override=override, sink=sink))
+    assert hook_threads == {threading.get_ident()}
+    assert threading.get_ident() in group_threads and len(group_threads) > 1
+
+
+def test_every_group_holds_its_own_thread_to_one_blas_thread(monkeypatch, four_heads):
+    """With a per-thread limit (as OpenBLAS builds with OpenMP have), each
+    group's thread runs its BLAS calls at one thread and gets its count back."""
+    weights, tokens = four_heads
+    _force_groups(monkeypatch, FOUR_HEADS.n_heads)
+    counts, seen = {}, []
+
+    def per_thread_setter(count):
+        previous = counts.get(threading.get_ident(), 2)
+        counts[threading.get_ident()] = count
+        return previous
+
+    monkeypatch.setattr(model, "_blas_setter", lambda: per_thread_setter)
+    attend = model._softmax_rows
+
+    def recording_softmax(logits, out):
+        seen.append((threading.get_ident(), counts.get(threading.get_ident(), 2)))
+        return attend(logits, out)
+
+    monkeypatch.setattr(model, "_softmax_rows", recording_softmax)
+    forward(weights, tokens, 0.5)
+    assert len({thread for thread, _ in seen}) > 1
+    assert {count for _, count in seen} == {1}
+    assert set(counts.values()) == {2}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_runs_forward_on_its_own_pool(four_heads):
+    """The parent's pool threads do not exist in a forked child; its forward
+    makes a new pool and gives the parent's bytes."""
+    weights, tokens = four_heads
+    want = hashlib.sha256(repr(_observed(weights, tokens, "capture")).encode()).hexdigest()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report its digest, then exit
+        try:
+            os.close(read_end)
+            got = _observed(weights, tokens, "capture")
+            os.write(write_end, hashlib.sha256(repr(got).encode()).hexdigest().encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        ready, _, _ = select.select([fh], [], [], 60)
+        if not ready:  # a child stuck on the parent's dead threads
+            os.kill(pid, signal.SIGKILL)
+        reply = fh.read().decode() if ready else "timed out"
+    _, status = os.waitpid(pid, 0)
+    assert status == 0
+    assert reply == want
+
+
+def test_blas_limit_is_one_inside_and_restored_after(four_heads):
+    weights, tokens = four_heads
+    setter = model._blas_setter()
+    if setter is None:
+        pytest.skip("numpy's OpenBLAS exports no openblas_set_num_threads_local")
+    inside = []
+
+    def sink(step, layer, logits, probs):
+        inside.append(setter(1))  # the setter returns the count it replaces
+
+    original = setter(3)
+    try:
+        forward(weights, tokens, 0.5, AttentionHook(sink=sink))
+        assert setter(3) == 3
+        embed_patches(weights, np.zeros((FOUR_HEADS.n_img, FOUR_HEADS.patch_dim)))
+        assert setter(3) == 3
+        with pytest.raises(NonFiniteActivation, match="non-finite attention logits at layer 0"):
+            forward(weights, tokens, 0.5, AttentionHook(override=lambda s, l, h, b: b * np.inf))
+        assert setter(3) == 3
+    finally:
+        setter(original)
+    assert inside == [1] * FOUR_HEADS.n_layers
+
+
+def test_no_blas_symbol_means_one_group(monkeypatch, four_heads):
+    """Where the lookup finds no OpenBLAS, forward runs its heads as one group
+    on the caller, never touches the pool, and gives the same bytes."""
+    weights, tokens = four_heads
+    want = {kind: _observed(weights, tokens, kind) for kind in HOOK_KINDS}
+    model._blas_setter.cache_clear()
+    try:
+        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+        assert model._blas_setter() is None
+
+        def no_pool():
+            raise AssertionError("forward used the worker pool")
+
+        monkeypatch.setattr(model, "worker_pool", no_pool)
+        for kind in HOOK_KINDS:
+            assert _observed(weights, tokens, kind) == want[kind], kind
+        with pytest.raises(NonFiniteActivation, match="non-finite attention logits at layer 0"):
+            forward(weights, tokens, 0.5, AttentionHook(override=lambda s, l, h, b: b * np.inf))
+    finally:
+        model._blas_setter.cache_clear()
+
+
+def test_first_failing_group_raises_after_all_groups(monkeypatch, four_heads):
+    """A non-finite head in a later group raises forward's own error, and only
+    once every group is done."""
+    weights, tokens = four_heads
+    _force_groups(monkeypatch, FOUR_HEADS.n_heads)
+    done = []
+    attend = model._softmax_rows
+
+    def recording_softmax(logits, out):
+        done.append(threading.get_ident())
+        return attend(logits, out)
+
+    monkeypatch.setattr(model, "_softmax_rows", recording_softmax)
+
+    def poison_last_head(step, layer, head, block):
+        return block * np.inf if head == FOUR_HEADS.n_heads - 1 else block
+
+    with pytest.raises(NonFiniteActivation, match="^non-finite attention logits at layer 0$"):
+        forward(weights, tokens, 0.5, AttentionHook(override=poison_last_head))
+    # the other three groups each ran their softmax before forward raised
+    assert len(done) == FOUR_HEADS.n_heads - 1
 
 
 # ------------------------------------------------------------------

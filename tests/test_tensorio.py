@@ -414,14 +414,14 @@ def test_forked_child_hashes_with_its_own_pool(monkeypatch):
     monkeypatch.setattr(tensorio, "_CHECKSUM_CHUNK", 64)
     values = np.arange(10_000, dtype=np.float64)
     here = tensors_checksum({"a": values, "b": values[::-1]})
-    parent_pool = tensorio._hash_pool()
+    parent_pool = tensorio.worker_pool()[0]
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: report its digest and whether its pool is new, then exit
         try:
             os.close(read_end)
             digest = tensors_checksum({"a": values, "b": values[::-1]})
-            fresh = tensorio._hash_pool() is not parent_pool
+            fresh = tensorio.worker_pool()[0] is not parent_pool
             os.write(write_end, f"{digest} {fresh}".encode())
         finally:
             os._exit(0)
@@ -434,7 +434,7 @@ def test_forked_child_hashes_with_its_own_pool(monkeypatch):
     _, status = os.waitpid(pid, 0)
     assert status == 0
     assert reply == f"{here} True"
-    assert tensorio._hash_pool() is parent_pool
+    assert tensorio.worker_pool()[0] is parent_pool
 
 
 def test_every_chunk_is_hashed_on_the_pool(monkeypatch):
@@ -451,11 +451,12 @@ def test_every_chunk_is_hashed_on_the_pool(monkeypatch):
     values = np.arange(10_000, dtype=np.float64)
     tensors_checksum({"a": values, "b": values[::-1]})
     assert len(threads) == 2 * 1250
-    assert all(name.startswith("glyphflow-hash") for name in threads)
-    pool = tensorio._hash_pool()
-    assert tensorio._hash_pool() is pool
+    assert all(name.startswith("glyphflow-worker") for name in threads)
+    pool, workers = tensorio.worker_pool()
+    assert tensorio.worker_pool() == (pool, workers)
+    assert pool._max_workers == workers
     if hasattr(os, "sched_getaffinity"):
-        assert pool._max_workers == len(os.sched_getaffinity(0))
+        assert workers == len(os.sched_getaffinity(0))
 
 
 _NUM = st.one_of(st.integers(-2, 40), st.sampled_from([0, 1 << 32, 1 << 62, 1 << 70]))
