@@ -33,7 +33,7 @@ from .pipeline import (
 )
 from .runconfig import _SCHEMA, RunConfig, _decode, apply_overrides, describe_keys, parse_values
 from .sampler import AttentionTrace, reconstruct_capture
-from .tensorio import read_tensors
+from .tensorio import read_tensors, replacing
 
 
 # the config keys that have flags, per run command: each offers exactly the
@@ -179,7 +179,7 @@ def cmd_analyze(args) -> int:
     )
     os.makedirs(out_dir, exist_ok=True)
     shift_path = os.path.join(out_dir, "shift.csv")
-    with open(shift_path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(shift_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(result.shift_csv)
     raw_path = os.path.join(out_dir, "scores_raw.bin")
     save_scores(raw_path, result.raw_scores)

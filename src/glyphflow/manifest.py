@@ -6,6 +6,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, read_text
+from .tensorio import replacing
 
 VERSION = "0.1.0"
 
@@ -40,7 +41,7 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
 
     @classmethod

@@ -12,18 +12,20 @@ sub-blocks. A hook may rewrite I2I logits after scaling and before softmax,
 may capture either map, and may have each layer's I2I blocks handed to a sink
 as soon as that layer's softmax is done.
 
-Each layer's per-head attention (QK^T, scale, check, softmax, PV) runs as
-contiguous head groups, one per worker-pool thread (`tensorio.worker_pool`)
-and at most one per head: the caller runs the first and all else, hooks
-included, and the pool the rest. Every BLAS call holds numpy's bundled
-OpenBLAS to one thread (`openblas_set_num_threads_local`); where that symbol
-is missing, the heads run as one group. No output byte depends on grouping.
+A forward of one sequence runs each layer's per-head attention (QK^T, scale,
+check, softmax, PV) as contiguous head groups, one per worker-pool thread
+(`tensorio.worker_pool`) and at most one per head: the caller runs the first
+and all else, hooks included, and the pool the rest. A CFG pair's forward
+runs branch 0 on the caller and branch 1 on the pool, each whole. Every BLAS
+call holds numpy's bundled OpenBLAS to one thread; without that symbol, or
+on one core, all runs on the caller. No output byte depends on grouping.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cache
@@ -116,6 +118,7 @@ class JointAttention:
 
     `logits` and `probs` are copies of the layer's maps that belong to the
     capture: later forwards never write them, so a consumer may keep them.
+    A CFG pair's capture stacks its two branches' maps along a leading axis.
     """
 
     t_txt: int
@@ -126,7 +129,18 @@ class JointAttention:
         arr = getattr(self, which)
         if arr is None:
             raise ConfigError(f"{which} were not captured")
-        return arr[:, self.t_txt :, self.t_txt :]
+        return arr[..., self.t_txt :, self.t_txt :]
+
+    @classmethod
+    def stacked(cls, branches: list["JointAttention"]) -> "JointAttention":
+        """One layer's captures of a CFG pair's branches, stacked along a leading axis."""
+        maps = [[getattr(part, which) for part in branches] for which in ("logits", "probs")]
+        return cls(branches[0].t_txt, *(None if a[0] is None else np.stack(a) for a in maps))
+
+    def branch(self, index: int) -> "JointAttention":
+        """Branch `index`'s maps of a stacked capture, as views."""
+        maps = (self.logits, self.probs)
+        return JointAttention(self.t_txt, *(None if a is None else a[index] for a in maps))
 
 
 OverrideFn = Callable[[int, int, int, np.ndarray], np.ndarray]
@@ -162,6 +176,10 @@ class AttentionHook:
 
     A hook with no flag, override or sink set runs the same forward as no
     hook, so a caller may build one hook per step whatever it turns on.
+
+    A forward of one sequence runs the override and the sink on the calling
+    thread. A CFG pair's hook has no sink, and each branch calls the override
+    on its own thread, branch 1 on a pool thread where the branches run at once.
     """
 
     store_logits: bool = False
@@ -240,26 +258,20 @@ def init_model(cfg: ModelConfig) -> ModelWeights:
     text_table = rng.standard_normal((TEXT_TABLE_ROWS, d)) / math.sqrt(d)
     pad_vec = rng.standard_normal(d) / math.sqrt(d)
     patch_w = rng.standard_normal((cfg.patch_dim, d)) / math.sqrt(cfg.patch_dim)
-    layers = []
-    for _ in range(cfg.n_layers):
-        layers.append(
-            LayerWeights(
-                wq=rng.standard_normal((d, d)) / math.sqrt(d),
-                wk=rng.standard_normal((d, d)) / math.sqrt(d),
-                wv=rng.standard_normal((d, d)) / math.sqrt(d),
-                wo=rng.standard_normal((d, d)) / math.sqrt(d),
-                w1=rng.standard_normal((d, 4 * d)) / math.sqrt(d),
-                w2=rng.standard_normal((4 * d, d)) / math.sqrt(4 * d),
-                ada=rng.standard_normal((d, 4 * d)) / math.sqrt(d),
-            )
-        )
+    # each layer's matrices in draw order; fan_in is a matrix's row count
+    square, wide = (d, d), (d, 4 * d)
+    shapes = dict(wq=square, wk=square, wv=square, wo=square, w1=wide, w2=(4 * d, d), ada=wide)
+    layers = tuple(
+        LayerWeights(**{k: rng.standard_normal(s) / math.sqrt(s[0]) for k, s in shapes.items()})
+        for _ in range(cfg.n_layers)
+    )
     head_w = rng.standard_normal((d, cfg.patch_dim)) / math.sqrt(d)
     return ModelWeights(
         cfg=cfg,
         text_table=text_table,
         pad_vec=pad_vec,
         patch_w=patch_w,
-        layers=tuple(layers),
+        layers=layers,
         head_w=head_w,
         pos_enc=image_position_encoding(cfg),
     )
@@ -282,21 +294,34 @@ def _blas_setter() -> Callable[[int], int] | None:
     return setter
 
 
+_HOLDS = [0, 0]  # open `_one_blas_thread` holds, and the count the first replaced
+_HOLDS_LOCK = threading.Lock()
+
+
 @contextmanager
 def _one_blas_thread():
-    """Hold OpenBLAS to one thread for the block, then restore the count it had."""
+    """Hold OpenBLAS to one thread for the block, then restore the count it
+    replaced, or, ending last of overlapping holds, the count the first one
+    replaced: numpy's pthreads OpenBLAS has one count for the process."""
     setter = _blas_setter() or (lambda count: count)
-    previous = setter(1)
+    with _HOLDS_LOCK:
+        previous = setter(1)
+        if not _HOLDS[0]:
+            _HOLDS[1] = previous
+        _HOLDS[0] += 1
     try:
         yield
     finally:
-        setter(previous)
+        with _HOLDS_LOCK:
+            _HOLDS[0] -= 1
+            setter(previous if _HOLDS[0] else _HOLDS[1])
 
 
-def _run_groups(work: Callable[[slice], None], groups: list[slice]):
-    """work(heads) per group, the first here and the rest on the worker pool;
-    once all are done, raises the first failing group's error in group order."""
-    pool = worker_pool()[0] if len(groups) > 1 else None
+def _run_groups(work: Callable[[slice], None], count: int, n: int):
+    """work(group) per one of n contiguous groups of range(count), the first here and
+    the rest on the worker pool; then raises the first failing group's error."""
+    groups = [slice(count * g // n, count * (g + 1) // n) for g in range(n)]
+    pool = worker_pool()[0] if n > 1 else None
     futures = [pool.submit(_one_blas_thread()(work), heads) for heads in groups[1:]]
     try:
         work(groups[0])
@@ -397,26 +422,29 @@ def _layernorm(x: np.ndarray) -> np.ndarray:
     return (x - mean) / np.sqrt(var + _LN_EPS)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
+def _gelu(
+    x: np.ndarray, inner: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Tanh GELU: 0.5 * x * (1 + tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x)))).
 
     Evaluated one in-place ufunc at a time in the plain expression's order, so
-    the result is bit-identical to it. `x` is left unchanged.
+    the result is bit-identical to it, into `inner` and `out` where given.
+    `x` is left unchanged unless it is `out`.
     """
-    inner = x * x
+    inner = np.multiply(x, x, out=inner)
     inner *= x
     inner *= 0.044715
     inner += x
     inner *= 0.7978845608028654
     np.tanh(inner, out=inner)
     inner += 1.0
-    out = 0.5 * x
+    out = np.multiply(0.5, x, out=out)
     out *= inner
     return out
 
 
 def _softmax_rows(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row softmax of `logits` into `out`, which is returned; `logits` is never written."""
+    """Row softmax of `logits` into `out`, returned; `logits` is unwritten unless it is `out`."""
     e = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
@@ -428,13 +456,12 @@ def _require_finite(arr: np.ndarray, what: str, layer: int):
         raise NonFiniteActivation(f"non-finite {what} at layer {layer}")
 
 
-@_one_blas_thread()
 def forward(
     weights: ModelWeights,
-    tokens: TokenSequence,
+    tokens: TokenSequence | tuple[TokenSequence, TokenSequence],
     t: float,
     hook: AttentionHook | None = None,
-) -> tuple[np.ndarray | None, dict[int, JointAttention]]:
+) -> tuple:
     """One joint-attention pass; returns (velocity (n_img, patch^2) or None, captures).
 
     Per block: pre-LN with timestep scale/shift, multi-head joint attention
@@ -444,40 +471,67 @@ def forward(
     linear velocity head. Reductions run in fixed ascending-index order, so
     the pass is bit-deterministic for fixed inputs.
 
-    Each call allocates one (heads, T, T) logits/probs pair and computes
-    every layer's maps in it, so the result depends only on the arguments:
-    a hook may run forward itself, and threads may share `weights`. The
-    override gets each head's I2I block as a view of the logits map, and its
-    return value is assigned back into that view. `hook.sink` gets
-    `hook.step`, the layer and its I2I blocks as views of the same pair,
-    right after the layer's softmax; full-map captures are copies, taken
-    right after the sink. With `hook.velocity` False the pass ends there at
-    the last layer and the velocity is None.
+    `tokens` may be a CFG pair: two sequences sharing `t` and a hook with no
+    sink. It gives two single forwards' bytes as ((velocity, velocity),
+    captures), each captured map stacked along a leading branch axis.
 
-    Head groups (see the module docstring) run once per layer, or with an
-    override twice: QK^T and scale, then the rest. OpenBLAS is held to one
-    thread for the call, and its previous count restored.
+    The calling thread allocates every buffer per call, so the result depends
+    only on the arguments: a hook may run forward itself, and threads may
+    share `weights`. A sequence's logits and probs share one (heads, T, T) map
+    unless the sink or `store_logits` reads the logits after softmax. The
+    override's return value is assigned back into the I2I view it gets;
+    `hook.sink` gets `hook.step`, the layer and I2I views of both maps right
+    after the layer's softmax, and full-map captures are copies taken after
+    it. With `hook.velocity` False the pass ends there at the last layer and
+    the velocity is None. Head groups and branches run as the module says.
     """
     cfg = weights.cfg
+    pair = isinstance(tokens, tuple)
+    sequences = tokens if pair else (tokens,)
     if not 0.0 <= t <= 1.0:
         raise ConfigError(f"timestep {t} outside [0,1]")
-    if tokens.t_txt != cfg.t_txt or tokens.image.shape != (cfg.n_img, cfg.d_model):
-        raise ShapeMismatch("token sequence does not match model config")
+    sink = hook.sink if hook is not None else None
+    if pair and (len(tokens) != 2 or sink is not None):
+        raise ConfigError("a CFG pair is two token sequences, with no sink on their hook")
+    for seq in sequences:
+        if seq.t_txt != cfg.t_txt or seq.image.shape != (cfg.n_img, cfg.d_model):
+            raise ShapeMismatch("token sequence does not match model config")
 
-    n_heads, d_head, t_txt = cfg.n_heads, cfg.d_head, cfg.t_txt
-    seq = cfg.seq_len
-    scale = 1.0 / math.sqrt(d_head)
+    n_heads, seq_len, count = cfg.n_heads, cfg.seq_len, len(sequences)
+    two_maps = sink is not None or (hook is not None and hook.store_logits)
+    # one block for all maps: with a separate 2.4 MB array per map, glibc trims
+    # its heap more often and a default sweep op takes ~40k more minor page faults
+    maps = np.empty((count, 1 + two_maps, n_heads, seq_len, seq_len))
+    ctx = np.empty((count, n_heads, seq_len, cfg.d_head))  # each head's attention output
+    mlp = np.empty((count, 2, seq_len, 4 * cfg.d_model))  # the MLP's GELU input and inner term
+    threads = worker_pool()[1] if _blas_setter() else 1  # a pair's branches split, not their heads
+    groups = 1 if pair else min(n_heads, threads)
     t_emb = timestep_embedding(t, cfg.d_model)
+    results = [None] * count
+
+    def run(branches: slice):
+        for b in range(branches.start, branches.stop):
+            results[b] = _pass(weights, sequences[b], t_emb, hook, groups, maps[b], ctx[b], mlp[b])
+
+    with _one_blas_thread():
+        _run_groups(run, count, min(count, threads))
+    if not pair:
+        return results[0]
+    velocities, caps = zip(*results)
+    return velocities, {layer: JointAttention.stacked([c[layer] for c in caps]) for layer in caps[0]}
+
+
+def _pass(weights: ModelWeights, tokens: TokenSequence, t_emb: np.ndarray,
+          hook: AttentionHook | None, groups: int, maps: np.ndarray, ctx: np.ndarray, mlp: np.ndarray):
+    """One sequence's `forward` into the caller's buffers, its heads split into `groups` groups."""
+    cfg = weights.cfg
+    n_heads, d_head, t_txt, seq = cfg.n_heads, cfg.d_head, cfg.t_txt, cfg.seq_len
+    scale = 1.0 / math.sqrt(d_head)
+    logits, probs = maps[0], maps[-1]
     captured: dict[int, JointAttention] = {}
-    # one block for the pair: with two 2.4 MB maps instead, glibc trims its heap
-    # more often and a default sweep op takes ~40k more minor page faults
-    logits, probs = np.empty((2, n_heads, seq, seq))
-    ctx = np.empty((n_heads, seq, d_head))  # each head's attention output
     override = hook.override if hook is not None else None
     sink = hook.sink if hook is not None else None
     stop_at = cfg.n_layers - 1 if hook is not None and not hook.velocity else None
-    n = min(n_heads, worker_pool()[1]) if _blas_setter() else 1
-    groups = [slice(n_heads * g // n, n_heads * (g + 1) // n) for g in range(n)]
 
     def scores(heads: slice):  # with no override to wait for, the rest follows at once
         np.matmul(q[heads], k[heads].transpose(0, 2, 1), out=logits[heads])
@@ -495,16 +549,20 @@ def forward(
     for layer, lw in enumerate(weights.layers):
         s1, b1, s2, b2 = np.split(t_emb @ lw.ada, 4)
 
-        h = _layernorm(x) * (1.0 + s1) + b1
+        # (T, d) arrays change in place, freed once used: a pool thread's arena keeps a branch's peak
+        h = _layernorm(x)
+        h *= 1.0 + s1
+        h += b1
         q = (h @ lw.wq).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         k = (h @ lw.wk).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         v = None if layer == stop_at else (h @ lw.wv).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
-        _run_groups(scores, groups)
+        del h
+        _run_groups(scores, n_heads, groups)
         if override is not None:
             for head in range(n_heads):
                 block = logits[head, t_txt:, t_txt:]
                 block[...] = override(hook.step, layer, head, block)
-            _run_groups(attend, groups)
+            _run_groups(attend, n_heads, groups)
 
         if sink is not None:
             sink(hook.step, layer, logits[:, t_txt:, t_txt:], probs[:, t_txt:, t_txt:])
@@ -517,9 +575,14 @@ def forward(
         if layer == stop_at:
             return None, captured
 
-        x = x + ctx.transpose(1, 0, 2).reshape(seq, cfg.d_model) @ lw.wo
-        h2 = _layernorm(x) * (1.0 + s2) + b2
-        x = x + _gelu(h2 @ lw.w1) @ lw.w2
+        x += ctx.transpose(1, 0, 2).reshape(seq, cfg.d_model) @ lw.wo
+        del q, k, v
+        h = _layernorm(x)
+        h *= 1.0 + s2
+        h += b2
+        z = np.matmul(h, lw.w1, out=mlp[0])
+        del h
+        x += _gelu(z, mlp[1], out=z) @ lw.w2
         _require_finite(x, "block output", layer)
 
     velocity = _layernorm(x[t_txt:]) @ weights.head_w

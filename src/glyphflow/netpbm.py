@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionZero, MalformedHeader, NonFiniteValue, ShapeMismatch
+from .tensorio import replacing
 
 
 def _read_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
@@ -140,5 +141,5 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     flat = levels.ravel()
     for i in range(0, flat.size, 16):
         lines.append(" ".join(str(v) for v in flat[i : i + 16]))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with replacing(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -39,7 +39,7 @@ from .sampler import (
     generate_with_injection,
     reconstruct_capture,
 )
-from .tensorio import file_checksum, tensors_checksum
+from .tensorio import file_checksum, replacing, tensors_checksum
 
 PROMPT_PREFIX = "A text "
 PROMPT_MIDDLE = " logo decorated with "
@@ -292,7 +292,7 @@ def run_sweep(config: RunConfig, out_dir: str | None = None) -> SweepResult:
     csv_paths: dict[str, str] = {}
     for metric, table in tables.items():
         path = os.path.join(out_dir, f"sweep_{metric}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_sweep_csv(table, metric))
         csv_paths[metric] = path
     return SweepResult(tables=tables, failures=failures, csv_paths=csv_paths)

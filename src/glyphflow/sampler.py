@@ -357,11 +357,12 @@ def generate_with_injection(
     is still refused, so no trace is hashed here. A trace whose layers, heads
     or n_img differ from the model's is refused before any forward runs.
 
-    Each step builds one `AttentionHook` that both branches share: its
-    override is the injection through the cutoff and None after it, and it
-    stores full maps for the probe when one is given. Returns pixels clamped
-    to [0,1] and a manifest skeleton that holds only the step logs: the
-    weights and trace checksums are the caller's to add.
+    Each step runs both branches as one CFG-pair forward with one
+    `AttentionHook`: its override is the injection through the cutoff and
+    None after it, and it stores full maps for the probe when one is given;
+    the probe then gets each branch's maps on this thread, uncond then cond.
+    Returns pixels clamped to [0,1] and a manifest skeleton that holds only
+    the step logs: the weights and trace checksums are the caller's to add.
     """
     cfg = cfg or SamplerConfig()
     mcfg = weights.cfg
@@ -405,14 +406,11 @@ def generate_with_injection(
 
         # forward copies its tokens, so both branches can share one embedding
         image = embed_patches(weights, x)
-        tokens_u = TokenSequence(text=text_uncond, image=image)
-        v_uncond, cap_u = forward(weights, tokens_u, t_i, hook)
+        pair = tuple(TokenSequence(text=text, image=image) for text in (text_uncond, text_cond))
+        (v_uncond, v_cond), captured = forward(weights, pair, t_i, hook)
         if probe is not None:
-            probe(i, t_i, "uncond", cap_u)
-        tokens_c = TokenSequence(text=text_cond, image=image)
-        v_cond, cap_c = forward(weights, tokens_c, t_i, hook)
-        if probe is not None:
-            probe(i, t_i, "cond", cap_c)
+            for b, branch in enumerate(("uncond", "cond")):
+                probe(i, t_i, branch, {layer: att.branch(b) for layer, att in captured.items()})
 
         v = cfg_combine(v_cond, v_uncond, cfg.guidance)
         x = euler_step(x, v, t_i, t_next)

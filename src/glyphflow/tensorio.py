@@ -40,6 +40,7 @@ import hashlib
 import math
 import os
 import threading
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -82,12 +83,28 @@ def _raw_bytes(canon: np.ndarray) -> np.ndarray:
     return canon.reshape(-1).view(np.uint8)
 
 
+@contextmanager
+def replacing(path, mode: str = "w", **kwargs):
+    """open(path, mode) for writing, through a new file beside `path` that
+    replaces it whole on a clean exit and is removed on an error: `path`
+    never holds part of a write."""
+    part = f"{path}.{os.getpid()}-{threading.get_ident()}.part"
+    try:
+        with open(part, mode, **kwargs) as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):  # the write failed
+            os.remove(part)
+
+
 def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | None = None):
     """Write named tensors (and string metadata) to `path`.
 
-    Every name and meta entry is checked before the file is opened. Tensor
-    bytes go to the file straight from the arrays, without a copy unless a
-    tensor first needs a dtype, byte-order or layout conversion.
+    Every name and meta entry is checked before the file is opened (through
+    `replacing`). Tensor bytes go to the file straight from the arrays,
+    without a copy unless a tensor first needs a dtype, byte-order or layout
+    conversion.
     """
     lines = [f"{_MAGIC} {len(tensors)}"]
     for key, value in (meta or {}).items():
@@ -115,7 +132,7 @@ def write_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, str] | N
     if len(header) > _MAX_HEADER:
         raise ConfigError(f"header of {len(header)} bytes exceeds {_MAX_HEADER}")
 
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(header + _END)
         for canon in arrays:
             fh.write(_raw_bytes(canon))

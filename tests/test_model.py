@@ -5,6 +5,7 @@ import select
 import signal
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -625,20 +626,26 @@ def test_blas_limit_is_one_inside_and_restored_after(four_heads):
     assert inside == [1] * FOUR_HEADS.n_layers
 
 
+def _no_blas_symbol(monkeypatch):
+    """Make the lookup find no OpenBLAS and the pool refuse any use; the
+    caller clears `_blas_setter`'s cache once done."""
+    model._blas_setter.cache_clear()
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+
+    def no_pool():
+        raise AssertionError("forward used the worker pool")
+
+    monkeypatch.setattr(model, "worker_pool", no_pool)
+    assert model._blas_setter() is None
+
+
 def test_no_blas_symbol_means_one_group(monkeypatch, four_heads):
     """Where the lookup finds no OpenBLAS, forward runs its heads as one group
     on the caller, never touches the pool, and gives the same bytes."""
     weights, tokens = four_heads
     want = {kind: _observed(weights, tokens, kind) for kind in HOOK_KINDS}
-    model._blas_setter.cache_clear()
     try:
-        monkeypatch.setattr(glob, "glob", lambda pattern: [])
-        assert model._blas_setter() is None
-
-        def no_pool():
-            raise AssertionError("forward used the worker pool")
-
-        monkeypatch.setattr(model, "worker_pool", no_pool)
+        _no_blas_symbol(monkeypatch)
         for kind in HOOK_KINDS:
             assert _observed(weights, tokens, kind) == want[kind], kind
         with pytest.raises(NonFiniteActivation, match="non-finite attention logits at layer 0"):
@@ -668,6 +675,158 @@ def test_first_failing_group_raises_after_all_groups(monkeypatch, four_heads):
         forward(weights, tokens, 0.5, AttentionHook(override=poison_last_head))
     # the other three groups each ran their softmax before forward raised
     assert len(done) == FOUR_HEADS.n_heads - 1
+
+
+def test_overlapping_holds_restore_the_count_the_first_replaced(monkeypatch):
+    """With one count for the whole process, as numpy's pthreads OpenBLAS
+    has, two holds that end in the order they began (A in, B in, A out, B
+    out) leave the count it had before A, not the 1 that B replaced."""
+    count = [2]
+
+    def process_setter(threads):
+        previous, count[0] = count[0], threads
+        return previous
+
+    monkeypatch.setattr(model, "_blas_setter", lambda: process_setter)
+    first, second = model._one_blas_thread(), model._one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    assert count == [1]
+    first.__exit__(None, None, None)
+    second.__exit__(None, None, None)
+    assert count == [2]
+
+
+def test_plain_forward_computes_its_probs_over_its_logits(four_heads):
+    """With no sink and no `store_logits`, softmax overwrites the logits in
+    their one map; a no-op sink sends the forward down the two-map path, and
+    every byte it returns is the same."""
+    weights, tokens = four_heads
+    for kind in ("plain", "override_copy", "capture"):
+        kwargs = dict(HOOK_KINDS[kind], store_logits=False)
+        vel, caps = forward(weights, tokens, 0.5, AttentionHook(**kwargs))
+        vel_sunk, caps_sunk = forward(weights, tokens, 0.5, AttentionHook(**kwargs, sink=lambda *args: None))
+        assert vel.tobytes() == vel_sunk.tobytes(), kind
+        assert [caps[layer].probs.tobytes() for layer in caps] == [
+            caps_sunk[layer].probs.tobytes() for layer in caps_sunk
+        ], kind
+
+
+def test_plain_forward_allocates_one_map_fewer():
+    """tracemalloc peak of a default plain forward: below a no-op-sink
+    forward's by at least 0.9 of one (heads, T, T) map."""
+    cfg = ModelConfig()
+    weights = init_model(cfg)
+    tokens = make_tokens(weights, "A", np.zeros((cfg.canvas, cfg.canvas)))
+
+    def peak(hook):
+        forward(weights, tokens, 0.5, hook)  # first-call allocations
+        tracemalloc.start()
+        try:
+            forward(weights, tokens, 0.5, hook)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_map = cfg.n_heads * cfg.seq_len * cfg.seq_len * 8
+    assert peak(AttentionHook(sink=lambda *args: None)) - peak(None) > 0.9 * one_map
+
+
+# ------------------------------------------------------------------
+# CFG pairs: two sequences in one forward call
+# ------------------------------------------------------------------
+
+# the hook kinds a pair may take: any without a sink
+PAIR_KINDS = {kind: kwargs for kind, kwargs in HOOK_KINDS.items() if "sink" not in kwargs}
+PAIR_KINDS["no_velocity"] = dict(store_probs=True, velocity=False)
+PAIR_KINDS["probs_only"] = dict(store_probs=True, override=_halve_copy)
+
+
+def _pair(weights, tokens):
+    """An unconditional and a conditional sequence over the same image tokens."""
+    return TokenSequence(text=embed_prompt("", weights), image=tokens.image), tokens
+
+
+def _branch_bytes(vel, caps):
+    maps = [
+        (layer, *(None if arr is None else arr.tobytes() for arr in (caps[layer].logits, caps[layer].probs)))
+        for layer in sorted(caps)
+    ]
+    return None if vel is None else vel.tobytes(), maps
+
+
+def _pair_observed(weights, pair, kind):
+    """A pair forward's velocity and maps per branch, as bytes."""
+    velocities, caps = forward(weights, pair, 0.5, AttentionHook(**PAIR_KINDS[kind], step=1))
+    assert len(velocities) == 2
+    for att in caps.values():
+        assert all(arr is None or arr.shape[0] == 2 for arr in (att.logits, att.probs))
+    return [
+        _branch_bytes(vel, {layer: att.branch(b) for layer, att in caps.items()})
+        for b, vel in enumerate(velocities)
+    ]
+
+
+@pytest.mark.parametrize("path", ["concurrent", "one_pool_thread", "no_blas_symbol"])
+@pytest.mark.parametrize("kind", sorted(PAIR_KINDS))
+def test_pair_gives_the_bytes_of_two_single_forwards(monkeypatch, four_heads, kind, path):
+    weights, tokens = four_heads
+    pair = _pair(weights, tokens)
+    want = [
+        _branch_bytes(*forward(weights, seq, 0.5, AttentionHook(**PAIR_KINDS[kind], step=1)))
+        for seq in pair
+    ]
+    assert want[0] != want[1]
+    if path != "no_blas_symbol":
+        _force_groups(monkeypatch, 2 if path == "concurrent" else 1)
+        assert _pair_observed(weights, pair, kind) == want
+        return
+    try:
+        _no_blas_symbol(monkeypatch)
+        assert _pair_observed(weights, pair, kind) == want
+    finally:
+        model._blas_setter.cache_clear()
+
+
+@pytest.mark.parametrize("threads", [2, 1])
+def test_pair_runs_branch_1_on_a_worker_thread(monkeypatch, four_heads, threads):
+    """With two pool threads the caller runs branch 0 and a pool thread runs
+    branch 1, override included; with one, the caller runs both in order."""
+    weights, tokens = four_heads
+    pair = _pair(weights, tokens)
+    _force_groups(monkeypatch, threads)
+    ran, override_threads = [], set()
+    real_pass = model._pass
+
+    def recording_pass(weights, seq, *args):
+        ran.append((next(b for b, s in enumerate(pair) if s is seq), threading.current_thread()))
+        return real_pass(weights, seq, *args)
+
+    def override(step, layer, head, block):
+        override_threads.add(threading.current_thread())
+        return block
+
+    monkeypatch.setattr(model, "_pass", recording_pass)
+    forward(weights, pair, 0.5, AttentionHook(override=override))
+    here = threading.current_thread()
+    if threads == 1:
+        assert ran == [(0, here), (1, here)] and override_threads == {here}
+    else:
+        worker = dict(ran)[1]
+        assert dict(ran)[0] is here and worker.name.startswith("glyphflow-worker")
+        assert override_threads == {here, worker}
+
+
+def test_pair_with_a_sink_raises_before_any_work(monkeypatch, four_heads):
+    weights, tokens = four_heads
+    setter_calls = []
+    monkeypatch.setattr(model, "_blas_setter", lambda: setter_calls.append)
+    monkeypatch.setattr(model, "_layernorm", lambda x: pytest.fail("forward ran a layer"))
+    with pytest.raises(ConfigError, match="no sink"):
+        forward(weights, _pair(weights, tokens), 0.5, AttentionHook(sink=lambda *args: None))
+    with pytest.raises(ConfigError, match="two token sequences"):
+        forward(weights, (tokens,) * 3, 0.5)
+    assert setter_calls == []
 
 
 # ------------------------------------------------------------------

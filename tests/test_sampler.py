@@ -6,6 +6,7 @@ import pytest
 
 import glyphflow
 from glyphflow import (
+    AttentionHook,
     AttentionTrace,
     ConfigError,
     GlyphFlowError,
@@ -13,10 +14,13 @@ from glyphflow import (
     SamplerConfig,
     ScoreMode,
     ShapeMismatch,
+    TokenSequence,
     TraceMismatch,
     build_injection,
     cfg_combine,
     draw_noise,
+    embed_patches,
+    embed_prompt,
     euler_step,
     generate_with_injection,
     glyph_mask_patches,
@@ -403,21 +407,23 @@ def test_generate_with_plan_logs_and_counts(tiny_weights, tiny_trace, tiny_sampl
 @pytest.mark.parametrize(
     "injected, with_probe, kinds",
     [
-        (True, False, ["override"] * 4 + ["plain"] * 4),
-        (True, True, ["override"] * 4 + ["capture"] * 4),
-        (False, True, ["capture"] * 8),
-        (False, False, ["plain"] * 8),
+        (True, False, ["override"] * 2 + ["plain"] * 2),
+        (True, True, ["override"] * 2 + ["capture"] * 2),
+        (False, True, ["capture"] * 4),
+        (False, False, ["plain"] * 4),
     ],
 )
 def test_generate_hook_kind_per_forward(
     monkeypatch, tiny_weights, tiny_trace, tiny_sampler, injected, with_probe, kinds
 ):
     # each forward classified as the benchmark tracer does: override when the
-    # hook rewrites logits, capture when it only stores maps, plain otherwise
+    # hook rewrites logits, capture when it only stores maps, plain otherwise;
+    # a step's two CFG branches are one forward of a pair
     seen, override_calls = [], []
     real_forward = glyphflow.sampler.forward
 
     def classify(weights, tokens, t, hook):
+        assert isinstance(tokens, tuple) and len(tokens) == 2
         if hook is not None and hook.override is not None:
             seen.append("override")
             inner = hook.override
@@ -443,6 +449,40 @@ def test_generate_hook_kind_per_forward(
     cfg = tiny_weights.cfg
     # cutoff steps x two branches x every (layer, head)
     assert len(override_calls) == (2 * 2 * cfg.n_layers * cfg.n_heads if injected else 0)
+
+
+@pytest.mark.parametrize("injected", [False, True])
+def test_probe_gets_each_branch_its_own_maps(tiny_weights, tiny_trace, tiny_sampler, injected):
+    """Step 1's pair forward hands the probe, uncond then cond, the maps a
+    single forward of that branch's sequence captures with the same hook."""
+    seen = []
+
+    def probe(step, t, branch, caps):
+        if step == 1:
+            seen.append((branch, [(caps[layer].logits.tobytes(), caps[layer].probs.tobytes()) for layer in caps]))
+
+    plan = build_injection(tiny_trace, ratio=0.25) if injected else None
+    trace = tiny_trace if injected else None
+    override = []
+    real_forward = glyphflow.sampler.forward
+
+    def keep_hook(weights, tokens, t, hook):
+        override.append(hook.override)
+        return real_forward(weights, tokens, t, hook)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glyphflow.sampler, "forward", keep_hook)
+        generate_with_injection(tiny_weights, "x y", trace, plan, tiny_sampler, probe=probe)
+    cfg = tiny_weights.cfg
+    image = embed_patches(tiny_weights, draw_noise(tiny_sampler.noise_seed, (cfg.n_img, cfg.patch_dim)))
+    want = []
+    for branch, prompt in (("uncond", ""), ("cond", "x y")):
+        tokens = TokenSequence(text=embed_prompt(prompt, tiny_weights), image=image)
+        hook = AttentionHook(store_logits=True, store_probs=True, override=override[0], step=1)
+        _, caps = real_forward(tiny_weights, tokens, 1.0, hook)
+        want.append((branch, [(caps[layer].logits.tobytes(), caps[layer].probs.tobytes()) for layer in caps]))
+    assert seen == want
+    assert want[0][1] != want[1][1]
 
 
 def test_generate_trace_plan_pairing(tiny_weights, tiny_glyph, tiny_trace, tiny_sampler):

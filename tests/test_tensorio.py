@@ -1,5 +1,8 @@
+import errno
 import hashlib
 import os
+import pathlib
+import re
 import select
 import signal
 import subprocess
@@ -23,6 +26,8 @@ from glyphflow import (
     write_tensors,
 )
 from glyphflow import tensorio
+from glyphflow.manifest import RunManifest
+from glyphflow.netpbm import write_pgm
 
 
 def test_round_trip_bit_exact(tmp_path, rng):
@@ -500,3 +505,58 @@ def test_read_any_bytes_gives_tensors_or_a_package_error(dump_path, raw):
     for i, arr in enumerate(arrays):
         assert arr.dtype in (np.dtype("<f8"), np.dtype("<i8"))
         assert not any(np.shares_memory(arr, other) for other in arrays[i + 1 :])
+
+
+class _DiskFullMidway:
+    """A file that takes half of the first write it is given, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+WRITERS = {
+    "tensordump": lambda path: write_tensors(path, {"a": np.arange(1000.0)}, meta={"k": "v"}),
+    "pgm": lambda path: write_pgm(path, np.full((8, 8), 0.5)),
+    "manifest": lambda path: RunManifest(config_hash="abc").save(path),
+}
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_write_that_fails_midway_leaves_the_old_file(monkeypatch, tmp_path, writer, old):
+    """The final path is absent, or holds its old bytes, and nothing else is
+    left in its directory; the same write that does not fail replaces it."""
+    path = tmp_path / "out"
+    if old is not None:
+        path.write_bytes(old)
+    monkeypatch.setattr(tensorio, "open", lambda *args, **kwargs: _DiskFullMidway(open(*args, **kwargs)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        WRITERS[writer](path)
+    assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+    assert old is None or path.read_bytes() == old
+    monkeypatch.undo()
+    WRITERS[writer](path)
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() != old
+
+
+def test_only_replacing_opens_a_file_for_writing():
+    """Every writer in the package goes through `tensorio.replacing`: no
+    source line opens a file with a write mode of its own."""
+    src = pathlib.Path(tensorio.__file__).parent
+    opened = [
+        f"{module.name}: {line.strip()}"
+        for module in sorted(src.glob("*.py"))
+        for line in module.read_text(encoding="utf-8").splitlines()
+        if re.search(r"\bopen\([^)]*[\"'][wax]b?[\"']", line)
+    ]
+    assert opened == []
