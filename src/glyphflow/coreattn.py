@@ -347,17 +347,21 @@ class ScoreReducer:
     by layer instead of kept as an `AttentionTrace`.
 
     `reconstruct_capture` calls it as `on_layer` while forward still holds
-    each layer's I2I views; `replay` feeds it a full trace's layers in the
-    same order. Each layer's probabilities are scored once, through the
-    step's one `StepScorer`, and their head-mean row masses fill `masses`,
-    the (steps, n_layers, n_img) table `shift_rows` and `coverage` measure
-    its plans from. Once the scorer knows a layer's core set at ratio `keep`
-    (the widest any plan injects; 0 keeps none), its (n_heads, k, n_img)
-    logit rows are kept, in layer_variance mode only after the step's last
-    layer, so each layer's logits are copied until then; a set that raises
-    keeps none, as each plan needing it raises too. Like a full trace it
-    answers `step_scorer` and `core_rows`, so plans are built and injected
-    from it.
+    each layer's I2I views; `replay` feeds it a full trace's layers in
+    capture order. Steps may arrive in any order and interleaved, as a
+    paired capture gives them, as long as each step's layers come in layer
+    order: all it holds is keyed by step. Each layer's probabilities are
+    scored once, through the step's one `StepScorer`, and their head-mean
+    row masses fill `masses`, the (steps, n_layers, n_img) table
+    `shift_rows` and `coverage` measure its plans from. Once the scorer
+    knows a layer's core set at ratio `keep` (the widest any plan injects;
+    0 keeps none), its (n_heads, k, n_img) logit rows are kept, in
+    layer_variance mode only after the step's last layer, so each layer's
+    logits are copied until then; a set that raises keeps none, as each
+    plan needing it raises too. It reads logits only when `keep` > 0
+    (`reads_logits`); otherwise forward may hand it None for them. Like a
+    full trace it answers `step_scorer` and `core_rows`, so plans are built
+    and injected from it.
     """
 
     def __init__(
@@ -368,10 +372,14 @@ class ScoreReducer:
         self.mode, self.averaging, self.keep = mode, averaging, keep
         self.masses = RowMasses(*(np.empty((steps, n_layers, n_img)) for _ in RowMasses._fields))
         self._mask_frac = mask_frac
-        self._scorers: list[StepScorer] = []
+        self._scorers: dict[int, StepScorer] = {}
         self._rows: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
         self._measured: dict[tuple[int, int, float], tuple[float, float]] = {}
-        self._pending: list[np.ndarray] = []  # layer_variance: the step's logits so far
+        self._pending: dict[int, list[np.ndarray]] = {}  # layer_variance: each step's logits so far
+
+    @property
+    def reads_logits(self) -> bool:
+        return self.keep > 0
 
     @classmethod
     def replay(
@@ -384,21 +392,20 @@ class ScoreReducer:
                 reducer(step, layer, logits[layer], probs[layer])
         return reducer
 
-    def __call__(self, step: int, layer: int, logits: np.ndarray, probs: np.ndarray):
+    def __call__(self, step: int, layer: int, logits: np.ndarray | None, probs: np.ndarray):
         """Score one layer, fill its row masses and keep its core rows."""
         if layer == 0:
-            self._scorers.append(StepScorer(step, self.mode, self.averaging))
+            self._scorers[step] = StepScorer(step, self.mode, self.averaging)
         for dst, src in zip(self.masses, row_masses(probs.mean(axis=0), self._mask_frac)):
             dst[step - 1, layer] = src
-        scorer = self._scorers[-1]
+        scorer = self._scorers[step]
         if not scorer.add(probs) and self.keep:
-            self._pending.append(logits.copy())
+            self._pending.setdefault(step, []).append(logits.copy())
         elif self.keep:
             self._keep_rows(scorer, layer, logits)
         if layer == self.n_layers - 1:
-            for held, held_logits in enumerate(self._pending):
+            for held, held_logits in enumerate(self._pending.pop(step, [])):
                 self._keep_rows(scorer, held, held_logits)
-            self._pending = []
 
     def _keep_rows(self, scorer: StepScorer, layer: int, logits: np.ndarray):
         try:
@@ -408,9 +415,9 @@ class ScoreReducer:
         self._rows[(scorer.step, layer)] = (core.indices, logits[:, core.rows(), :])
 
     def step_scorer(self, step: int, mode: ScoreMode, averaging: bool) -> StepScorer:
-        if (mode, averaging) != (self.mode, self.averaging) or not 0 < step <= len(self._scorers):
+        if (mode, averaging) != (self.mode, self.averaging) or step not in self._scorers:
             raise TraceMismatch(f"reducer kept no {mode.value} scores for step {step}")
-        return self._scorers[step - 1]
+        return self._scorers[step]
 
     def core_rows(self, step: int, layer: int, core: CoreTokenSet) -> np.ndarray:
         """The (n_heads, k, n_img) logit rows of a core set at most `keep`

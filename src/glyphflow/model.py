@@ -15,10 +15,13 @@ as soon as that layer's softmax is done.
 A forward of one sequence runs each layer's per-head attention (QK^T, scale,
 check, softmax, PV) as contiguous head groups, one per worker-pool thread
 (`tensorio.worker_pool`) and at most one per head: the caller runs the first
-and all else, hooks included, and the pool the rest. A CFG pair's forward
-runs branch 0 on the caller and branch 1 on the pool, each whole. Every BLAS
-call holds numpy's bundled OpenBLAS to one thread; without that symbol, or
-on one core, all runs on the caller. No output byte depends on grouping.
+and all else, hooks included, and the pool the rest. A pair's forward runs
+branch 0 on the caller and branch 1 on the pool, each whole, and branch 1
+hands each layer's sink call to the caller (`_Relay`). Every BLAS call holds
+numpy's bundled OpenBLAS to one thread. Without that symbol, on one core, on
+a pool thread, or while a relayed branch 1 waits on the caller, all runs on
+the caller, a pair's branches in order, so no pool task waits for a queued
+one. No output byte depends on grouping.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from typing import Callable
 
@@ -145,8 +148,8 @@ class JointAttention:
 
 OverrideFn = Callable[[int, int, int, np.ndarray], np.ndarray]
 # (step, layer, i2i_logits, i2i_probs): the blocks are views of forward's maps,
-# valid only during the call
-SinkFn = Callable[[int, int, np.ndarray, np.ndarray], None]
+# valid only during the call; the logits are None for a sink that reads none
+SinkFn = Callable[[int, int, np.ndarray | None, np.ndarray], None]
 
 
 @dataclass
@@ -167,7 +170,10 @@ class AttentionHook:
     forward's maps, the logits after the override. They are valid only
     during the call, since the next layer overwrites them, so a sink that
     keeps any of their bytes copies them; it must not write them.
-    A sink is not a full-map capture.
+    A sink is not a full-map capture. A sink whose `reads_logits` attribute
+    is false gets None for the logits, and then, without `store_logits`,
+    forward computes the probabilities over the logits in one map. `step`
+    may be a pair, one per branch of a pair forward.
 
     `velocity = False` says the caller discards the velocity: forward stops
     right after the last layer's sink and full-map captures, skipping that
@@ -177,15 +183,16 @@ class AttentionHook:
     A hook with no flag, override or sink set runs the same forward as no
     hook, so a caller may build one hook per step whatever it turns on.
 
-    A forward of one sequence runs the override and the sink on the calling
-    thread. A CFG pair's hook has no sink, and each branch calls the override
-    on its own thread, branch 1 on a pool thread where the branches run at once.
+    The sink runs on the calling thread only. A forward of one sequence runs
+    the override there too. In a pair each branch calls the override on its
+    own thread, branch 1 on a pool thread where the branches run at once, and
+    per layer the sink gets branch 0's step, then branch 1's.
     """
 
     store_logits: bool = False
     store_probs: bool = False
     override: OverrideFn | None = None
-    step: int = 0
+    step: int | tuple[int, int] = 0
     sink: SinkFn | None = None
     velocity: bool = True
 
@@ -315,6 +322,57 @@ def _one_blas_thread():
         with _HOLDS_LOCK:
             _HOLDS[0] -= 1
             setter(previous if _HOLDS[0] else _HOLDS[1])
+
+
+# `relaying` is set while this thread runs a pair whose branch 1 may wait on it
+_LOCAL = threading.local()
+
+
+def _threads() -> int:
+    """How many threads a forward on this thread may use: the worker pool's,
+    or 1 without the BLAS symbol, on a pool thread, or while a pool thread
+    waits on this one, so that no pool task waits for a queued one."""
+    if not _blas_setter() or getattr(_LOCAL, "relaying", False):
+        return 1
+    return 1 if threading.current_thread().name.startswith("glyphflow-worker") else worker_pool()[1]
+
+
+class _Relay:
+    """A pair's one sink, run on the calling thread for both branches: branch
+    1, on a pool thread, `hand`s each layer's sink arguments over and waits;
+    `take`, branch 0's sink, calls the sink with its own arguments, then
+    with branch 1's once they arrive, and lets branch 1 go on. `close`, as
+    either branch ends, stops both waits; a branch 1 still waiting raises."""
+
+    def __init__(self, sink: SinkFn):
+        self._sink, self._cond = sink, threading.Condition()
+        self._args, self._open = None, True
+
+    def hand(self, *args):
+        with self._cond:
+            self._args = args
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: self._args is None or not self._open)
+            if self._args is not None:
+                raise RuntimeError("branch 0 ended before its sink took branch 1's layer")
+
+    def take(self, *args):
+        self._sink(*args)
+        with self._cond:
+            self._cond.wait_for(lambda: self._args is not None or not self._open)
+            args = self._args
+        if args is not None:
+            try:
+                self._sink(*args)
+            finally:
+                with self._cond:
+                    self._args = None
+                    self._cond.notify_all()
+
+    def close(self):
+        with self._cond:
+            self._open = False
+            self._cond.notify_all()
 
 
 def _run_groups(work: Callable[[slice], None], count: int, n: int):
@@ -459,7 +517,7 @@ def _require_finite(arr: np.ndarray, what: str, layer: int):
 def forward(
     weights: ModelWeights,
     tokens: TokenSequence | tuple[TokenSequence, TokenSequence],
-    t: float,
+    t: float | tuple[float, float],
     hook: AttentionHook | None = None,
 ) -> tuple:
     """One joint-attention pass; returns (velocity (n_img, patch^2) or None, captures).
@@ -471,50 +529,71 @@ def forward(
     linear velocity head. Reductions run in fixed ascending-index order, so
     the pass is bit-deterministic for fixed inputs.
 
-    `tokens` may be a CFG pair: two sequences sharing `t` and a hook with no
-    sink. It gives two single forwards' bytes as ((velocity, velocity),
-    captures), each captured map stacked along a leading branch axis.
+    `tokens` may be a pair of sequences sharing the hook, with `t` and
+    `hook.step` shared (a CFG step's branches) or pairs too (two
+    reconstruction steps). It gives two single forwards' bytes as
+    ((velocity, velocity), captures), each captured map stacked along a
+    leading branch axis, and per layer the sink gets branch 0, then branch 1.
 
     The calling thread allocates every buffer per call, so the result depends
-    only on the arguments: a hook may run forward itself, and threads may
-    share `weights`. A sequence's logits and probs share one (heads, T, T) map
-    unless the sink or `store_logits` reads the logits after softmax. The
-    override's return value is assigned back into the I2I view it gets;
-    `hook.sink` gets `hook.step`, the layer and I2I views of both maps right
-    after the layer's softmax, and full-map captures are copies taken after
-    it. With `hook.velocity` False the pass ends there at the last layer and
-    the velocity is None. Head groups and branches run as the module says.
+    only on the arguments, and threads may share `weights`. A hook may run
+    forward itself; on a pool thread, or on the caller while a relayed branch
+    1 waits on it, that forward runs on its own thread alone. A sequence's
+    logits and probs share one (heads, T, T) map unless the sink reads the
+    logits (its `reads_logits`, true if absent) or `store_logits` is set; with
+    one map the sink gets None for the logits. The override's return value is
+    assigned back into the I2I view it gets; the sink gets the step, the
+    layer and I2I views of the maps right after the layer's softmax, and
+    full-map captures are copies taken after it. With `hook.velocity` False
+    the pass ends there at the last layer and the velocity is None.
     """
     cfg = weights.cfg
     pair = isinstance(tokens, tuple)
     sequences = tokens if pair else (tokens,)
-    if not 0.0 <= t <= 1.0:
+    count = len(sequences)
+    times = t if isinstance(t, tuple) else (t,) * count
+    step = hook.step if hook is not None else 0
+    steps = step if isinstance(step, tuple) else (step,) * count
+    if (pair and count != 2) or len(times) != count or len(steps) != count:
+        raise ConfigError("a pair is two token sequences, with one t and hook step for both or one each")
+    if not all(0.0 <= t_b <= 1.0 for t_b in times):
         raise ConfigError(f"timestep {t} outside [0,1]")
-    sink = hook.sink if hook is not None else None
-    if pair and (len(tokens) != 2 or sink is not None):
-        raise ConfigError("a CFG pair is two token sequences, with no sink on their hook")
     for seq in sequences:
         if seq.t_txt != cfg.t_txt or seq.image.shape != (cfg.n_img, cfg.d_model):
             raise ShapeMismatch("token sequence does not match model config")
 
-    n_heads, seq_len, count = cfg.n_heads, cfg.seq_len, len(sequences)
-    two_maps = sink is not None or (hook is not None and hook.store_logits)
+    n_heads, seq_len = cfg.n_heads, cfg.seq_len
+    sink = hook.sink if hook is not None else None
+    reads_logits = sink is not None and getattr(sink, "reads_logits", True)
+    two_maps = reads_logits or (hook is not None and hook.store_logits)
     # one block for all maps: with a separate 2.4 MB array per map, glibc trims
     # its heap more often and a default sweep op takes ~40k more minor page faults
     maps = np.empty((count, 1 + two_maps, n_heads, seq_len, seq_len))
     ctx = np.empty((count, n_heads, seq_len, cfg.d_head))  # each head's attention output
     mlp = np.empty((count, 2, seq_len, 4 * cfg.d_model))  # the MLP's GELU input and inner term
-    threads = worker_pool()[1] if _blas_setter() else 1  # a pair's branches split, not their heads
-    groups = 1 if pair else min(n_heads, threads)
-    t_emb = timestep_embedding(t, cfg.d_model)
+    threads = _threads()
+    groups = 1 if pair else min(n_heads, threads)  # a pair's branches split, not their heads
+    relay = _Relay(sink) if pair and sink is not None and threads > 1 else None
+    sinks = (relay.take, relay.hand) if relay is not None else (sink,) * count
+    hooks = [None if hook is None else replace(hook, step=s, sink=k) for s, k in zip(steps, sinks)]
+    t_embs = [timestep_embedding(t_b, cfg.d_model) for t_b in times]
     results = [None] * count
 
     def run(branches: slice):
         for b in range(branches.start, branches.stop):
-            results[b] = _pass(weights, sequences[b], t_emb, hook, groups, maps[b], ctx[b], mlp[b])
+            try:
+                results[b] = _pass(weights, sequences[b], t_embs[b], hooks[b], groups, maps[b], ctx[b], mlp[b])
+            finally:
+                if relay is not None:
+                    relay.close()
 
-    with _one_blas_thread():
-        _run_groups(run, count, min(count, threads))
+    outer = getattr(_LOCAL, "relaying", False)
+    _LOCAL.relaying = outer or relay is not None
+    try:
+        with _one_blas_thread():
+            _run_groups(run, count, min(count, threads))
+    finally:
+        _LOCAL.relaying = outer
     if not pair:
         return results[0]
     velocities, caps = zip(*results)
@@ -528,6 +607,7 @@ def _pass(weights: ModelWeights, tokens: TokenSequence, t_emb: np.ndarray,
     n_heads, d_head, t_txt, seq = cfg.n_heads, cfg.d_head, cfg.t_txt, cfg.seq_len
     scale = 1.0 / math.sqrt(d_head)
     logits, probs = maps[0], maps[-1]
+    sunk_logits = logits[:, t_txt:, t_txt:] if len(maps) == 2 else None
     captured: dict[int, JointAttention] = {}
     override = hook.override if hook is not None else None
     sink = hook.sink if hook is not None else None
@@ -565,7 +645,7 @@ def _pass(weights: ModelWeights, tokens: TokenSequence, t_emb: np.ndarray,
             _run_groups(attend, n_heads, groups)
 
         if sink is not None:
-            sink(hook.step, layer, logits[:, t_txt:, t_txt:], probs[:, t_txt:, t_txt:])
+            sink(hook.step, layer, sunk_logits, probs[:, t_txt:, t_txt:])
         if hook is not None and (hook.store_logits or hook.store_probs):
             captured[layer] = JointAttention(
                 t_txt=t_txt,

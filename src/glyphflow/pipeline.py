@@ -130,7 +130,8 @@ def run_generate(
 
     baseline=True runs the config with injection.enabled = False, so the
     manifest's config hash is that of the run that happened. An injected
-    run's capture feeds each layer to its sinks in turn: a `TraceChecksum`
+    run's capture runs its steps one at a time, in step order, and feeds
+    each layer to its sinks in turn: a `TraceChecksum`, which hashes in order,
     gives the trace checksum; above ratio 0 a `ScoreReducer` gives the
     plan, the injected rows and the coverage metrics (at ratio 0 every set
     is empty and the reducer is never fed); io.save_trace adds an
@@ -159,7 +160,8 @@ def run_generate(
                 sink(step, layer, logits, probs)
 
         reconstruct_capture(
-            weights, glyph, config.io.recon_prompt, config.sampler, probe=probe, on_layer=on_layer
+            weights, glyph, config.io.recon_prompt, config.sampler, probe=probe, on_layer=on_layer,
+            in_step_order=True,
         )
         plan = build_injection(
             scores, inj.ratio, cutoff_step=config.sampler.cutoff_step, mode=inj.mode,

@@ -5,10 +5,11 @@ The schedule has steps+1 evenly spaced knots from 1 down to 0; step i
 evaluates the model at knot i-1, so a run costs exactly `steps` evaluations
 per CFG branch.
 Reconstruction never integrates: each captured step re-noises the clean glyph
-latent to t_i with one fixed eps, runs a single unguided forward, and hands
-every layer's I2I logits and probabilities to a layer sink: an
-`AttentionTrace` stores them, a `TraceChecksum` hashes them as the full
-trace's checksum, and a `coreattn.ScoreReducer` scores them.
+latent to t_i with one fixed eps and runs unguided, two steps per pair
+forward, and every layer's I2I logits and probabilities go to a layer sink:
+an `AttentionTrace` stores them, a `TraceChecksum` hashes them as the full
+trace's checksum (one step per forward, in step order), and a
+`coreattn.ScoreReducer` scores them.
 
 All noise comes from one seeded stream whose first draw is the (n_img,
 patch^2) eps, so reconstruction and generation see identical noise whenever
@@ -267,6 +268,8 @@ class TraceChecksum:
     n_img) logits/probs pair, laid out as a full trace's (step, layer)
     block, and feeds it to a `ChecksumStream`, which hashes it while the
     caller goes on; the next call waits for that hash before it copies.
+    The stream is sequential, so the layers must come in step order
+    (`reconstruct_capture(..., in_step_order=True)`).
     """
 
     def __init__(self, cfg: SamplerConfig, model: ModelConfig):
@@ -297,15 +300,24 @@ def reconstruct_capture(
     cfg: SamplerConfig | None = None,
     probe: ProbeFn | None = None,
     on_layer: SinkFn | None = None,
+    in_step_order: bool = False,
 ) -> "AttentionTrace | SinkFn":
     """Capture I2I attention while re-noising the glyph at each captured step.
 
     For step i <= cutoff_step: x_{t_i} = noise_to(patchify(glyph), t_i, eps)
     with the same eps every step, one unguided forward at t_i, all layers
-    captured. The reducer `on_layer` is each step's hook sink itself:
-    forward calls it as on_layer(step, layer, logits, probs) as soon as that
-    layer's softmax is done, and it is returned; a probe also gets full-map
-    copies from the same hook.
+    captured. No step reads another's output, so the steps run two at a
+    time as pair forwards, (1, 2), (3, 4) and so on, and an odd last step
+    runs alone. The reducer `on_layer` is each forward's hook sink itself:
+    forward calls it on this thread as on_layer(step, layer, logits, probs)
+    as soon as that layer's softmax is done, per layer the pair's first step
+    and then its second, and it is returned; a probe also gets full-map
+    copies from the same hook, step by step in order.
+
+    `in_step_order` runs one step per forward instead, so the reducer gets
+    every layer of step i before any of step i+1, as a sequential checksum
+    needs (see `TraceChecksum`). A paired capture may also give the layers
+    in step order, as on one core.
 
     Without `on_layer` the reducer is `AttentionTrace.empty(cfg, weights.cfg)`,
     which copies each layer into its slot, so the full trace is returned.
@@ -320,19 +332,27 @@ def reconstruct_capture(
     eps = draw_noise(cfg.noise_seed, x0.shape)
     text = embed_prompt(recon_prompt, weights)
 
-    for i, t_i in enumerate(cfg.captured_t_values(), start=1):
-        x_t = noise_to(x0, t_i, eps)
-        tokens = TokenSequence(text=text, image=embed_patches(weights, x_t))
+    captured_t = cfg.captured_t_values()
+    size = 1 if in_step_order else 2
+    for first in range(0, len(captured_t), size):
+        t = captured_t[first : first + size]
+        steps = tuple(range(first + 1, first + 1 + len(t)))
+        tokens = tuple(
+            TokenSequence(text=text, image=embed_patches(weights, noise_to(x0, t_i, eps))) for t_i in t
+        )
+        single = len(t) == 1
         hook = AttentionHook(
             store_logits=probe is not None,
             store_probs=probe is not None,
-            step=i,
+            step=steps[0] if single else steps,
             sink=on_layer,
             velocity=False,
         )
-        _, captured = forward(weights, tokens, t_i, hook)
+        _, captured = forward(weights, *((tokens[0], t[0]) if single else (tokens, t)), hook)
         if probe is not None:
-            probe(i, t_i, "recon", captured)
+            for b, (i, t_i) in enumerate(zip(steps, t)):
+                caps = captured if single else {layer: att.branch(b) for layer, att in captured.items()}
+                probe(i, t_i, "recon", caps)
     return on_layer
 
 

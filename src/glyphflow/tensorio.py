@@ -87,11 +87,16 @@ def _raw_bytes(canon: np.ndarray) -> np.ndarray:
 def replacing(path, mode: str = "w", **kwargs):
     """open(path, mode) for writing, through a new file beside `path` that
     replaces it whole on a clean exit and is removed on an error: `path`
-    never holds part of a write."""
+    never holds part of a write. A replaced file's permission bits carry
+    over to the new one; a new path gets the umask's."""
     part = f"{path}.{os.getpid()}-{threading.get_ident()}.part"
     try:
         with open(part, mode, **kwargs) as fh:
             yield fh
+        try:
+            os.chmod(part, os.stat(path).st_mode & 0o7777)
+        except FileNotFoundError:  # nothing to replace
+            pass
         os.replace(part, path)
     finally:
         if os.path.exists(part):  # the write failed
@@ -276,8 +281,12 @@ _POOL_LOCK = threading.Lock()
 
 def worker_pool() -> tuple["ThreadPoolExecutor", int]:
     """The process's one worker pool, one thread per core it may use, and its
-    thread count. `ChecksumStream` hashes on it and `model.forward` runs head
-    groups on it; no task on it waits for another.
+    thread count. `ChecksumStream` hashes on it, and `model.forward` runs head
+    groups and a pair's branch 1 on it. No task on it waits for another task
+    on it: a forward called on a pool thread runs on that thread alone. The
+    one task that waits at all is the branch 1 of a pair with a sink, which
+    waits for the thread that made the pair, never a pool thread, to pass
+    each layer to the sink; meanwhile any forward that thread runs stays on it.
 
     A pool's threads do not survive a fork, so a pool made under another pid
     is dropped and a new one sized for this process.

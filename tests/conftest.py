@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from glyphflow import model, tensorio
 from glyphflow import (
     ModelConfig,
     SamplerConfig,
@@ -44,6 +45,16 @@ def tiny_trace(tiny_weights, tiny_glyph):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def force_threads(monkeypatch, count):
+    """Make forward use `count` threads (head groups, or a pair's branches at
+    once), whatever the core count, with a stand-in BLAS limit where numpy's
+    OpenBLAS has none."""
+    pool, _ = tensorio.worker_pool()
+    monkeypatch.setattr(model, "worker_pool", lambda: (pool, count))
+    setter = model._blas_setter() or (lambda threads: threads)
+    monkeypatch.setattr(model, "_blas_setter", lambda: setter)
 
 
 # a saved trace broken in one way that AttentionTrace.load must refuse

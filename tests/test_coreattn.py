@@ -17,6 +17,7 @@ from glyphflow import (
     IndexOutOfRange,
     InjectionPlan,
     ModeMismatch,
+    SamplerConfig,
     ScoreMode,
     ScoreVector,
     SelectionSource,
@@ -25,7 +26,9 @@ from glyphflow import (
     ZeroRowMass,
     apply_injection,
     build_injection,
+    glyph_mask_patches,
     cumulative_update,
+    reconstruct_capture,
     save_scores,
     select_core_tokens,
     token_scores,
@@ -34,6 +37,7 @@ from glyphflow import (
 from glyphflow.coreattn import ScoreReducer, StepScorer
 from glyphflow.metrics import row_fraction
 from glyphflow.tensorio import read_tensors
+from tests.conftest import force_threads
 
 
 def make_trace(layer_scores, steps=1):
@@ -526,6 +530,56 @@ def test_attention_shift_errors():
         attention_shift([np.full((1, 2, 2), 0.5)], np.ones(3), core)
     with pytest.raises(ShapeMismatch):
         attention_shift([np.full((1, 2, 2), 0.5)], np.ones((2, 2)), core)
+
+
+# ---------------------------------------------------------------- reducer order
+
+
+def _reducer_state(reducer, steps):
+    """What a reducer gives its callers: row masses, every step's ranked
+    scores, and its plans at ratios 0.25 and 0.5."""
+    scores = [
+        [s.scores.tobytes() for s in reducer.step_scorer(step, reducer.mode, reducer.averaging).ranked()]
+        for step in range(1, steps + 1)
+    ]
+    plans = [
+        build_injection(reducer, ratio, mode=reducer.mode, averaging=reducer.averaging)
+        for ratio in (0.25, 0.5)
+    ]
+    return [m.tobytes() for m in reducer.masses], scores, plans
+
+
+@pytest.mark.parametrize("averaging", [True, False])
+@pytest.mark.parametrize("mode", list(ScoreMode))
+@pytest.mark.parametrize("threads", [2, 1])
+def test_paired_capture_into_a_reducer_equals_replay(
+    monkeypatch, tiny_weights, tiny_glyph, mode, averaging, threads
+):
+    """A reducer that keeps the 0.5 sets' rows gives a full trace's replay's
+    masses, scores and plans, and the trace's rows for each plan, whether
+    its steps arrive interleaved layer by layer (steps fed two at a time, or
+    a paired capture on two threads) or in order (a paired capture on one
+    thread). The capture has an odd step count, so its last step runs alone."""
+    cfg = tiny_weights.cfg
+    sampler = SamplerConfig(steps=4, cutoff_step=3)
+    mask_frac = glyph_mask_patches(tiny_glyph, cfg.patch)
+    trace = reconstruct_capture(tiny_weights, tiny_glyph, "", sampler, in_step_order=True)
+    want = _reducer_state(ScoreReducer.replay(trace, mask_frac, mode, averaging), trace.steps)
+    dims = (*trace.probs.shape[:4], mode, averaging, mask_frac)
+
+    interleaved = ScoreReducer(*dims, keep=0.5)
+    for first in (1, 3):
+        for layer in range(trace.n_layers):
+            for step in range(first, min(first + 2, trace.steps + 1)):
+                interleaved(step, layer, trace.logits[step - 1, layer], trace.probs[step - 1, layer])
+    force_threads(monkeypatch, threads)
+    captured = ScoreReducer(*dims, keep=0.5)
+    reconstruct_capture(tiny_weights, tiny_glyph, "", sampler, on_layer=captured)
+    for reducer in (interleaved, captured):
+        assert _reducer_state(reducer, trace.steps) == want
+        for plan in want[2]:
+            for key, core in plan.sets.items():
+                assert reducer.core_rows(*key, core).tobytes() == trace.core_rows(*key, core).tobytes()
 
 
 # ---------------------------------------------------------------- serialization

@@ -29,6 +29,7 @@ from glyphflow import (
 )
 from glyphflow import model, tensorio
 from glyphflow.model import TEXT_TABLE_ROWS, _gelu, _softmax_rows
+from tests.conftest import force_threads
 
 
 def make_tokens(weights, prompt, image_pixels):
@@ -495,15 +496,6 @@ def _observed(weights, tokens, kind):
     return None if vel is None else vel.tobytes(), maps, sunk
 
 
-def _force_groups(monkeypatch, count):
-    """Make forward split its heads into `count` groups, whatever the core
-    count, with a stand-in limit where numpy's OpenBLAS has none."""
-    pool, _ = tensorio.worker_pool()
-    monkeypatch.setattr(model, "worker_pool", lambda: (pool, count))
-    setter = model._blas_setter() or (lambda threads: threads)
-    monkeypatch.setattr(model, "_blas_setter", lambda: setter)
-
-
 @pytest.fixture(scope="module")
 def four_heads():
     weights = init_model(FOUR_HEADS)
@@ -520,7 +512,7 @@ def test_head_groups_change_no_byte(monkeypatch, four_heads, kind):
     assert bool(default[1]) == ("store_probs" in HOOK_KINDS[kind])
     assert len(default[2]) == (FOUR_HEADS.n_layers if HOOK_KINDS[kind].get("sink") else 0)
     for count in (1, 2, FOUR_HEADS.n_heads):
-        _force_groups(monkeypatch, count)
+        force_threads(monkeypatch, count)
         assert _observed(weights, tokens, kind) == default, count
 
 
@@ -528,7 +520,7 @@ def test_hooks_run_on_the_calling_thread(monkeypatch, four_heads):
     """With a group per head, the override and the sink still run on the
     caller's thread, and forward's groups do run on the pool."""
     weights, tokens = four_heads
-    _force_groups(monkeypatch, FOUR_HEADS.n_heads)
+    force_threads(monkeypatch, FOUR_HEADS.n_heads)
     hook_threads, group_threads = set(), set()
     attend = model._softmax_rows
 
@@ -554,7 +546,7 @@ def test_every_group_holds_its_own_thread_to_one_blas_thread(monkeypatch, four_h
     """With a per-thread limit (as OpenBLAS builds with OpenMP have), each
     group's thread runs its BLAS calls at one thread and gets its count back."""
     weights, tokens = four_heads
-    _force_groups(monkeypatch, FOUR_HEADS.n_heads)
+    force_threads(monkeypatch, FOUR_HEADS.n_heads)
     counts, seen = {}, []
 
     def per_thread_setter(count):
@@ -658,7 +650,7 @@ def test_first_failing_group_raises_after_all_groups(monkeypatch, four_heads):
     """A non-finite head in a later group raises forward's own error, and only
     once every group is done."""
     weights, tokens = four_heads
-    _force_groups(monkeypatch, FOUR_HEADS.n_heads)
+    force_threads(monkeypatch, FOUR_HEADS.n_heads)
     done = []
     attend = model._softmax_rows
 
@@ -755,9 +747,9 @@ def _branch_bytes(vel, caps):
     return None if vel is None else vel.tobytes(), maps
 
 
-def _pair_observed(weights, pair, kind):
+def _pair_observed(weights, pair, hook):
     """A pair forward's velocity and maps per branch, as bytes."""
-    velocities, caps = forward(weights, pair, 0.5, AttentionHook(**PAIR_KINDS[kind], step=1))
+    velocities, caps = forward(weights, pair, 0.5, hook)
     assert len(velocities) == 2
     for att in caps.values():
         assert all(arr is None or arr.shape[0] == 2 for arr in (att.logits, att.probs))
@@ -778,12 +770,12 @@ def test_pair_gives_the_bytes_of_two_single_forwards(monkeypatch, four_heads, ki
     ]
     assert want[0] != want[1]
     if path != "no_blas_symbol":
-        _force_groups(monkeypatch, 2 if path == "concurrent" else 1)
-        assert _pair_observed(weights, pair, kind) == want
+        force_threads(monkeypatch, 2 if path == "concurrent" else 1)
+        assert _pair_observed(weights, pair, AttentionHook(**PAIR_KINDS[kind], step=1)) == want
         return
     try:
         _no_blas_symbol(monkeypatch)
-        assert _pair_observed(weights, pair, kind) == want
+        assert _pair_observed(weights, pair, AttentionHook(**PAIR_KINDS[kind], step=1)) == want
     finally:
         model._blas_setter.cache_clear()
 
@@ -794,7 +786,7 @@ def test_pair_runs_branch_1_on_a_worker_thread(monkeypatch, four_heads, threads)
     branch 1, override included; with one, the caller runs both in order."""
     weights, tokens = four_heads
     pair = _pair(weights, tokens)
-    _force_groups(monkeypatch, threads)
+    force_threads(monkeypatch, threads)
     ran, override_threads = [], set()
     real_pass = model._pass
 
@@ -817,16 +809,216 @@ def test_pair_runs_branch_1_on_a_worker_thread(monkeypatch, four_heads, threads)
         assert override_threads == {here, worker}
 
 
-def test_pair_with_a_sink_raises_before_any_work(monkeypatch, four_heads):
+def test_invalid_pair_raises_before_any_work(monkeypatch, four_heads):
     weights, tokens = four_heads
     setter_calls = []
     monkeypatch.setattr(model, "_blas_setter", lambda: setter_calls.append)
     monkeypatch.setattr(model, "_layernorm", lambda x: pytest.fail("forward ran a layer"))
-    with pytest.raises(ConfigError, match="no sink"):
-        forward(weights, _pair(weights, tokens), 0.5, AttentionHook(sink=lambda *args: None))
-    with pytest.raises(ConfigError, match="two token sequences"):
-        forward(weights, (tokens,) * 3, 0.5)
+    pair = _pair(weights, tokens)
+    invalid = [
+        ((tokens,) * 3, 0.5, None),
+        (pair, (0.5, 0.25, 0.125), None),
+        (pair, (0.5,), None),
+        (tokens, (0.5, 0.25), None),
+        (pair, (0.5, 0.25), AttentionHook(step=(1, 2, 3))),
+        (tokens, 0.5, AttentionHook(step=(1, 2))),
+    ]
+    for args in invalid:
+        with pytest.raises(ConfigError, match="two token sequences"):
+            forward(weights, *args)
+    with pytest.raises(ConfigError, match=r"timestep \(0.5, 1.5\) outside"):
+        forward(weights, pair, (0.5, 1.5))
     assert setter_calls == []
+
+
+# ------------------------------------------------------------------
+# capture pairs: two steps, each with its own t and hook step, one sink
+# ------------------------------------------------------------------
+
+
+class _Recorder:
+    """A sink that records (step, layer, logits bytes or None, probs bytes)
+    and the thread of each call; `reads_logits` as given."""
+
+    def __init__(self, reads_logits=True):
+        self.reads_logits, self.calls, self.threads = reads_logits, [], set()
+
+    def __call__(self, step, layer, logits, probs):
+        self.threads.add(threading.current_thread())
+        self.calls.append((step, layer, None if logits is None else logits.tobytes(), probs.tobytes()))
+
+
+def _capture_pair(weights, tokens):
+    """Two reconstruction-like sequences: the same text, two images."""
+    other = TokenSequence(text=tokens.text, image=tokens.image[::-1].copy())
+    return (tokens, other), (0.75, 0.5), (3, 4)
+
+
+CAPTURE_KINDS = {
+    "sink": {},
+    "no_velocity": dict(velocity=False),
+    "override": dict(override=_halve_copy),
+    "probe_maps": dict(store_logits=True, store_probs=True, velocity=False),
+}
+
+
+@pytest.mark.parametrize("reads_logits", [True, False])
+@pytest.mark.parametrize("threads", [2, 1])
+@pytest.mark.parametrize("kind", sorted(CAPTURE_KINDS))
+def test_capture_pair_sinks_what_single_forwards_sink(
+    monkeypatch, four_heads, kind, threads, reads_logits
+):
+    """A capture pair feeds its one sink, on the calling thread, the same
+    (step, layer, logits, probs) per step as two single forwards do, and
+    returns their velocities and maps. Per layer the sink gets branch 0's
+    step, then branch 1's; with one thread, step by step. A sink that reads
+    no logits gets None for them."""
+    weights, tokens = four_heads
+    seqs, times, steps = _capture_pair(weights, tokens)
+    kwargs = CAPTURE_KINDS[kind]
+    singles, want = [], []
+    for seq, t, step in zip(seqs, times, steps):
+        sink = _Recorder(reads_logits)
+        singles.append(_branch_bytes(*forward(weights, seq, t, AttentionHook(**kwargs, step=step, sink=sink))))
+        want.append(sink.calls)
+    force_threads(monkeypatch, threads)
+    sink = _Recorder(reads_logits)
+    velocities, caps = forward(weights, seqs, times, AttentionHook(**kwargs, step=steps, sink=sink))
+    got = [
+        _branch_bytes(vel, {layer: att.branch(b) for layer, att in caps.items()})
+        for b, vel in enumerate(velocities)
+    ]
+    assert got == singles
+    assert sink.threads == {threading.current_thread()}
+    layers = FOUR_HEADS.n_layers
+    if threads == 2:
+        assert sink.calls == [want[b][layer] for layer in range(layers) for b in range(2)]
+    else:
+        assert sink.calls == want[0] + want[1]
+    logits_read = reads_logits or kwargs.get("store_logits", False)
+    assert all((logits is None) != logits_read for _, _, logits, _ in sink.calls)
+
+
+def test_a_sink_that_reads_no_logits_keeps_one_map():
+    """tracemalloc peak of a default forward whose sink reads no logits: the
+    same as a plain forward's to within a tenth of one (heads, T, T) map."""
+    cfg = ModelConfig()
+    weights = init_model(cfg)
+    tokens = make_tokens(weights, "A", np.zeros((cfg.canvas, cfg.canvas)))
+
+    def peak(hook):
+        forward(weights, tokens, 0.5, hook)  # first-call allocations
+        tracemalloc.start()
+        try:
+            forward(weights, tokens, 0.5, hook)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    class LogitFree:
+        reads_logits = False
+
+        def __call__(self, step, layer, logits, probs):
+            assert logits is None
+
+    one_map = cfg.n_heads * cfg.seq_len * cfg.seq_len * 8
+    assert abs(peak(AttentionHook(sink=LogitFree())) - peak(None)) < 0.1 * one_map
+
+
+def _within(seconds, fn):
+    """fn() in a thread joined with a deadline: its result, or its error
+    raised here; a call still running then fails the test."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # handed to the test thread, which raises it
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def _pool_is_free():
+    """Every pool thread takes a task at once: none is left blocked."""
+    pool, workers = tensorio.worker_pool()
+    barrier = threading.Barrier(workers)
+    for future in [pool.submit(barrier.wait, 30) for _ in range(workers)]:
+        future.result(timeout=60)
+
+
+@pytest.mark.parametrize("via", ["override", "sink"])
+@pytest.mark.parametrize("threads", [2, 1])
+def test_forwards_nested_three_deep_finish(monkeypatch, four_heads, threads, via):
+    """A pair forward whose hook runs a pair forward whose hook runs a third
+    one: through the override (each branch nests, branch 1 on a pool thread)
+    or through the sink (on the caller, while branch 1 waits on it). Every
+    forward gives its unnested bytes."""
+    weights, tokens = four_heads
+    seqs, _, steps = _capture_pair(weights, tokens)
+    force_threads(monkeypatch, threads)
+    want = _pair_observed(weights, seqs, AttentionHook())
+    seen = []
+
+    def hook(depth):
+        def nest(*args):
+            if args[1] == 0 and depth > 1:  # layer 0
+                seen.append(_pair_observed(weights, seqs, hook(depth - 1)))
+            return args[-1]
+
+        if via == "override":
+            return AttentionHook(override=nest, step=1)
+        return AttentionHook(sink=nest, step=steps)
+
+    assert _within(60, lambda: _pair_observed(weights, seqs, hook(3))) == want
+    assert seen and all(got == want for got in seen)
+    _pool_is_free()
+
+
+@pytest.mark.parametrize("threads", [2, 1])
+def test_a_failing_capture_pair_raises_the_first_error_and_frees_the_pool(
+    monkeypatch, four_heads, threads
+):
+    """A non-finite logit in branch 1 mid-pass, the sink raising on branch 0's
+    layer, or both: the pair raises the first error in branch order, and the
+    next pair runs and gives its bytes, so no pool thread is left waiting."""
+    weights, tokens = four_heads
+    seqs, times, steps = _capture_pair(weights, tokens)
+    force_threads(monkeypatch, threads)
+
+    def run(poison_step=None, failing_step=None):
+        sink = _Recorder()
+
+        def override(step, layer, head, block):
+            return block * np.inf if (step, layer) == (poison_step, 1) else block
+
+        def failing(step, layer, logits, probs):
+            if (step, layer) == (failing_step, 1):
+                raise ValueError(f"sink failed at step {step}")
+            sink(step, layer, logits, probs)
+
+        hook = AttentionHook(override=override, step=steps, sink=failing)
+        forward(weights, seqs, times, hook)
+        return sink.calls
+
+    want = _within(60, run)
+    cases = [
+        (dict(poison_step=steps[1]), NonFiniteActivation, "^non-finite attention logits at layer 1$"),
+        (dict(failing_step=steps[0]), ValueError, f"at step {steps[0]}"),
+        (dict(failing_step=steps[1]), ValueError, f"at step {steps[1]}"),
+        (dict(poison_step=steps[1], failing_step=steps[0]), ValueError, f"at step {steps[0]}"),
+    ]
+    for case, error, match in cases:
+        with pytest.raises(error, match=match):
+            _within(60, lambda: run(**case))
+        assert _within(60, run) == want, case
+        _pool_is_free()
 
 
 # ------------------------------------------------------------------

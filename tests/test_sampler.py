@@ -31,7 +31,7 @@ from glyphflow import (
     write_tensors,
 )
 from glyphflow.coreattn import ScoreReducer
-from tests.conftest import MALFORMED_TRACES, write_malformed_trace
+from tests.conftest import MALFORMED_TRACES, force_threads, write_malformed_trace
 
 
 def test_sampler_config_validation():
@@ -340,22 +340,71 @@ def test_probe_does_not_change_the_trace(tiny_weights, tiny_glyph, tiny_sampler,
 def test_reconstruction_forwards_compute_no_velocity(
     monkeypatch, tiny_weights, tiny_glyph, tiny_sampler, tiny_trace
 ):
-    # every capture forward asks for no velocity and gets none, with or
-    # without a probe, and the trace keeps its bytes
+    # every capture forward, a pair or a single step, asks for no velocity
+    # and gets none, with or without a probe, and the trace keeps its bytes
     real_forward = glyphflow.sampler.forward
     velocities = []
 
     def recorded(weights, tokens, t, hook):
         velocity, captured = real_forward(weights, tokens, t, hook)
-        velocities.append((hook.velocity, velocity))
+        velocities.append((hook.step, hook.velocity, velocity))
         return velocity, captured
 
     monkeypatch.setattr(glyphflow.sampler, "forward", recorded)
     for probe in (None, lambda *args: None):
-        velocities.clear()
-        trace = reconstruct_capture(tiny_weights, tiny_glyph, "", tiny_sampler, probe=probe)
-        assert velocities == [(False, None)] * tiny_sampler.cutoff_step
-        assert trace.checksum() == tiny_trace.checksum()
+        for in_step_order in (False, True):
+            velocities.clear()
+            trace = reconstruct_capture(
+                tiny_weights, tiny_glyph, "", tiny_sampler, probe=probe, in_step_order=in_step_order
+            )
+            if in_step_order:
+                assert velocities == [(1, False, None), (2, False, None)]
+            else:
+                assert velocities == [((1, 2), False, (None, None))]
+            assert trace.checksum() == tiny_trace.checksum()
+
+
+@pytest.mark.parametrize("threads", [2, 1])
+def test_capture_runs_steps_two_at_a_time_and_probes_them_in_order(
+    monkeypatch, tiny_weights, tiny_glyph, threads
+):
+    """A 3-step capture runs steps (1, 2) as one pair forward and step 3
+    alone. Its sink sees, per layer, step 1 then step 2 on two threads, and
+    step order on one; `in_step_order` runs one step per forward. The probe
+    gets steps 1, 2, 3 in order, and every order gives the same trace."""
+    sampler = SamplerConfig(steps=4, cutoff_step=3)
+    force_threads(monkeypatch, threads)
+    real_forward = glyphflow.sampler.forward
+    calls = []
+
+    def recorded(weights, tokens, t, hook):
+        calls.append(hook.step)
+        return real_forward(weights, tokens, t, hook)
+
+    monkeypatch.setattr(glyphflow.sampler, "forward", recorded)
+    layers = tiny_weights.cfg.n_layers
+    in_order = [(step, layer) for step in (1, 2, 3) for layer in range(layers)]
+    interleaved = [(step, layer) for layer in range(layers) for step in (1, 2)]
+    interleaved += [(3, layer) for layer in range(layers)]
+    traces = []
+    for in_step_order in (False, True):
+        calls.clear()
+        sunk, probed = [], []
+        trace = AttentionTrace.empty(sampler, tiny_weights.cfg)
+
+        def sink(step, layer, logits, probs):
+            sunk.append((step, layer))
+            trace(step, layer, logits, probs)
+
+        reconstruct_capture(
+            tiny_weights, tiny_glyph, "", sampler, on_layer=sink, in_step_order=in_step_order,
+            probe=lambda step, t, branch, caps: probed.append((step, t, branch)),
+        )
+        assert calls == ([1, 2, 3] if in_step_order else [(1, 2), 3])
+        assert sunk == (interleaved if threads == 2 and not in_step_order else in_order)
+        assert probed == [(i, t, "recon") for i, t in enumerate(sampler.captured_t_values(), start=1)]
+        traces.append((trace.logits.tobytes(), trace.probs.tobytes()))
+    assert traces[0] == traces[1]
 
 
 def test_trace_holds_the_probed_i2i_blocks(tiny_weights, tiny_glyph, tiny_sampler):

@@ -343,11 +343,13 @@ def test_sweep_memory_is_bounded_by_one_forward(tmp_path, full_runs):
     """tracemalloc peak of a grid-24 sweep, whose full trace would take
     255 MB: below 3 of one forward's 22 MB (2, heads, T, T) map blocks plus
     the scores, row masses and, with full_runs, the core rows at the grid's
-    largest ratio that the sweep keeps. The multiple covers the map block
-    itself, softmax's one (heads, T, T) buffer and the rest of a forward's
-    temporaries (the peak read 38.2 MB without full_runs and 52.5 MB with
-    it, numpy 2.4.6); one step of the trace's probabilities alone, 64 MB,
-    would exceed it."""
+    largest ratio that the sweep keeps. The capture runs its 2 steps as one
+    pair forward, so the multiple covers two forwards' worth: both
+    branches' maps (one (heads, T, T) map each without full_runs, whose
+    reducer reads no logits, two each with it) and each branch's other
+    temporaries (the peak read 44.2 MB without full_runs and 79.4 MB with
+    it, numpy 2.4.6; 40.3 and 57.1 MB with the steps run one at a time);
+    one step of the trace's probabilities alone, 64 MB, would exceed it."""
     model = replace(RunConfig().model, grid=24)
     sampler = replace(RunConfig().sampler, steps=2, cutoff_step=2)
     ratios = (0.125,)

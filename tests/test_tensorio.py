@@ -549,6 +549,20 @@ def test_a_write_that_fails_midway_leaves_the_old_file(monkeypatch, tmp_path, wr
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() != old
 
 
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_replaced_file_keeps_its_permission_bits(tmp_path, writer):
+    """Writing over a 0600 file leaves it 0600; a new file gets the umask's bits."""
+    path, fresh = tmp_path / "out", tmp_path / "fresh"
+    WRITERS[writer](path)
+    fresh.touch()  # a new file's bits under this process's umask
+    assert path.stat().st_mode & 0o7777 == fresh.stat().st_mode & 0o7777
+    fresh.unlink()
+    path.chmod(0o600)
+    WRITERS[writer](path)
+    assert path.stat().st_mode & 0o7777 == 0o600
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_only_replacing_opens_a_file_for_writing():
     """Every writer in the package goes through `tensorio.replacing`: no
     source line opens a file with a write mode of its own."""
