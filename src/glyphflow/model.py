@@ -12,16 +12,14 @@ sub-blocks. A hook may rewrite I2I logits after scaling and before softmax,
 may capture either map, and may have each layer's I2I blocks handed to a sink
 as soon as that layer's softmax is done.
 
-A forward of one sequence runs each layer's per-head attention (QK^T, scale,
-check, softmax, PV) as contiguous head groups, one per worker-pool thread
-(`tensorio.worker_pool`) and at most one per head: the caller runs the first
-and all else, hooks included, and the pool the rest. A pair's forward runs
-branch 0 on the caller and branch 1 on the pool, each whole, and branch 1
-hands each layer's sink call to the caller (`_Relay`). Every BLAS call holds
-numpy's bundled OpenBLAS to one thread. Without that symbol, on one core, on
-a pool thread, or while a relayed branch 1 waits on the caller, all runs on
-the caller, a pair's branches in order, so no pool task waits for a queued
-one. No output byte depends on grouping.
+A forward of one sequence runs on the calling thread. A pair's forward runs
+branch 0 on the caller and branch 1 on the worker pool
+(`tensorio.worker_pool`), each whole, and branch 1 hands each layer's sink
+call to the caller (`_Relay`). Every BLAS call holds numpy's bundled
+OpenBLAS to one thread. Without that symbol, on one core, on a pool thread,
+or while a relayed branch 1 waits on the caller, a pair's branches run on
+the caller in order, so no pool task waits for a queued one. No output byte
+depends on which thread runs a branch.
 """
 
 from __future__ import annotations
@@ -183,9 +181,9 @@ class AttentionHook:
     A hook with no flag, override or sink set runs the same forward as no
     hook, so a caller may build one hook per step whatever it turns on.
 
-    The sink runs on the calling thread only. A forward of one sequence runs
-    the override there too. In a pair each branch calls the override on its
-    own thread, branch 1 on a pool thread where the branches run at once, and
+    The sink runs on the calling thread only, and so does all of a forward
+    of one sequence. In a pair each branch calls the override on its own
+    thread, branch 1 on a pool thread where the branches run at once, and
     per layer the sink gets branch 0's step, then branch 1's.
     """
 
@@ -329,7 +327,7 @@ _LOCAL = threading.local()
 
 
 def _threads() -> int:
-    """How many threads a forward on this thread may use: the worker pool's,
+    """How many threads a pair forward on this thread may use: the pool's,
     or 1 without the BLAS symbol, on a pool thread, or while a pool thread
     waits on this one, so that no pool task waits for a queued one."""
     if not _blas_setter() or getattr(_LOCAL, "relaying", False):
@@ -373,20 +371,6 @@ class _Relay:
         with self._cond:
             self._open = False
             self._cond.notify_all()
-
-
-def _run_groups(work: Callable[[slice], None], count: int, n: int):
-    """work(group) per one of n contiguous groups of range(count), the first here and
-    the rest on the worker pool; then raises the first failing group's error."""
-    groups = [slice(count * g // n, count * (g + 1) // n) for g in range(n)]
-    pool = worker_pool()[0] if n > 1 else None
-    futures = [pool.submit(_one_blas_thread()(work), heads) for heads in groups[1:]]
-    try:
-        work(groups[0])
-    finally:
-        errors = [future.exception() for future in futures]
-    for error in filter(None, errors):
-        raise error
 
 
 # ---------------------------------------------------------------- embeddings
@@ -535,17 +519,21 @@ def forward(
     ((velocity, velocity), captures), each captured map stacked along a
     leading branch axis, and per layer the sink gets branch 0, then branch 1.
 
-    The calling thread allocates every buffer per call, so the result depends
-    only on the arguments, and threads may share `weights`. A hook may run
-    forward itself; on a pool thread, or on the caller while a relayed branch
-    1 waits on it, that forward runs on its own thread alone. A sequence's
-    logits and probs share one (heads, T, T) map unless the sink reads the
-    logits (its `reads_logits`, true if absent) or `store_logits` is set; with
-    one map the sink gets None for the logits. The override's return value is
-    assigned back into the I2I view it gets; the sink gets the step, the
-    layer and I2I views of the maps right after the layer's softmax, and
-    full-map captures are copies taken after it. With `hook.velocity` False
-    the pass ends there at the last layer and the velocity is None.
+    A forward of one sequence runs on the calling thread; a pair runs branch
+    1 on the worker pool. The calling thread allocates every buffer per call,
+    so the result depends only on the arguments, and threads may share
+    `weights`. A hook may run forward itself; on a pool thread, or on the
+    caller while a relayed branch 1 waits on it, a pair's branches then run
+    on that thread in order.
+
+    A sequence's logits and probs share one (heads, T, T) map unless the sink
+    reads the logits (its `reads_logits`, true if absent) or `store_logits`
+    is set; with one map the sink gets None for the logits. The override's
+    return value is assigned back into the I2I view it gets; the sink gets
+    the step, the layer and I2I views of the maps right after the layer's
+    softmax, and full-map captures are copies taken after it. With
+    `hook.velocity` False the pass ends there at the last layer and the
+    velocity is None.
     """
     cfg = weights.cfg
     pair = isinstance(tokens, tuple)
@@ -571,27 +559,32 @@ def forward(
     maps = np.empty((count, 1 + two_maps, n_heads, seq_len, seq_len))
     ctx = np.empty((count, n_heads, seq_len, cfg.d_head))  # each head's attention output
     mlp = np.empty((count, 2, seq_len, 4 * cfg.d_model))  # the MLP's GELU input and inner term
-    threads = _threads()
-    groups = 1 if pair else min(n_heads, threads)  # a pair's branches split, not their heads
-    relay = _Relay(sink) if pair and sink is not None and threads > 1 else None
+    concurrent = pair and _threads() > 1  # branch 1 on the pool
+    relay = _Relay(sink) if concurrent and sink is not None else None
     sinks = (relay.take, relay.hand) if relay is not None else (sink,) * count
     hooks = [None if hook is None else replace(hook, step=s, sink=k) for s, k in zip(steps, sinks)]
     t_embs = [timestep_embedding(t_b, cfg.d_model) for t_b in times]
     results = [None] * count
 
-    def run(branches: slice):
-        for b in range(branches.start, branches.stop):
-            try:
-                results[b] = _pass(weights, sequences[b], t_embs[b], hooks[b], groups, maps[b], ctx[b], mlp[b])
-            finally:
-                if relay is not None:
-                    relay.close()
+    def run(b: int):
+        try:
+            results[b] = _pass(weights, sequences[b], t_embs[b], hooks[b], maps[b], ctx[b], mlp[b])
+        finally:
+            if relay is not None:
+                relay.close()
 
     outer = getattr(_LOCAL, "relaying", False)
     _LOCAL.relaying = outer or relay is not None
     try:
         with _one_blas_thread():
-            _run_groups(run, count, min(count, threads))
+            branch_1 = worker_pool()[0].submit(_one_blas_thread()(run), 1) if concurrent else None
+            try:
+                for b in range(1 if concurrent else count):
+                    run(b)
+            finally:  # branch 0's error comes first, branch 1's after it is done
+                error = branch_1.exception() if concurrent else None
+            if error is not None:
+                raise error
     finally:
         _LOCAL.relaying = outer
     if not pair:
@@ -601,8 +594,8 @@ def forward(
 
 
 def _pass(weights: ModelWeights, tokens: TokenSequence, t_emb: np.ndarray,
-          hook: AttentionHook | None, groups: int, maps: np.ndarray, ctx: np.ndarray, mlp: np.ndarray):
-    """One sequence's `forward` into the caller's buffers, its heads split into `groups` groups."""
+          hook: AttentionHook | None, maps: np.ndarray, ctx: np.ndarray, mlp: np.ndarray):
+    """One sequence's `forward` into the caller's buffers."""
     cfg = weights.cfg
     n_heads, d_head, t_txt, seq = cfg.n_heads, cfg.d_head, cfg.t_txt, cfg.seq_len
     scale = 1.0 / math.sqrt(d_head)
@@ -612,18 +605,6 @@ def _pass(weights: ModelWeights, tokens: TokenSequence, t_emb: np.ndarray,
     override = hook.override if hook is not None else None
     sink = hook.sink if hook is not None else None
     stop_at = cfg.n_layers - 1 if hook is not None and not hook.velocity else None
-
-    def scores(heads: slice):  # with no override to wait for, the rest follows at once
-        np.matmul(q[heads], k[heads].transpose(0, 2, 1), out=logits[heads])
-        logits[heads] *= scale
-        if override is None:
-            attend(heads)
-
-    def attend(heads: slice):
-        _require_finite(logits[heads], "attention logits", layer)
-        _softmax_rows(logits[heads], out=probs[heads])
-        if v is not None:
-            np.matmul(probs[heads], v[heads], out=ctx[heads])
 
     x = tokens.joint()
     for layer, lw in enumerate(weights.layers):
@@ -637,12 +618,16 @@ def _pass(weights: ModelWeights, tokens: TokenSequence, t_emb: np.ndarray,
         k = (h @ lw.wk).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         v = None if layer == stop_at else (h @ lw.wv).reshape(seq, n_heads, d_head).transpose(1, 0, 2)
         del h
-        _run_groups(scores, n_heads, groups)
+        np.matmul(q, k.transpose(0, 2, 1), out=logits)
+        logits *= scale
         if override is not None:
             for head in range(n_heads):
                 block = logits[head, t_txt:, t_txt:]
                 block[...] = override(hook.step, layer, head, block)
-            _run_groups(attend, n_heads, groups)
+        _require_finite(logits, "attention logits", layer)
+        _softmax_rows(logits, out=probs)
+        if v is not None:
+            np.matmul(probs, v, out=ctx)
 
         if sink is not None:
             sink(hook.step, layer, sunk_logits, probs[:, t_txt:, t_txt:])

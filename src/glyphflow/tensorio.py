@@ -281,9 +281,9 @@ _POOL_LOCK = threading.Lock()
 
 def worker_pool() -> tuple["ThreadPoolExecutor", int]:
     """The process's one worker pool, one thread per core it may use, and its
-    thread count. `ChecksumStream` hashes on it, and `model.forward` runs head
-    groups and a pair's branch 1 on it. No task on it waits for another task
-    on it: a forward called on a pool thread runs on that thread alone. The
+    thread count. `ChecksumStream` hashes on it, and `model.forward` runs a
+    pair's branch 1 on it. No task on it waits for another task on it: a
+    forward called on a pool thread runs on that thread alone. The
     one task that waits at all is the branch 1 of a pair with a sink, which
     waits for the thread that made the pair, never a pool thread, to pass
     each layer to the sink; meanwhile any forward that thread runs stays on it.

@@ -1,3 +1,6 @@
+import faulthandler
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,18 @@ from glyphflow import (
 # tokens, joint length 20.
 TINY = ModelConfig(d_model=16, n_heads=2, n_layers=2, patch=4, grid=4, t_txt=4, seed=0)
 TINY_SAMPLER = SamplerConfig(steps=4, guidance=7.5, cutoff_step=2, noise_seed=0)
+
+
+# seconds the interpreter may take to exit once the session is over
+EXIT_DEADLINE_S = 120
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Arm a watchdog for the interpreter's exit: a worker-pool thread left
+    blocked by a deadlock keeps `ThreadPoolExecutor`'s exit handler joining
+    it, so past the deadline every thread's stack is printed and the process
+    exits 1 instead of hanging."""
+    faulthandler.dump_traceback_later(EXIT_DEADLINE_S, exit=True, file=sys.__stderr__)
 
 
 @pytest.fixture(scope="session")
@@ -48,8 +63,8 @@ def rng():
 
 
 def force_threads(monkeypatch, count):
-    """Make forward use `count` threads (head groups, or a pair's branches at
-    once), whatever the core count, with a stand-in BLAS limit where numpy's
+    """Make a pair forward use `count` threads (its branches at once from 2),
+    whatever the core count, with a stand-in BLAS limit where numpy's
     OpenBLAS has none."""
     pool, _ = tensorio.worker_pool()
     monkeypatch.setattr(model, "worker_pool", lambda: (pool, count))

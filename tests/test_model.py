@@ -456,10 +456,10 @@ def test_in_place_override_matches_returned_copy(tiny_weights, tiny_glyph):
 
 
 # ------------------------------------------------------------------
-# attention head groups and the OpenBLAS limit
+# threads and the OpenBLAS limit
 # ------------------------------------------------------------------
 
-# four heads, so that one, two and four head groups all differ
+# four heads: more than the worker pool has threads
 FOUR_HEADS = ModelConfig(d_model=16, n_heads=4, n_layers=2, patch=4, grid=4, t_txt=4, seed=0)
 
 
@@ -504,28 +504,16 @@ def four_heads():
     return weights, make_tokens(weights, "A b", glyph)
 
 
-@pytest.mark.parametrize("kind", sorted(HOOK_KINDS))
-def test_head_groups_change_no_byte(monkeypatch, four_heads, kind):
-    weights, tokens = four_heads
-    default = _observed(weights, tokens, kind)
-    assert (default[0] is None) == (kind == "no_velocity")
-    assert bool(default[1]) == ("store_probs" in HOOK_KINDS[kind])
-    assert len(default[2]) == (FOUR_HEADS.n_layers if HOOK_KINDS[kind].get("sink") else 0)
-    for count in (1, 2, FOUR_HEADS.n_heads):
-        force_threads(monkeypatch, count)
-        assert _observed(weights, tokens, kind) == default, count
-
-
 def test_hooks_run_on_the_calling_thread(monkeypatch, four_heads):
-    """With a group per head, the override and the sink still run on the
-    caller's thread, and forward's groups do run on the pool."""
+    """Even with four pool threads, a single forward runs the override, the
+    sink and every layer's softmax on the caller's thread."""
     weights, tokens = four_heads
     force_threads(monkeypatch, FOUR_HEADS.n_heads)
-    hook_threads, group_threads = set(), set()
+    hook_threads, softmax_threads = set(), set()
     attend = model._softmax_rows
 
     def recording_softmax(logits, out):
-        group_threads.add(threading.get_ident())
+        softmax_threads.add(threading.get_ident())
         return attend(logits, out)
 
     monkeypatch.setattr(model, "_softmax_rows", recording_softmax)
@@ -538,34 +526,21 @@ def test_hooks_run_on_the_calling_thread(monkeypatch, four_heads):
         hook_threads.add(threading.get_ident())
 
     forward(weights, tokens, 0.5, AttentionHook(override=override, sink=sink))
-    assert hook_threads == {threading.get_ident()}
-    assert threading.get_ident() in group_threads and len(group_threads) > 1
+    assert hook_threads == softmax_threads == {threading.get_ident()}
 
 
-def test_every_group_holds_its_own_thread_to_one_blas_thread(monkeypatch, four_heads):
-    """With a per-thread limit (as OpenBLAS builds with OpenMP have), each
-    group's thread runs its BLAS calls at one thread and gets its count back."""
+def test_a_single_forward_never_uses_the_pool(monkeypatch, four_heads):
+    """Even with four pool threads, no single forward asks for the worker
+    pool, whatever its hook; a pair does."""
     weights, tokens = four_heads
     force_threads(monkeypatch, FOUR_HEADS.n_heads)
-    counts, seen = {}, []
-
-    def per_thread_setter(count):
-        previous = counts.get(threading.get_ident(), 2)
-        counts[threading.get_ident()] = count
-        return previous
-
-    monkeypatch.setattr(model, "_blas_setter", lambda: per_thread_setter)
-    attend = model._softmax_rows
-
-    def recording_softmax(logits, out):
-        seen.append((threading.get_ident(), counts.get(threading.get_ident(), 2)))
-        return attend(logits, out)
-
-    monkeypatch.setattr(model, "_softmax_rows", recording_softmax)
-    forward(weights, tokens, 0.5)
-    assert len({thread for thread, _ in seen}) > 1
-    assert {count for _, count in seen} == {1}
-    assert set(counts.values()) == {2}
+    calls, forced = [], model.worker_pool
+    monkeypatch.setattr(model, "worker_pool", lambda: calls.append(1) or forced())
+    for kind in HOOK_KINDS:
+        _observed(weights, tokens, kind)
+    assert calls == []
+    forward(weights, _pair(weights, tokens), 0.5)
+    assert calls
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -631,9 +606,9 @@ def _no_blas_symbol(monkeypatch):
     assert model._blas_setter() is None
 
 
-def test_no_blas_symbol_means_one_group(monkeypatch, four_heads):
-    """Where the lookup finds no OpenBLAS, forward runs its heads as one group
-    on the caller, never touches the pool, and gives the same bytes."""
+def test_no_blas_symbol_changes_no_byte(monkeypatch, four_heads):
+    """Where the lookup finds no OpenBLAS, forward never touches the pool and
+    gives the same bytes and errors."""
     weights, tokens = four_heads
     want = {kind: _observed(weights, tokens, kind) for kind in HOOK_KINDS}
     try:
@@ -644,29 +619,6 @@ def test_no_blas_symbol_means_one_group(monkeypatch, four_heads):
             forward(weights, tokens, 0.5, AttentionHook(override=lambda s, l, h, b: b * np.inf))
     finally:
         model._blas_setter.cache_clear()
-
-
-def test_first_failing_group_raises_after_all_groups(monkeypatch, four_heads):
-    """A non-finite head in a later group raises forward's own error, and only
-    once every group is done."""
-    weights, tokens = four_heads
-    force_threads(monkeypatch, FOUR_HEADS.n_heads)
-    done = []
-    attend = model._softmax_rows
-
-    def recording_softmax(logits, out):
-        done.append(threading.get_ident())
-        return attend(logits, out)
-
-    monkeypatch.setattr(model, "_softmax_rows", recording_softmax)
-
-    def poison_last_head(step, layer, head, block):
-        return block * np.inf if head == FOUR_HEADS.n_heads - 1 else block
-
-    with pytest.raises(NonFiniteActivation, match="^non-finite attention logits at layer 0$"):
-        forward(weights, tokens, 0.5, AttentionHook(override=poison_last_head))
-    # the other three groups each ran their softmax before forward raised
-    assert len(done) == FOUR_HEADS.n_heads - 1
 
 
 def test_overlapping_holds_restore_the_count_the_first_replaced(monkeypatch):
@@ -809,6 +761,34 @@ def test_pair_runs_branch_1_on_a_worker_thread(monkeypatch, four_heads, threads)
         assert override_threads == {here, worker}
 
 
+def test_every_group_holds_its_own_thread_to_one_blas_thread(monkeypatch, four_heads):
+    """With a per-thread limit (as OpenBLAS builds with OpenMP have), each
+    thread that runs part of a forward holds its BLAS calls to one thread
+    and gets its count back: a pair's branch 1 on its pool thread, as branch
+    0 on the caller."""
+    weights, tokens = four_heads
+    force_threads(monkeypatch, 2)
+    counts, seen = {}, []
+
+    def per_thread_setter(count):
+        previous = counts.get(threading.get_ident(), 2)
+        counts[threading.get_ident()] = count
+        return previous
+
+    monkeypatch.setattr(model, "_blas_setter", lambda: per_thread_setter)
+    attend = model._softmax_rows
+
+    def recording_softmax(logits, out):
+        seen.append((threading.get_ident(), counts.get(threading.get_ident(), 2)))
+        return attend(logits, out)
+
+    monkeypatch.setattr(model, "_softmax_rows", recording_softmax)
+    forward(weights, _pair(weights, tokens), 0.5)
+    assert len({thread for thread, _ in seen}) == 2
+    assert {count for _, count in seen} == {1}
+    assert set(counts.values()) == {2}
+
+
 def test_invalid_pair_raises_before_any_work(monkeypatch, four_heads):
     weights, tokens = four_heads
     setter_calls = []
@@ -927,7 +907,10 @@ def test_a_sink_that_reads_no_logits_keeps_one_map():
 
 def _within(seconds, fn):
     """fn() in a thread joined with a deadline: its result, or its error
-    raised here; a call still running then fails the test."""
+    raised here. A call still running then fails the test, and the worker
+    pool, which it may have left blocked, is dropped so that later tests get
+    a new one; the exit that joins the blocked pool ends at conftest's
+    watchdog."""
     out = {}
 
     def target():
@@ -939,7 +922,9 @@ def _within(seconds, fn):
     thread = threading.Thread(target=target, daemon=True)
     thread.start()
     thread.join(timeout=seconds)
-    assert not thread.is_alive(), f"still running after {seconds} s"
+    if thread.is_alive():
+        tensorio._POOL = None
+        pytest.fail(f"still running after {seconds} s")
     if "error" in out:
         raise out["error"]
     return out["value"]
@@ -949,8 +934,8 @@ def _pool_is_free():
     """Every pool thread takes a task at once: none is left blocked."""
     pool, workers = tensorio.worker_pool()
     barrier = threading.Barrier(workers)
-    for future in [pool.submit(barrier.wait, 30) for _ in range(workers)]:
-        future.result(timeout=60)
+    futures = [pool.submit(barrier.wait) for _ in range(workers)]
+    _within(60, lambda: [future.result() for future in futures])
 
 
 @pytest.mark.parametrize("via", ["override", "sink"])
@@ -1019,6 +1004,80 @@ def test_a_failing_capture_pair_raises_the_first_error_and_frees_the_pool(
             _within(60, lambda: run(**case))
         assert _within(60, run) == want, case
         _pool_is_free()
+
+
+SWITCH_ROUNDS = 300
+
+
+def test_pairs_give_the_serial_bytes_under_a_tiny_switch_interval(monkeypatch, four_heads):
+    """CFG pairs with an override and capture pairs with a relayed sink, run
+    while the interpreter switches threads every microsecond, give the bytes
+    of the serial path in every round; the sink gets the same calls, layer
+    by layer instead of step by step."""
+    weights, tokens = four_heads
+    cfg_pair = _pair(weights, tokens)
+    seqs, times, steps = _capture_pair(weights, tokens)
+
+    def both():
+        cfg_hook = AttentionHook(store_logits=True, store_probs=True, override=_halve_in_place, step=1)
+        sink = _Recorder()
+        velocities, _ = forward(weights, seqs, times, AttentionHook(override=_halve_copy, step=steps, sink=sink))
+        return _pair_observed(weights, cfg_pair, cfg_hook), [v.tobytes() for v in velocities], sink.calls
+
+    force_threads(monkeypatch, 1)
+    cfg_want, velocities_want, calls = both()
+    want = (cfg_want, velocities_want, sorted(calls, key=lambda call: (call[1], steps.index(call[0]))))
+    force_threads(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(SWITCH_ROUNDS):
+            assert _within(60, both) == want, round_
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_overlapping_pairs_one_failing_restore_the_count_the_first_hold_replaced(
+    monkeypatch, four_heads
+):
+    """Two threads run pair forwards at once, with one count for the whole
+    process as numpy's pthreads OpenBLAS has; one pair's branch 1 hits a
+    non-finite logit mid-pass. Afterwards no hold is open and the count is
+    the one the first hold replaced."""
+    weights, tokens = four_heads
+    pair = _pair(weights, tokens)
+    force_threads(monkeypatch, 2)
+    count = [3]
+
+    def process_setter(threads):
+        previous, count[0] = count[0], threads
+        return previous
+
+    monkeypatch.setattr(model, "_blas_setter", lambda: process_setter)
+    both_running = threading.Barrier(2)
+    errors = {}
+
+    def call(steps, poison_step):
+        def override(step, layer, head, block):
+            if (step, layer, head) == (steps[0], 0, 0):  # each caller's branch 0, once
+                both_running.wait(30)
+            return block * np.inf if (step, layer) == (poison_step, 1) else block
+
+        try:
+            forward(weights, pair, 0.5, AttentionHook(override=override, step=steps))
+        except NonFiniteActivation as exc:
+            errors[steps] = str(exc)
+
+    def run():
+        other = threading.Thread(target=call, args=((3, 4), 4))
+        other.start()
+        call((1, 2), None)
+        other.join()
+
+    _within(60, run)
+    assert errors == {(3, 4): "non-finite attention logits at layer 1"}
+    assert model._HOLDS[0] == 0
+    assert count == [3]
 
 
 # ------------------------------------------------------------------
